@@ -10,7 +10,7 @@ from .coloring import (
     parse_coloring,
     verify,
 )
-from .graph import Graph, Multiset, format_graph, multiset_union, parse_graph
+from .graph import Graph, format_graph, parse_graph
 from .kernel import BACKEND as KERNEL_BACKEND
 from .solver import (
     DEFAULT_SLACK,
@@ -34,7 +34,6 @@ __all__ = [
     "ExtensionProbe",
     "Graph",
     "KERNEL_BACKEND",
-    "Multiset",
     "SolveOutcome",
     "VerifyReport",
     "edge_insertion_order",
@@ -44,7 +43,6 @@ __all__ = [
     "format_graph",
     "has_acyclic_coloring",
     "heuristic_color",
-    "multiset_union",
     "parse_coloring",
     "parse_graph",
     "repair_exchange_pair",

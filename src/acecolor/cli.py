@@ -18,6 +18,7 @@ from . import __version__
 from .conditions import (
     CONDITION_ORDER,
     check_condition,
+    exact_size_ok,
     find_reducible_configuration,
 )
 from .coloring import format_coloring, parse_coloring, verify
@@ -68,10 +69,6 @@ def _emit(report: dict, args, default_name: str, multi: bool = False) -> None:
     _write_report(payload, args, default_name, multi)
 
 
-def _exact_size_ok(g: Graph) -> bool:
-    return g.m <= 16 or g.n <= 8
-
-
 def cmd_color(args) -> int:
     status = EXIT_OK
     for path in args.instance:
@@ -120,7 +117,7 @@ def cmd_exact(args) -> int:
     status = EXIT_OK
     for path in args.instance:
         g, _ = _load_instance(path)
-        if not _exact_size_ok(g):
+        if not exact_size_ok(g):
             raise SizeRefusal(f"{path}: n={g.n}, m={g.m} beyond exact-solver limits")
         bound = args.kappa if args.kappa else (g.max_degree() if g.n else 0) + DEFAULT_SLACK
         result = exact_acyclic_index(g, bound)

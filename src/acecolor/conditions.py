@@ -531,6 +531,12 @@ def recheck_witness(g: Graph, drawing, kappa: int, w: ConditionWitness) -> bool:
     return any(x.vertices == w.vertices for x in found)
 
 
+def exact_size_ok(g: Graph) -> bool:
+    """Whether g is small enough for the exhaustive computations: the
+    CLI's exact index and the deletion-minimality probe."""
+    return g.m <= 16 or g.n <= 8
+
+
 def deletion_minimal_probe(g: Graph, kappa: int) -> tuple[bool, dict]:
     """Exhaustively test palette-minimality on a tiny graph.
 
@@ -538,7 +544,7 @@ def deletion_minimal_probe(g: Graph, kappa: int) -> tuple[bool, dict]:
     deletion does (subgraph monotonicity reduces all proper subgraphs to
     edge deletions; isolated vertices rule minimality out immediately).
     """
-    if not (g.m <= 16 or g.n <= 8):
+    if not exact_size_ok(g):
         raise SizeRefusal(
             f"graph with n={g.n}, m={g.m} too large for the exhaustive probe"
         )

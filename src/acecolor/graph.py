@@ -7,7 +7,6 @@ after construction; removing an edge produces a new graph.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 
 from .errors import ParseError
@@ -167,37 +166,6 @@ class Graph:
             if root_children >= 2:
                 points.add(root)
         return sorted(points)
-
-
-class Multiset(Counter):
-    """Multiset of hashable elements; multiplicities are always >= 1."""
-
-    def __init__(self, items: Iterable | None = None):
-        super().__init__()
-        if items is None:
-            return
-        if isinstance(items, dict):
-            for x, k in items.items():
-                if k < 1:
-                    raise ValueError(f"multiplicity of {x!r} must be >= 1, got {k}")
-                self[x] = k
-        else:
-            for x in items:
-                self[x] += 1
-
-    def mul(self, x) -> int:
-        """Multiplicity of x; 0 for absent elements."""
-        return self.get(x, 0)
-
-
-def multiset_union(s: Multiset, t: Multiset) -> Multiset:
-    """Additive union: output multiplicity is the sum of input multiplicities."""
-    out = Multiset()
-    for x, k in s.items():
-        out[x] += k
-    for x, k in t.items():
-        out[x] += k
-    return out
 
 
 def _parse_graph_lines(lines: list[str], where: str = "graph") -> tuple[Graph, list[str]]:

@@ -5,8 +5,9 @@ for desk-scale instances. The heuristic colors edges one at a time in a
 peeling-derived order, always assigning a valid color when one exists and
 otherwise attempting local repairs: recoloring a single incident edge,
 exchanging the colors of two edges at a shared vertex, or uncoloring a
-sibling edge to free the stuck one. Every repair is gated by a
-from-scratch verify, and a move budget keeps failure detectable.
+sibling edge to free the stuck one. Every repair is gated by
+``valid_colors``, one edge assignment at a time, and a move budget keeps
+failure detectable. Callers verify the returned coloring once.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import kernel
 from .coloring import EdgeColoring, verify
@@ -54,18 +56,15 @@ def edge_insertion_order(g: Graph) -> list[Edge]:
     (ties to the lowest vertex id). The reverse of the returned sequence is
     the coloring order, so the lightest structure is colored last."""
     deg = [g.degree(v) for v in range(g.n)]
-    remaining: set[Edge] = set(g.edges)
     nbrs = [set(g.neighbors(v)) for v in range(g.n)]
     order: list[Edge] = []
-    while remaining:
+    for _ in range(g.m):
         v = min(
             (x for x in range(g.n) if deg[x] > 0),
             key=lambda x: (deg[x], x),
         )
         u = min(nbrs[v], key=lambda x: (deg[x], x))
-        e = canonical_edge(v, u)
-        remaining.discard(e)
-        order.append(e)
+        order.append(canonical_edge(v, u))
         nbrs[v].discard(u)
         nbrs[u].discard(v)
         deg[v] -= 1
@@ -124,7 +123,8 @@ def exact_acyclic_index(g: Graph, upper_bound: int) -> ExactResult | None:
 def repair_recolor_single(
     coloring: EdgeColoring, e: tuple[int, int], new_color: int
 ) -> RepairOutcome:
-    """Recolor one edge, accepting only if the result verifies acyclic."""
+    """Recolor one edge if the new color is in its ``valid_colors``. The
+    input coloring must be proper and acyclic; it is left unchanged."""
     old = coloring.color_of(e)
     if old is None:
         raise ValueError(f"edge {tuple(e)} is not colored")
@@ -134,17 +134,15 @@ def repair_recolor_single(
     trial.uncolor(e)
     if new_color not in trial.available_colors(e):
         return RepairOutcome(accepted=False, blocking=("unavailable", new_color))
-    trial.assign(e, new_color)
-    rep = verify(trial)
-    if rep.ok:
-        return RepairOutcome(accepted=True, coloring=trial)
-    return RepairOutcome(accepted=False, blocking=rep.cycle)
+    return _assign_gated(trial, ((e, new_color),))
 
 
 def repair_exchange_pair(
     coloring: EdgeColoring, e1: tuple[int, int], e2: tuple[int, int]
 ) -> RepairOutcome:
-    """Swap the colors of two edges sharing a vertex; verify-gated."""
+    """Swap the colors of two edges sharing a vertex if each new color is
+    valid in turn. The input coloring must be proper and acyclic; it is
+    left unchanged."""
     a = canonical_edge(*e1)
     b = canonical_edge(*e2)
     if not set(a) & set(b):
@@ -158,17 +156,22 @@ def repair_exchange_pair(
     trial = coloring.copy()
     trial.uncolor(a)
     trial.uncolor(b)
-    try:
-        trial.assign(a, c2)
-        trial.assign(b, c1)
-    except ValueError:
+    # c1 != c2, so giving a the color c2 leaves c1's availability at b as is
+    if c2 not in trial.available_colors(a) or c1 not in trial.available_colors(b):
         return RepairOutcome(accepted=False, blocking=("improper", a, b))
-    rep = verify(trial)
-    if rep.ok:
+    return _assign_gated(trial, ((a, c2), (b, c1)))
+
+
+def _assign_gated(trial: EdgeColoring, moves) -> RepairOutcome:
+    """Assign each available (edge, color) in turn; accept if every color
+    is valid when assigned, else block on the cycle ``verify`` reports."""
+    acyclic = True
+    for e, c in moves:
+        acyclic = acyclic and c in trial.valid_colors(e)  # no walks past a cycle
+        trial.assign(e, c)
+    if acyclic:
         return RepairOutcome(accepted=True, coloring=trial)
-    if not rep.proper:
-        return RepairOutcome(accepted=False, blocking=("improper", a, b))
-    return RepairOutcome(accepted=False, blocking=rep.cycle)
+    return RepairOutcome(accepted=False, blocking=verify(trial).cycle)
 
 
 # -- heuristic colorer --------------------------------------------------------
@@ -195,12 +198,9 @@ def heuristic_color(
     budget = 50 * g.m if move_budget is None else move_budget
     base_order = _coloring_order(g)
     for attempt in range(restarts + 1):
-        if attempt == 0:
-            order = list(base_order)
-            rng = None
-        else:
-            rng = random.Random(f"{seed}:{attempt}")
-            order = list(base_order)
+        order = list(base_order)
+        rng = random.Random(f"{seed}:{attempt}") if attempt else None
+        if rng is not None:
             rng.shuffle(order)
         outcome = _color_once(g, kappa, order, budget, rng)
         if outcome is not None:
@@ -229,7 +229,7 @@ def _color_once(
             c = min(valid) if rng is None else rng.choice(sorted(valid))
             col.assign(e, c)
             continue
-        repaired, col, spent = _repair_stuck(g, col, e, moves, queue, spent, budget, rng)
+        repaired, col, spent = _repair_stuck(col, e, moves, queue, spent, budget)
         if not repaired:
             return None
         queue.appendleft(e)
@@ -237,19 +237,18 @@ def _color_once(
     return SolveOutcome(coloring=col, colors_used=out_colors, moves=moves)
 
 
-def _repair_stuck(g, col, e, moves, queue, spent, budget, rng):
+def _repair_stuck(col, e, moves, queue, spent, budget):
     """Try the stuck-edge repairs in a fixed order; each attempt costs one
-    unit of budget. Returns (ok, coloring, spent)."""
-    u, v = canonical_edge(*e)
-
+    unit of budget. col must be proper and acyclic; trials made on col in
+    place are undone before the next one. Returns (ok, coloring, spent)."""
     # 1. recolor one incident edge, trying the endpoint with more free colors first
-    ends = sorted((u, v), key=lambda x: (-len(col.free_colors(x)), x))
+    ends = sorted(canonical_edge(*e), key=lambda x: (-len(col.free_colors(x)), x))
     for w in ends:
         for other in sorted(col.used_colors(w)):
             f = col.edge_with_color(w, other)
-            trial_base = col.copy()
-            trial_base.uncolor(f)
-            candidates = sorted(trial_base.valid_colors(f) - {other})
+            col.uncolor(f)
+            candidates = sorted(col.valid_colors(f) - {other})
+            col.assign(f, other)
             for c in candidates:
                 if spent >= budget:
                     return False, col, spent
@@ -262,15 +261,14 @@ def _repair_stuck(g, col, e, moves, queue, spent, budget, rng):
     # 2. exchange the colors on two edges at a shared endpoint
     for w in ends:
         incident = sorted(col.edge_with_color(w, c) for c in col.used_colors(w))
-        for i in range(len(incident)):
-            for j in range(i + 1, len(incident)):
-                if spent >= budget:
-                    return False, col, spent
-                spent += 1
-                res = repair_exchange_pair(col, incident[i], incident[j])
-                if res.accepted and res.coloring.valid_colors(e):
-                    moves.append(Move("exchange", (incident[i], incident[j])))
-                    return True, res.coloring, spent
+        for f1, f2 in combinations(incident, 2):
+            if spent >= budget:
+                return False, col, spent
+            spent += 1
+            res = repair_exchange_pair(col, f1, f2)
+            if res.accepted and res.coloring.valid_colors(e):
+                moves.append(Move("exchange", (f1, f2)))
+                return True, res.coloring, spent
 
     # 3. uncolor a sibling edge, color the stuck edge with the freed color,
     #    and requeue the sibling
@@ -280,12 +278,11 @@ def _repair_stuck(g, col, e, moves, queue, spent, budget, rng):
                 return False, col, spent
             spent += 1
             f = col.edge_with_color(w, c)
-            trial = col.copy()
-            trial.uncolor(f)
-            if c in trial.valid_colors(e):
-                trial.assign(e, c)
-                if verify(trial).ok:
-                    queue.append(f)
-                    moves.append(Move("uncolor-shift", (f, c)))
-                    return True, trial, spent
+            col.uncolor(f)
+            if c in col.valid_colors(e):
+                col.assign(e, c)
+                queue.append(f)
+                moves.append(Move("uncolor-shift", (f, c)))
+                return True, col, spent
+            col.assign(f, c)
     return False, col, spent

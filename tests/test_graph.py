@@ -5,13 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acecolor.errors import ParseError
-from acecolor.graph import (
-    Graph,
-    Multiset,
-    format_graph,
-    multiset_union,
-    parse_graph,
-)
+from acecolor.graph import Graph, format_graph, parse_graph
 
 from graphlib import complete, cycle, petersen, star
 
@@ -122,36 +116,6 @@ def test_count_neighbors_with_degree_at_least():
     assert s.count_neighbors_with_degree_at_least(0, 1) == 5
     assert s.count_neighbors_with_degree_at_least(0, 2) == 0
     assert cycle(4).count_neighbors_with_degree_at_least(0, 2) == 2
-
-
-def test_multiset_union_examples():
-    a = Multiset([1, 1, 2])
-    b = Multiset([2, 3])
-    u = multiset_union(a, b)
-    assert u.mul(1) == 2 and u.mul(2) == 2 and u.mul(3) == 1
-    assert multiset_union(a, Multiset()) == a
-    triple = multiset_union(multiset_union(Multiset([5]), Multiset([5])), Multiset([5]))
-    assert triple.mul(5) == 3
-    assert u.mul(99) == 0
-
-
-def test_multiset_rejects_nonpositive_multiplicity():
-    with pytest.raises(ValueError):
-        Multiset({1: 0})
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(st.integers(0, 5), max_size=8),
-    st.lists(st.integers(0, 5), max_size=8),
-    st.lists(st.integers(0, 5), max_size=8),
-)
-def test_multiset_union_commutative_associative(xs, ys, zs):
-    a, b, c = Multiset(xs), Multiset(ys), Multiset(zs)
-    assert multiset_union(a, b) == multiset_union(b, a)
-    assert multiset_union(multiset_union(a, b), c) == multiset_union(a, multiset_union(b, c))
-    for x in set(xs) | set(ys):
-        assert multiset_union(a, b).mul(x) == a.mul(x) + b.mul(x)
 
 
 def test_parse_format_roundtrip():

@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acecolor.coloring import EdgeColoring, verify
 from acecolor.graph import Graph
@@ -205,6 +208,20 @@ def test_repair_exchange_rejects_improper():
     assert res.blocking[0] == "improper"
 
 
+def test_repair_exchange_rejects_cycle():
+    # C4 0-1-2-3 plus the pendant edge (0,4); swapping (0,1) and (0,4) is
+    # proper but makes the square alternate 1,2,1,2
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)])
+    col = EdgeColoring(g, 3)
+    for e, c in {(0, 1): 3, (1, 2): 2, (2, 3): 1, (0, 3): 2, (0, 4): 1}.items():
+        col.assign(e, c)
+    assert verify(col).ok
+    res = repair_exchange_pair(col, (0, 1), (0, 4))
+    assert not res.accepted
+    assert res.blocking == ((0, 1), (0, 3), (1, 2), (2, 3))
+    assert col.color_of((0, 1)) == 3 and col.color_of((0, 4)) == 1  # input untouched
+
+
 def test_repair_exchange_requires_shared_vertex():
     p = path(3)
     col = EdgeColoring(p, 3)
@@ -261,3 +278,76 @@ def test_repair_moves_preserve_colored_count():
     res = repair_exchange_pair(col, (0, 1), (1, 2))
     if res.accepted:
         assert res.coloring.colored_count == before
+
+
+# -- the valid_colors gate against a from-scratch verify ------------------------
+
+
+@st.composite
+def proper_acyclic_colorings(draw):
+    """A random, nearly total coloring of a small random bipartite graph
+    (many even cycles), proper and acyclic by construction: each edge
+    takes the first color from a drawn offset that still verifies."""
+    n = draw(st.integers(4, 8))
+    pool = [(i, j) for i in range(n // 2) for j in range(n // 2, n)]
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, min_size=4, max_size=12))
+    g = Graph(n, edges)
+    kappa = g.max_degree() + draw(st.integers(0, 1))
+    col = EdgeColoring(g, kappa)
+    for e in draw(st.permutations(list(g.edges))):
+        start = draw(st.integers(0, kappa - 1))
+        for c in ((start + i) % kappa + 1 for i in range(kappa)):
+            if c in col.available_colors(e):
+                col.assign(e, c)
+                if verify(col).ok:
+                    break
+                col.uncolor(e)
+    return col
+
+
+def _moved(col, pairs):
+    """Apply the moves with no acyclicity check: the moved coloring, or
+    None when some move is improper."""
+    trial = col.copy()
+    for e, _ in pairs:
+        trial.uncolor(e)
+    try:
+        for e, c in pairs:
+            trial.assign(e, c)
+    except ValueError:
+        return None
+    return trial
+
+
+def _check_gate(col, before, res, moved):
+    assert col.colored_edges() == before  # the input is left unchanged
+    if moved is None:
+        assert not res.accepted
+        return
+    rep = verify(moved)
+    assert rep.proper
+    assert res.accepted == rep.ok
+    if res.accepted:
+        assert res.coloring == moved
+    else:
+        assert res.blocking == rep.cycle
+
+
+@settings(max_examples=100, deadline=None)
+@given(proper_acyclic_colorings())
+def test_recolor_gate_matches_verify(col):
+    before = col.colored_edges()
+    for e in sorted(before):
+        for c in range(1, col.kappa + 1):
+            res = repair_recolor_single(col, e, c)
+            _check_gate(col, before, res, _moved(col, [(e, c)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(proper_acyclic_colorings())
+def test_exchange_gate_matches_verify(col):
+    before = col.colored_edges()
+    for a, b in combinations(sorted(before), 2):
+        if set(a) & set(b):
+            res = repair_exchange_pair(col, a, b)
+            _check_gate(col, before, res, _moved(col, [(a, before[b]), (b, before[a])]))
