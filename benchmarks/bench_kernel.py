@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark: compiled search kernel vs the pure-Python fallback.
+"""Benchmark: the C search kernel vs the pure-Python fallback.
 
 Runs the same exact-search workloads through both kernel implementations
-and prints the wall times side by side. Usage:
+and prints the wall times side by side. The C column appears when the
+extension is built (``python setup.py build_ext --inplace``). The last two
+workloads, K5,5 at k=6 and K8 at k=8, are refutations that take seconds
+in pure Python. Usage:
 
     python benchmarks/bench_kernel.py [--repeat N]
 """
@@ -57,6 +60,8 @@ def workloads():
     yield "K5,5 k=5 (unsat)", complete_bipartite(5, 5), 5
     yield "mobius-kantor k=3 (unsat)", mobius_kantor(), 3
     yield "mobius-kantor k=4 (sat)", mobius_kantor(), 4
+    yield "K5,5 k=6 (unsat)", complete_bipartite(5, 5), 6
+    yield "K8 k=8 (unsat)", complete(8), 8
 
 
 def run(kernel_module, g: Graph, k: int, repeat: int) -> tuple[float, bool]:
@@ -81,7 +86,7 @@ def main() -> None:
 
     backends = [("python", _kernel_py)]
     if _kernel is not None:
-        backends.append(("cython", _kernel))
+        backends.append(("c", _kernel))
     else:
         print("note: compiled kernel not built; run `python setup.py build_ext --inplace`")
 

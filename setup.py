@@ -1,28 +1,18 @@
-"""Build script: compiles the optional search kernel extension.
+"""Build script: compiles the optional C search kernel extension.
 
-The package works without the extension (a pure-Python kernel is selected
-at import time), so compilation failures are downgraded to a warning.
+The extension is optional: without a C compiler the build still succeeds
+and ``acecolor.kernel`` selects the pure-Python kernel at import time.
 """
-
-import warnings
 
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "acecolor._kernel",
-                ["src/acecolor/_kernel.pyx"],
-                extra_compile_args=["-O2"],
-            )
-        ],
-        language_level=3,
-    )
-except Exception as exc:  # pragma: no cover - build environment dependent
-    warnings.warn(f"building without compiled kernel: {exc}")
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "acecolor._kernel",
+            ["src/acecolor/_kernel.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
+        )
+    ]
+)

@@ -1,0 +1,167 @@
+/* Compiled search kernel for acyclic edge colorings.
+ *
+ * Same search as ``_kernel_py``: backtracking over edges in the given
+ * order, lowest color first, properness and bichromatic-cycle pruning, and
+ * a first-use symmetry break on colors, so both return the same coloring
+ * (or None) for every input. The backtracking is a loop over an explicit
+ * per-depth ``maxc`` array, so no input can exhaust the C stack.
+ */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdlib.h>
+
+/* vcol[v*stride + c] = w+1 if vertex v has an edge of color c to w, else 0 */
+static int closes_cycle(const int *vcol, Py_ssize_t stride, int u, int v, int c, int k)
+{
+    for (int b = 1; b <= k; b++) {
+        if (b == c || !vcol[u * stride + b] || !vcol[v * stride + b])
+            continue;
+        int cur = u, use = b;
+        for (;;) {
+            int nxt = vcol[cur * stride + use];
+            if (!nxt)
+                break;
+            cur = nxt - 1;
+            if (cur == v) {
+                if (use == b)
+                    return 1;
+                break;
+            }
+            use = use == c ? b : c;
+        }
+    }
+    return 0;
+}
+
+/* Copy the ints of a sequence into out, each checked to lie in [0, bound). */
+static int read_ints(PyObject *seq, Py_ssize_t m, int *out, Py_ssize_t bound, const char *what)
+{
+    PyObject *fast = PySequence_Fast(seq, "expected a sequence of ints");
+    if (!fast)
+        return -1;
+    int rc = -1;
+    if (PySequence_Fast_GET_SIZE(fast) != m) {
+        PyErr_Format(PyExc_ValueError, "%s must have one entry per edge", what);
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < m; i++) {
+        Py_ssize_t x = PyNumber_AsSsize_t(PySequence_Fast_GET_ITEM(fast, i), NULL);
+        if (x == -1 && PyErr_Occurred())
+            goto done;
+        if (x < 0 || x >= bound) {
+            PyErr_Format(PyExc_ValueError, "%s[%zd] = %zd is out of range [0, %zd)", what, i, x, bound);
+            goto done;
+        }
+        out[i] = (int)x;
+    }
+    rc = 0;
+done:
+    Py_DECREF(fast);
+    return rc;
+}
+
+static PyObject *find_coloring(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *n_obj, *k_obj, *eu_seq, *ev_seq, *order_seq, *result = NULL;
+    if (!PyArg_ParseTuple(args, "OOOOO:find_coloring", &n_obj, &k_obj, &eu_seq, &ev_seq, &order_seq))
+        return NULL;
+    /* out-of-range ints clip to the Py_ssize_t range, which keeps their meaning here */
+    Py_ssize_t n = PyNumber_AsSsize_t(n_obj, NULL);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t k_arg = PyNumber_AsSsize_t(k_obj, NULL);
+    if (k_arg == -1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t m = PySequence_Size(eu_seq);
+    if (m < 0)
+        return NULL;
+    if (m >= INT_MAX || n >= INT_MAX) /* vertex ids + 1 and colors are stored as int */
+        return PyErr_NoMemory();
+    /* k <= 0 refutes; colors above m are never reached (each edge opens at
+     * most one new color) */
+    int k = (int)(k_arg < 0 ? 0 : k_arg < m ? k_arg : m);
+    Py_ssize_t stride = (Py_ssize_t)k + 1, vsize = n > 0 ? n : 0;
+    if (vsize > (PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(int) - 6 * m) / stride)
+        return PyErr_NoMemory();
+    /* one block: eu | ev | order | colors | maxc (m+1) | vcol */
+    int *buf = calloc(5 * m + 1 + vsize * stride, sizeof(int));
+    if (!buf)
+        return PyErr_NoMemory();
+    int *eu = buf, *ev = buf + m, *order = buf + 2 * m, *colors = buf + 3 * m;
+    int *maxc = buf + 4 * m, *vcol = buf + 5 * m + 1;
+    if (read_ints(eu_seq, m, eu, n, "eu") || read_ints(ev_seq, m, ev, n, "ev")
+        || read_ints(order_seq, m, order, m, "order"))
+        goto done;
+    for (Py_ssize_t i = 0; i < m; i++) { /* colors is still zero: mark each edge seen */
+        if (colors[order[i]]++) {
+            PyErr_SetString(PyExc_ValueError, "order must be a permutation of range(m)");
+            goto done;
+        }
+    }
+    memset(colors, 0, (size_t)m * sizeof(int));
+    if (m == 0) {
+        result = PyList_New(0);
+        goto done;
+    }
+    if (k <= 0) {
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
+    Py_ssize_t i = 0;
+    unsigned long nodes = 0;
+    while (i >= 0 && i < m) {
+        if (!(++nodes & 0xFFFFF) && PyErr_CheckSignals())
+            goto done;
+        int e = order[i], u = eu[e], v = ev[e], c = colors[e];
+        int limit = maxc[i] + 1 < k ? maxc[i] + 1 : k;
+        if (c) /* back from depth i+1: take back this depth's color */
+            vcol[u * stride + c] = vcol[v * stride + c] = 0;
+        for (c++; c <= limit; c++)
+            if (!vcol[u * stride + c] && !vcol[v * stride + c] && !closes_cycle(vcol, stride, u, v, c, k))
+                break;
+        if (c > limit) {
+            colors[e] = 0;
+            i--;
+            continue;
+        }
+        colors[e] = c;
+        vcol[u * stride + c] = v + 1;
+        vcol[v * stride + c] = u + 1;
+        maxc[i + 1] = c > maxc[i] ? c : maxc[i];
+        i++;
+    }
+    if (i < 0) {
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
+    result = PyList_New(m);
+    for (Py_ssize_t j = 0; result && j < m; j++) {
+        PyObject *x = PyLong_FromLong(colors[j]);
+        if (!x)
+            Py_CLEAR(result);
+        else
+            PyList_SET_ITEM(result, j, x);
+    }
+done:
+    free(buf);
+    return result;
+}
+
+static PyMethodDef methods[] = {
+    {"find_coloring", find_coloring, METH_VARARGS,
+     "find_coloring(n, k, eu, ev, order) -> list[int] | None\n\n"
+     "Mirror of ``_kernel_py.find_coloring`` (see that module for the contract)."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, .m_name = "_kernel", .m_size = -1, .m_methods = methods,
+};
+
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    PyObject *mod = PyModule_Create(&module);
+    if (mod && PyModule_AddStringConstant(mod, "BACKEND", "c") < 0)
+        Py_CLEAR(mod);
+    return mod;
+}

@@ -5,7 +5,8 @@ assignments that break properness or close a bichromatic cycle. Color
 classes are interchangeable, so edge i may only use colors up to one more
 than the largest color used on earlier edges (first-use symmetry break).
 
-The compiled extension in ``_kernel.pyx`` implements the same algorithm;
+The hand-written C extension in ``_kernel.c`` implements the same search,
+input checks included, and returns the same result for every input;
 ``acecolor.kernel`` picks whichever is available at import time.
 """
 
@@ -26,9 +27,18 @@ def find_coloring(
     eu/ev give edge endpoints; order is the permutation of edge indices to
     color, typically chosen so each edge touches previously colored ones.
     Returns per-edge colors aligned with eu/ev, or None if no coloring
-    exists within k colors.
+    exists within k colors. Raises ValueError unless every endpoint lies
+    in [0, n) and order is a permutation of range(m).
     """
     m = len(eu)
+    for name, seq, bound in (("eu", eu, n), ("ev", ev, n), ("order", order, m)):
+        if len(seq) != m:
+            raise ValueError(f"{name} must have one entry per edge")
+        for i, x in enumerate(seq):
+            if not 0 <= x < bound:
+                raise ValueError(f"{name}[{i}] = {x} is out of range [0, {bound})")
+    if len(set(order)) != m:
+        raise ValueError("order must be a permutation of range(m)")
     if m == 0:
         return []
     if k <= 0:
@@ -60,26 +70,32 @@ def find_coloring(
                 use = b if use == c else c
         return False
 
-    def solve(i: int, maxc: int) -> bool:
-        if i == m:
-            return True
+    # Backtracking as a loop, as in the C kernel, so the recursion limit
+    # caps no input: colors[order[i]] is the color tried at depth i (0 for
+    # none yet) and maxc[i] the largest color on the edges before it.
+    maxc = [0] * (m + 1)
+    i = 0
+    while 0 <= i < m:
         e = order[i]
         u = eu[e]
         v = ev[e]
-        limit = maxc + 1 if maxc + 1 < k else k
-        for c in range(1, limit + 1):
-            if vcol[u * stride + c] or vcol[v * stride + c]:
-                continue
-            if closes_cycle(u, v, c):
-                continue
-            colors[e] = c
-            vcol[u * stride + c] = v + 1
-            vcol[v * stride + c] = u + 1
-            if solve(i + 1, maxc if c <= maxc else c):
-                return True
+        ub = u * stride
+        vb = v * stride
+        c = colors[e]
+        limit = maxc[i] + 1 if maxc[i] + 1 < k else k
+        if c:  # back from depth i+1: take back this depth's color
+            vcol[ub + c] = 0
+            vcol[vb + c] = 0
+        c += 1
+        while c <= limit and (vcol[ub + c] or vcol[vb + c] or closes_cycle(u, v, c)):
+            c += 1
+        if c > limit:
             colors[e] = 0
-            vcol[u * stride + c] = 0
-            vcol[v * stride + c] = 0
-        return False
-
-    return list(colors) if solve(0, 0) else None
+            i -= 1
+            continue
+        colors[e] = c
+        vcol[ub + c] = v + 1
+        vcol[vb + c] = u + 1
+        maxc[i + 1] = c if c > maxc[i] else maxc[i]
+        i += 1
+    return colors if i == m else None

@@ -12,6 +12,7 @@ failure detectable. Callers verify the returned coloring once.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -54,21 +55,29 @@ class RepairOutcome:
 def edge_insertion_order(g: Graph) -> list[Edge]:
     """Peeling order: repeatedly remove an edge at a minimum-degree vertex
     (ties to the lowest vertex id). The reverse of the returned sequence is
-    the coloring order, so the lightest structure is colored last."""
+    the coloring order, so the lightest structure is colored last.
+
+    The minimum-degree vertex comes from a lazy-deletion heap of
+    ``(deg, id)`` entries: a vertex gets a new entry whenever its degree
+    drops, and entries that no longer match its degree are skipped, so
+    the order costs O(m log n)."""
     deg = [g.degree(v) for v in range(g.n)]
     nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    heap = [(d, v) for v, d in enumerate(deg) if d > 0]
+    heapq.heapify(heap)
     order: list[Edge] = []
     for _ in range(g.m):
-        v = min(
-            (x for x in range(g.n) if deg[x] > 0),
-            key=lambda x: (deg[x], x),
-        )
+        d, v = heapq.heappop(heap)
+        while deg[v] != d:  # stale: v's degree dropped since this entry
+            d, v = heapq.heappop(heap)
         u = min(nbrs[v], key=lambda x: (deg[x], x))
         order.append(canonical_edge(v, u))
         nbrs[v].discard(u)
         nbrs[u].discard(v)
-        deg[v] -= 1
-        deg[u] -= 1
+        for x in (v, u):
+            deg[x] -= 1
+            if deg[x]:
+                heapq.heappush(heap, (deg[x], x))
     return order
 
 

@@ -100,6 +100,32 @@ def test_edge_insertion_order_star():
     assert sorted(order) == sorted(s.edges)
 
 
+def _insertion_order_by_scan(g):
+    """The peeling order by its definition: scan every vertex for the
+    minimum (degree, id), then its neighbor of minimum (degree, id)."""
+    deg = [g.degree(v) for v in range(g.n)]
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    order = []
+    for _ in range(g.m):
+        v = min((x for x in range(g.n) if deg[x] > 0), key=lambda x: (deg[x], x))
+        u = min(nbrs[v], key=lambda x: (deg[x], x))
+        order.append((min(u, v), max(u, v)))
+        nbrs[v].discard(u)
+        nbrs[u].discard(v)
+        deg[v] -= 1
+        deg[u] -= 1
+    return order
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 14), st.data())
+def test_edge_insertion_order_matches_full_scan(n, data):
+    pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=30)) if pool else []
+    g = Graph(n, edges)
+    assert edge_insertion_order(g) == _insertion_order_by_scan(g)
+
+
 def test_heuristic_forest_no_repairs():
     # a small forest: palette = max degree suffices with zero repairs
     g = Graph(7, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (5, 6)])
