@@ -16,6 +16,7 @@ from .solver import (
     DEFAULT_SLACK,
     ExactResult,
     SolveOutcome,
+    acyclic_lower_bound,
     edge_insertion_order,
     exact_acyclic_index,
     has_acyclic_coloring,
@@ -36,6 +37,7 @@ __all__ = [
     "KERNEL_BACKEND",
     "SolveOutcome",
     "VerifyReport",
+    "acyclic_lower_bound",
     "edge_insertion_order",
     "exact_acyclic_index",
     "extension_probe",

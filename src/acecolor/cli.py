@@ -69,11 +69,19 @@ def _emit(report: dict, args, default_name: str, multi: bool = False) -> None:
     _write_report(payload, args, default_name, multi)
 
 
+def _palette(args, g: Graph) -> int:
+    """--kappa when given (even 0), else the default palette: max degree
+    (0 without vertices) plus DEFAULT_SLACK."""
+    if args.kappa is not None:
+        return args.kappa
+    return (g.max_degree() if g.n else 0) + DEFAULT_SLACK
+
+
 def cmd_color(args) -> int:
     status = EXIT_OK
     for path in args.instance:
         g, _ = _load_instance(path)
-        kappa = args.kappa if args.kappa else g.max_degree() + DEFAULT_SLACK
+        kappa = _palette(args, g)
         triangle_free, witness = g.is_triangle_free()
         t0 = time.perf_counter()
         outcome = heuristic_color(
@@ -119,7 +127,7 @@ def cmd_exact(args) -> int:
         g, _ = _load_instance(path)
         if not exact_size_ok(g):
             raise SizeRefusal(f"{path}: n={g.n}, m={g.m} beyond exact-solver limits")
-        bound = args.kappa if args.kappa else (g.max_degree() if g.n else 0) + DEFAULT_SLACK
+        bound = _palette(args, g)
         result = exact_acyclic_index(g, bound)
         report = {"instance": Path(path).stem, "n": g.n, "m": g.m, "bound": bound}
         if result is None:
@@ -167,7 +175,7 @@ def cmd_discharge(args) -> int:
             raise ParseError(f"{path}: discharge requires a drawing file "
                              "(crossing and rotation lines), got a bare graph")
         p = planarize(d)
-        kappa = args.kappa if args.kappa else g.max_degree() + DEFAULT_SLACK
+        kappa = _palette(args, g)
         rep = discharge(p, g, kappa)
         blamed = all(ne.violated for ne in rep.negative_elements)
         if not rep.conserved or not rep.negative_elements or not blamed:
@@ -190,7 +198,7 @@ def cmd_audit(args) -> int:
         if d is None:
             raise ParseError(f"{path}: audit requires a drawing file "
                              "(crossing and rotation lines), got a bare graph")
-        kappa = args.kappa if args.kappa else g.max_degree() + DEFAULT_SLACK
+        kappa = _palette(args, g)
         plane = planarize(d)
         report = {"instance": Path(path).stem, "kappa": kappa}
         for cond in CONDITION_ORDER:

@@ -1,13 +1,17 @@
 """Exact and heuristic acyclic edge coloring solvers.
 
+``acyclic_lower_bound`` is the one lower bound both solvers use: the max
+degree Δ, or Δ+1 when a forest-count argument proves Δ colors too few.
 The exact solver is a backtracking search (see ``acecolor.kernel``) meant
-for desk-scale instances. The heuristic colors edges one at a time in a
-peeling-derived order, always assigning a valid color when one exists and
-otherwise attempting local repairs: recoloring a single incident edge,
-exchanging the colors of two edges at a shared vertex, or uncoloring a
-sibling edge to free the stuck one. Every repair is gated by
-``valid_colors``, one edge assignment at a time, and a move budget keeps
-failure detectable. Callers verify the returned coloring once.
+for desk-scale instances, run bottom-up from that bound. The heuristic
+colors edges one at a time in a peeling-derived order, always assigning a
+valid color when one exists and otherwise attempting local repairs:
+recoloring a single incident edge, exchanging the colors of two edges at
+a shared vertex, or uncoloring a sibling edge to free the stuck one.
+Every repair is gated by ``valid_colors``, one edge assignment at a time,
+and a move budget keeps failure detectable. It gives up at once on a
+palette the lower bound rules out. Callers verify the returned coloring
+once.
 """
 
 from __future__ import annotations
@@ -81,6 +85,35 @@ def edge_insertion_order(g: Graph) -> list[Edge]:
     return order
 
 
+def acyclic_lower_bound(g: Graph) -> int:
+    """A lower bound on the acyclic chromatic index: Δ, or Δ+1 when the
+    forest-count test proves Δ colors too few (0 for a 0-vertex graph).
+
+    In an acyclic coloring with k >= 2 colors every two color classes
+    form a forest, so each subgraph H has (k-1)·m(H) <= C(k,2)·(n(H)-1),
+    that is 2m(H) <= k·(n(H)-1). The test takes k = Δ, and for H the
+    graph left after stripping, one after another, vertices of current
+    degree below Δ/2 (isolated vertices included): each strip raises
+    2m - Δ(n-1) by Δ - 2d > 0. It costs O(n + m). For Δ <= 1 there is no
+    color pair, and a single edge needs one color, so the bound is Δ."""
+    deg = [len(a) for a in g.adj]
+    delta = max(deg, default=0)
+    if delta <= 1:
+        return delta
+    low = (delta - 1) // 2  # d < Δ/2 iff d <= low
+    stack = [v for v, d in enumerate(deg) if d <= low]
+    n_h, two_m_h = g.n, 2 * g.m
+    while stack:
+        v = stack.pop()
+        n_h -= 1
+        two_m_h -= 2 * deg[v]  # deg[v] counts the neighbors not yet stripped
+        for u in g.adj[v]:
+            deg[u] -= 1
+            if deg[u] == low:  # just fell below Δ/2; degrees only fall
+                stack.append(u)
+    return delta + 1 if n_h > 1 and two_m_h > delta * (n_h - 1) else delta
+
+
 def _coloring_order(g: Graph) -> list[Edge]:
     return list(reversed(edge_insertion_order(g)))
 
@@ -100,22 +133,23 @@ def _run_kernel(g: Graph, k: int, order_edges: list[Edge]) -> EdgeColoring | Non
 
 
 def has_acyclic_coloring(g: Graph, k: int) -> EdgeColoring | None:
-    """Find an acyclic edge coloring using colors 1..k, or None."""
+    """Find an acyclic edge coloring using colors 1..k, or None (at once,
+    with no search, when k is below ``acyclic_lower_bound``)."""
     if g.m == 0:
         return EdgeColoring(g, max(k, 1))
-    if g.n and k < g.max_degree():
+    if k < acyclic_lower_bound(g):
         return None
     return _run_kernel(g, k, _coloring_order(g))
 
 
 def exact_acyclic_index(g: Graph, upper_bound: int) -> ExactResult | None:
     """Minimum number of colors in an acyclic edge coloring, searched
-    bottom-up from the max degree. Returns None when no acyclic coloring
-    with at most upper_bound colors exists (in particular whenever the
-    bound is below the max degree)."""
+    bottom-up from ``acyclic_lower_bound``. Returns None when no acyclic
+    coloring with at most upper_bound colors exists (in particular
+    whenever upper_bound is below that lower bound)."""
     if g.m == 0:
         return ExactResult(0, EdgeColoring(g, 1))
-    lo = g.max_degree()
+    lo = acyclic_lower_bound(g)
     if upper_bound < lo:
         return None
     order = _coloring_order(g)
@@ -198,12 +232,16 @@ def heuristic_color(
     Deterministic for a fixed seed: the first attempt uses the peeling
     order with lowest-color tie-breaking, and each restart reshuffles the
     order and color choices with a seeded generator. Returns None after
-    the restart cap, never silently escalating the palette.
+    the restart cap, never silently escalating the palette, and at once,
+    before any attempt, when kappa is the max degree and
+    ``acyclic_lower_bound`` proves it too small. A palette below the max
+    degree raises ValueError.
     """
-    if g.n and kappa < g.max_degree():
-        raise ValueError(
-            f"palette {kappa} below max degree {g.max_degree()}; properness impossible"
-        )
+    delta = g.max_degree() if g.n else 0
+    if kappa < delta:
+        raise ValueError(f"palette {kappa} below max degree {delta}; properness impossible")
+    if kappa == delta and kappa < acyclic_lower_bound(g):
+        return None
     budget = 50 * g.m if move_budget is None else move_budget
     base_order = _coloring_order(g)
     for attempt in range(restarts + 1):

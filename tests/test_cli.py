@@ -93,6 +93,22 @@ def test_color_impossible_palette_fails(tmp_path, capsys):
     # kappa=2 below the acyclic index: heuristic must report failure
     rc = main(["color", str(path), "--kappa", "2"])
     assert rc == 1
+    assert "status=failure" in capsys.readouterr().out
+
+
+def test_zero_vertex_graph_uses_default_palette(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    for cmd, palette in (("color", "kappa"), ("exact", "bound")):
+        assert main([cmd, str(path), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["status"], doc[palette]) == ("ok", 16)
+
+
+def test_kappa_zero_is_a_palette_not_the_default(c5_file, capsys):
+    # a palette below the max degree is an input error, 0 included
+    assert main(["color", str(c5_file), "--kappa", "0"]) == 2
+    assert "below max degree" in capsys.readouterr().err
 
 
 def test_exact_c5(c5_file, capsys):
