@@ -74,7 +74,7 @@ def _palette(args, g: Graph) -> int:
     (0 without vertices) plus DEFAULT_SLACK."""
     if args.kappa is not None:
         return args.kappa
-    return (g.max_degree() if g.n else 0) + DEFAULT_SLACK
+    return g.delta + DEFAULT_SLACK
 
 
 def cmd_color(args) -> int:
@@ -92,7 +92,7 @@ def cmd_color(args) -> int:
             "instance": Path(path).stem,
             "n": g.n,
             "m": g.m,
-            "delta": g.max_degree() if g.n else 0,
+            "delta": g.delta,
             "kappa": kappa,
             "triangle_free": triangle_free,
         }

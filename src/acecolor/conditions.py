@@ -12,6 +12,10 @@ with the default palette kappa = max_degree + 16 they instantiate to the
 familiar constants (2-vertices need 20+ neighbors, 3-vertices need 18+
 neighbors, and so on). The checks assume kappa >= max_degree + 2, the
 regime in which the underlying structure results hold.
+
+Every check reads the degrees and the max degree the graph computed once,
+and the face checks read the per-vertex 3-faces of the plane graph, so a
+check scoped to a few vertices costs O(their degrees), not O(n).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .embedding import Drawing, PlaneGraph, degree_two_face_violations, planarize, triangle_face_budget
+from .embedding import Drawing, PlaneGraph, planarize, triangle_face_budget
 from .errors import SizeRefusal
 from .graph import Graph
 from .solver import has_acyclic_coloring
@@ -72,11 +76,12 @@ class ConditionWitness:
 
 
 def _slack_thresholds(g: Graph, kappa: int) -> tuple[int, int]:
-    delta = g.max_degree() if g.n else 0
-    return kappa - delta + 4, kappa - delta + 2  # thresholds for 2- and 3-vertices
+    return kappa - g.delta + 4, kappa - g.delta + 2  # thresholds for 2- and 3-vertices
 
 
 def _scope(g: Graph, vertices) -> list[int]:
+    """The vertices a check examines, sorted; check_condition has
+    validated them, so checks index degrees and adjacency directly."""
     return sorted(vertices) if vertices is not None else list(range(g.n))
 
 
@@ -86,10 +91,11 @@ def _scope(g: Graph, vertices) -> list[int]:
 def _check_min_degree_2connected(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     out = []
     cond = Condition.MIN_DEGREE_2CONNECTED
+    deg = g.degrees
     scope = set(_scope(g, vertices))
     for v in sorted(scope):
-        if g.degree(v) < 2:
-            out.append(ConditionWitness(cond, (v,), f"vertex {v} has degree {g.degree(v)} < 2"))
+        if deg[v] < 2:
+            out.append(ConditionWitness(cond, (v,), f"vertex {v} has degree {deg[v]} < 2"))
     if vertices is None and g.n >= 2 and not g.is_connected():
         reps = tuple(c[0] for c in g.connected_components())
         out.append(ConditionWitness(cond, reps, "graph is disconnected"))
@@ -101,13 +107,14 @@ def _check_min_degree_2connected(g: Graph, kappa: int, vertices) -> list[Conditi
 
 def _check_deg2_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     big, _ = _slack_thresholds(g, kappa)
+    deg = g.degrees
     out = []
     for v in _scope(g, vertices):
-        if g.degree(v) != 2:
+        if deg[v] != 2:
             continue
         have = g.count_neighbors_with_degree_at_least(v, big)
         if have < 2:
-            degs = [g.degree(u) for u in g.neighbors(v)]
+            degs = [deg[u] for u in g.adj[v]]
             out.append(
                 ConditionWitness(
                     Condition.DEG2_BIG_NEIGHBORS,
@@ -120,13 +127,14 @@ def _check_deg2_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionW
 
 def _check_deg3_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     _, big = _slack_thresholds(g, kappa)
+    deg = g.degrees
     out = []
     for v in _scope(g, vertices):
-        if g.degree(v) != 3:
+        if deg[v] != 3:
             continue
         have = g.count_neighbors_with_degree_at_least(v, big)
         if have < 3:
-            degs = [g.degree(u) for u in g.neighbors(v)]
+            degs = [deg[u] for u in g.adj[v]]
             out.append(
                 ConditionWitness(
                     Condition.DEG3_BIG_NEIGHBORS,
@@ -139,11 +147,12 @@ def _check_deg3_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionW
 
 def _check_tight_vertex_small_neighbor(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     _, tight = _slack_thresholds(g, kappa)
+    deg = g.degrees
     out = []
     for w in _scope(g, vertices):
-        if g.degree(w) != tight:
+        if deg[w] != tight:
             continue
-        small = [u for u in g.neighbors(w) if g.degree(u) == 3]
+        small = [u for u in g.adj[w] if deg[u] == 3]
         if len(small) >= 2:
             out.append(
                 ConditionWitness(
@@ -172,11 +181,12 @@ def _check_two_deg4_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionW
 
 
 def _check_deg4_neighbor_profile(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
+    deg = g.degrees
     out = []
     for v in _scope(g, vertices):
-        if g.degree(v) != 4:
+        if deg[v] != 4:
             continue
-        degs = sorted(g.degree(u) for u in g.neighbors(v))
+        degs = sorted(deg[u] for u in g.adj[v])
         all_ten = degs[0] >= 10
         small_plus_three_22 = degs[0] <= 9 and degs[1] >= 22
         if not (all_ten or small_plus_three_22):
@@ -192,9 +202,10 @@ def _check_deg4_neighbor_profile(g: Graph, kappa: int, vertices) -> list[Conditi
 
 
 def _check_deg5_neighbor_profile(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
+    deg = g.degrees
     out = []
     for v in _scope(g, vertices):
-        if g.degree(v) != 5:
+        if deg[v] != 5:
             continue
         have = g.count_neighbors_with_degree_at_least(v, 8)
         if have < 3:
@@ -209,14 +220,14 @@ def _check_deg5_neighbor_profile(g: Graph, kappa: int, vertices) -> list[Conditi
 
 
 def _check_heavy_deg2_support(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    delta = g.max_degree() if g.n else 0
-    need_count = kappa - delta + 1
-    need_degree = kappa - delta + 2
+    need_count = kappa - g.delta + 1
+    need_degree = kappa - g.delta + 2
+    deg = g.degrees
     out = []
     for v in _scope(g, vertices):
-        if g.degree(v) < 10:
+        if deg[v] < 10:
             continue
-        if not any(g.degree(u) == 2 for u in g.neighbors(v)):
+        if not any(deg[u] == 2 for u in g.adj[v]):
             continue
         have = g.count_neighbors_with_degree_at_least(v, need_degree)
         if have < need_count:
@@ -224,7 +235,7 @@ def _check_heavy_deg2_support(g: Graph, kappa: int, vertices) -> list[ConditionW
                 ConditionWitness(
                     Condition.HEAVY_DEG2_SUPPORT,
                     (v,),
-                    f"vertex {v} (degree {g.degree(v)}, has a 2-neighbor) is "
+                    f"vertex {v} (degree {deg[v]}, has a 2-neighbor) is "
                     f"adjacent to {have} vertices of degree >= {need_degree}, "
                     f"needs {need_count}",
                 )
@@ -233,10 +244,14 @@ def _check_heavy_deg2_support(g: Graph, kappa: int, vertices) -> list[ConditionW
 
 
 def _check_deg2_face_sizes(g: Graph, plane: PlaneGraph, vertices) -> list[ConditionWitness]:
-    scope = set(_scope(g, vertices))
+    """Real 2-vertices on a 3-face (embedding.degree_two_face_violations),
+    read from the 3-faces at each vertex of the scope."""
+    deg = plane.base.degrees
     out = []
-    for v, fi in degree_two_face_violations(plane):
-        if v in scope:
+    for v in _scope(g, None if vertices is None else set(vertices)):
+        if v >= plane.n_real or deg[v] != 2:
+            continue
+        for fi in plane.triangles_at[v]:
             out.append(
                 ConditionWitness(
                     Condition.DEG2_FACE_SIZES,
@@ -266,20 +281,21 @@ def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[Condition
     """Counting conditions at the neighbors of every 2-vertex, with the
     two conditional refinements for adjacent supports and for supports
     with the minimum count."""
-    delta = g.max_degree() if g.n else 0
+    delta = g.delta
+    deg, adj = g.degrees, g.adj
     scope = set(_scope(g, vertices))
     out = []
     cond = Condition.DEG2_SUPPORT_COUNTS
     for v0 in range(g.n):
-        if g.degree(v0) != 2:
+        if deg[v0] != 2:
             continue
-        w, v = g.neighbors(v0)
+        w, v = adj[v0]
         for a, b in ((w, v), (v, w)):
             # b must support the 2-vertex: many neighbors of high degree
             if b not in scope:
                 continue
-            need_degree = kappa - g.degree(b) + 2
-            need_count = kappa - g.degree(a) + 1
+            need_degree = kappa - deg[b] + 2
+            need_count = kappa - deg[a] + 1
             have = g.count_neighbors_with_degree_at_least(b, need_degree)
             if have < need_count:
                 out.append(
@@ -290,30 +306,30 @@ def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[Condition
                         f"degree >= {need_degree}, needs {need_count}",
                     )
                 )
-            if kappa >= g.degree(b) + 1 and g.has_edge(a, b):
-                if have < kappa - g.degree(a) + 2:
+            if kappa >= deg[b] + 1 and a in adj[b]:
+                if have < kappa - deg[a] + 2:
                     out.append(
                         ConditionWitness(
                             cond,
                             (b,),
                             f"adjacent supports: {b} has {have} neighbors of "
-                            f"degree >= {need_degree}, needs {kappa - g.degree(a) + 2}",
+                            f"degree >= {need_degree}, needs {kappa - deg[a] + 2}",
                         )
                     )
-                if g.degree(b) < kappa - g.degree(a) + 3:
+                if deg[b] < kappa - deg[a] + 3:
                     out.append(
                         ConditionWitness(
                             cond,
                             (b,),
-                            f"adjacent supports: deg({b}) = {g.degree(b)} < "
-                            f"{kappa - g.degree(a) + 3}",
+                            f"adjacent supports: deg({b}) = {deg[b]} < "
+                            f"{kappa - deg[a] + 3}",
                         )
                     )
             if kappa >= delta + 2:
                 strong = g.count_neighbors_with_degree_at_least(b, kappa - delta + 2)
                 if strong == kappa - delta + 1:
-                    deg2 = sum(1 for u in g.neighbors(b) if g.degree(u) == 2)
-                    max_deg2 = g.degree(b) + delta - kappa - 3
+                    deg2 = sum(1 for u in adj[b] if deg[u] == 2)
+                    max_deg2 = deg[b] + delta - kappa - 3
                     if deg2 > max_deg2:
                         out.append(
                             ConditionWitness(
@@ -323,13 +339,13 @@ def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[Condition
                                 f"neighbors has {deg2} 2-neighbors, max {max_deg2}",
                             )
                         )
-                    if g.degree(b) < kappa - delta + 4:
+                    if deg[b] < kappa - delta + 4:
                         out.append(
                             ConditionWitness(
                                 cond,
                                 (b,),
                                 f"support {b} with exactly {strong} strong "
-                                f"neighbors has degree {g.degree(b)} < {kappa - delta + 4}",
+                                f"neighbors has degree {deg[b]} < {kappa - delta + 4}",
                             )
                         )
     # deduplicate identical witnesses from the two orderings
@@ -337,18 +353,19 @@ def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[Condition
 
 
 def _triangles_through(g: Graph, u: int, v: int) -> list[int]:
-    return sorted(set(g.neighbors(u)) & set(g.neighbors(v)))
+    return sorted(set(g.adj[u]) & set(g.adj[v]))
 
 
 def _check_deg4_degree_sum(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    delta = g.max_degree() if g.n else 0
+    delta = g.delta
+    deg = g.degrees
     out = []
     for w0 in _scope(g, vertices):
-        if g.degree(w0) != 4:
+        if deg[w0] != 4:
             continue
-        total = sum(g.degree(x) for x in g.neighbors(w0))
-        for w in g.neighbors(w0):
-            if g.degree(w) <= kappa - delta and total < 2 * kappa + 4:
+        total = sum(deg[x] for x in g.adj[w0])
+        for w in g.adj[w0]:
+            if deg[w] <= kappa - delta and total < 2 * kappa + 4:
                 out.append(
                     ConditionWitness(
                         Condition.DEG4_DEGREE_SUM,
@@ -362,14 +379,15 @@ def _check_deg4_degree_sum(g: Graph, kappa: int, vertices) -> list[ConditionWitn
 
 
 def _check_deg4_degree_sum_triangles(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    delta = g.max_degree() if g.n else 0
+    delta = g.delta
+    deg = g.degrees
     out = []
     for w0 in _scope(g, vertices):
-        if g.degree(w0) != 4:
+        if deg[w0] != 4:
             continue
-        total = sum(g.degree(x) for x in g.neighbors(w0))
-        for w in g.neighbors(w0):
-            if g.degree(w) > kappa - delta + 1:
+        total = sum(deg[x] for x in g.adj[w0])
+        for w in g.adj[w0]:
+            if deg[w] > kappa - delta + 1:
                 continue
             if len(_triangles_through(g, w, w0)) < 2:
                 continue
@@ -383,9 +401,7 @@ def _check_deg4_degree_sum_triangles(g: Graph, kappa: int, vertices) -> list[Con
                     )
                 )
             elif total == 2 * kappa + 5:
-                weak = [
-                    x for x in g.neighbors(w) if x != w0 and g.degree(x) < 6
-                ]
+                weak = [x for x in g.adj[w] if x != w0 and deg[x] < 6]
                 if weak:
                     out.append(
                         ConditionWitness(
@@ -401,15 +417,16 @@ def _check_deg4_degree_sum_triangles(g: Graph, kappa: int, vertices) -> list[Con
 def _check_deg3_tight_structure(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     """Structure around a 3-vertex with a neighbor of the threshold degree
     kappa - max_degree + 2, via its degree consequences only."""
-    delta = g.max_degree() if g.n else 0
+    delta = g.delta
     tight = kappa - delta + 2
+    deg = g.degrees
     out = []
     cond = Condition.DEG3_TIGHT_STRUCTURE
     for v in _scope(g, vertices):
-        if g.degree(v) != 3:
+        if deg[v] != 3:
             continue
-        for w in g.neighbors(v):
-            if g.degree(w) != tight:
+        for w in g.adj[v]:
+            if deg[w] != tight:
                 continue
             if _triangles_through(g, w, v):
                 out.append(
@@ -418,17 +435,17 @@ def _check_deg3_tight_structure(g: Graph, kappa: int, vertices) -> list[Conditio
                     )
                 )
                 continue
-            others = [x for x in g.neighbors(v) if x != w]
+            others = [x for x in g.adj[v] if x != w]
             ok = False
             for v1, v2 in ((others[0], others[1]), (others[1], others[0])):
-                if g.degree(v1) != delta:
+                if deg[v1] != delta:
                     continue
-                if not (delta >= g.degree(v2) >= kappa - delta + 3):
+                if not (delta >= deg[v2] >= kappa - delta + 3):
                     continue
-                if g.count_neighbors_with_degree_at_least(v1, tight) < kappa - g.degree(v2) + 1:
+                if g.count_neighbors_with_degree_at_least(v1, tight) < kappa - deg[v2] + 1:
                     continue
                 if (
-                    g.count_neighbors_with_degree_at_least(v2, kappa - g.degree(v2) + 2)
+                    g.count_neighbors_with_degree_at_least(v2, kappa - deg[v2] + 2)
                     < kappa - delta
                 ):
                     continue
@@ -491,8 +508,14 @@ def check_condition(
 
     `drawing` (a Drawing or PlaneGraph) is required for the two face
     conditions and ignored otherwise. `vertices` restricts the bindings
-    examined, which the discharging audit uses for per-element blame.
+    examined, which the discharging audit uses for per-element blame; an
+    id outside 0..n-1 raises ValueError.
     """
+    if vertices is not None:
+        vertices = tuple(vertices)  # an iterator is read once, here
+        for v in vertices:
+            if not (0 <= v < g.n):
+                raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
     if condition in FACE_CONDITIONS:
         plane = _resolve_plane(drawing)
         if plane is None:
@@ -510,6 +533,8 @@ def find_reducible_configuration(
     never return None; a None result flags a bug (or a counterexample to
     the underlying structure theory) and callers treat it as an error.
     """
+    if kappa < g.delta:
+        raise ValueError(f"palette {kappa} below max degree {g.delta}; properness impossible")
     ok, witness = g.is_triangle_free()
     if not ok:
         raise ValueError(f"graph contains triangle {witness}; outside the scope")
@@ -549,8 +574,8 @@ def deletion_minimal_probe(g: Graph, kappa: int) -> tuple[bool, dict]:
             f"graph with n={g.n}, m={g.m} too large for the exhaustive probe"
         )
     detail: dict = {"kappa": kappa}
-    if any(g.degree(v) == 0 for v in range(g.n)):
-        detail["isolated_vertices"] = [v for v in range(g.n) if g.degree(v) == 0]
+    if 0 in g.degrees:
+        detail["isolated_vertices"] = [v for v, d in enumerate(g.degrees) if d == 0]
         return False, detail
     whole = has_acyclic_coloring(g, kappa)
     detail["colorable_with_kappa"] = whole is not None

@@ -3,8 +3,12 @@
 Every vertex and face of the planarized drawing starts with charge
 deg - 4; the total is exactly -8 on a connected drawing. Eight local
 rules then move charge toward the light elements (2-, 3-, 4-, 5-vertices
-and 3-faces). Rules transfer exact rationals and read only the input
-structure, so they commute and conserve the total.
+and 3-faces). Rules read only the input structure, so they commute and
+conserve the total.
+
+Every amount is a multiple of 1/12, so the ledger counts charge in
+integer twelfths (``SCALE``): the arithmetic stays exact without
+rationals. The report converts to ``Fraction`` once, at its boundary.
 
 Vertex-to-vertex rules follow adjacency in the *base* graph, never in the
 planarized one; crossing vertices neither send nor receive (they hold
@@ -34,11 +38,13 @@ from .solver import DEFAULT_SLACK
 
 Element = tuple[str, int]  # ("v", vertex id) or ("f", face index)
 
-HALF = Fraction(1, 2)
-THIRD = Fraction(1, 3)
-QUARTER = Fraction(1, 4)
-SIXTH = Fraction(1, 6)
-THREE_HALVES = Fraction(3, 2)
+SCALE = 12  # ledger charges and transfer amounts are integer twelfths
+ONE = SCALE
+HALF = SCALE // 2
+THIRD = SCALE // 3
+QUARTER = SCALE // 4
+SIXTH = SCALE // 6
+THREE_HALVES = 3 * SCALE // 2
 
 # audit-only face-profile hypotheses, alongside the Condition values
 HYP_DEG3_FACE_PROFILE = "deg3-face-profile"
@@ -50,16 +56,16 @@ class Transfer:
     rule: str
     source: Element
     target: Element
-    amount: Fraction
+    amount: int  # twelfths
 
 
 @dataclass
 class ChargeLedger:
-    charges: dict[Element, Fraction]
+    charges: dict[Element, int]  # twelfths
     transfers: list[Transfer] = field(default_factory=list)
 
-    def total(self) -> Fraction:
-        return sum(self.charges.values(), Fraction(0))
+    def total(self) -> int:
+        return sum(self.charges.values())
 
     def copy(self) -> "ChargeLedger":
         return ChargeLedger(dict(self.charges), list(self.transfers))
@@ -126,60 +132,60 @@ def initial_charges(p: PlaneGraph) -> ChargeLedger:
     """Charge deg - 4 on every planarized vertex and every face."""
     if not p.graph.is_connected():
         raise EmbeddingError("discharging requires a connected drawing")
-    charges: dict[Element, Fraction] = {}
-    for v in range(p.graph.n):
-        charges[("v", v)] = Fraction(p.graph.degree(v) - 4)
+    charges: dict[Element, int] = {}
+    for v, d in enumerate(p.graph.degrees):
+        charges[("v", v)] = (d - 4) * SCALE
     for i, f in enumerate(p.faces):
-        charges[("f", i)] = Fraction(f.degree - 4)
+        charges[("f", i)] = (f.degree - 4) * SCALE
     return ChargeLedger(charges)
 
 
 def _rule_thresholds(g: Graph, kappa: int) -> tuple[int, int, int]:
-    slack = kappa - (g.max_degree() if g.n else 0)
+    slack = kappa - g.delta
     return slack + 2, slack + 3, slack + 6  # tight, high, huge
 
 
 def compute_transfers(p: PlaneGraph, g: Graph, kappa: int | None = None) -> list[Transfer]:
     """All rule firings, computed from the pre-rule structure only."""
     if kappa is None:
-        kappa = (g.max_degree() if g.n else 0) + DEFAULT_SLACK
+        kappa = g.delta + DEFAULT_SLACK
     tight, high, huge = _rule_thresholds(g, kappa)
-    deg = g.degree
+    deg, adj = g.degrees, g.adj
     out: list[Transfer] = []
 
-    for v in range(g.n):
-        d = deg(v)
+    for v, d in enumerate(deg):
         if d == 2:
-            for u in g.neighbors(v):
-                out.append(Transfer("deg2-from-neighbors", ("v", u), ("v", v), Fraction(1)))
+            for u in adj[v]:
+                out.append(Transfer("deg2-from-neighbors", ("v", u), ("v", v), ONE))
         elif d == 3:
-            for u in g.neighbors(v):
-                if deg(u) == tight:
+            for u in adj[v]:
+                if deg[u] == tight:
                     out.append(Transfer("deg3-from-tight", ("v", u), ("v", v), THREE_HALVES))
-                elif deg(u) >= high:
+                elif deg[u] >= high:
                     out.append(Transfer("deg3-from-high", ("v", u), ("v", v), HALF))
         elif d == 4:
-            degs = sorted(deg(u) for u in g.neighbors(v))
+            degs = sorted(deg[u] for u in adj[v])
             if degs[0] >= 10:
-                for u in g.neighbors(v):
+                for u in adj[v]:
                     out.append(Transfer("deg4-quarter", ("v", u), ("v", v), QUARTER))
             elif degs[0] <= 9 and degs[1] >= huge:
-                for u in g.neighbors(v):
-                    if deg(u) >= huge:
+                for u in adj[v]:
+                    if deg[u] >= huge:
                         out.append(Transfer("deg4-third", ("v", u), ("v", v), THIRD))
         elif d == 5:
-            for u in g.neighbors(v):
-                if deg(u) >= 8:
+            for u in adj[v]:
+                if deg[u] >= 8:
                     out.append(Transfer("deg5-sixth", ("v", u), ("v", v), SIXTH))
 
+    n_real = p.n_real
     for i, f in enumerate(p.faces):
         if f.degree == 3:
             for v in f.vertices:
-                if not p.is_crossing(v):
+                if v < n_real:
                     out.append(Transfer("triface-from-real", ("v", v), ("f", i), HALF))
         elif f.degree >= 5:
             for v in f.vertices:
-                if not p.is_crossing(v) and deg(v) == 3:
+                if v < n_real and deg[v] == 3:
                     out.append(Transfer("deg3-from-bigface", ("f", i), ("v", v), HALF))
     return out
 
@@ -220,14 +226,10 @@ def _face_profile_deg3(p: PlaneGraph, v: int) -> Violation | None:
 def _face_no_consecutive_deg3(p: PlaneGraph, g: Graph, fi: int) -> Violation | None:
     walk = p.faces[fi].vertices
     d = len(walk)
+    n_real, deg = p.n_real, g.degrees
     for i in range(d):
         a, b = walk[i], walk[(i + 1) % d]
-        if (
-            not p.is_crossing(a)
-            and not p.is_crossing(b)
-            and g.degree(a) == 3
-            and g.degree(b) == 3
-        ):
+        if a < n_real and b < n_real and deg[a] == 3 and deg[b] == 3:
             return Violation(
                 HYP_NO_CONSECUTIVE_DEG3,
                 f"face {fi} has consecutive 3-vertices {a}, {b} on its boundary",
@@ -262,7 +264,8 @@ def element_hypothesis_failures(
     if p.is_crossing(v):
         return []
     d = g.degree(v)
-    deg2_neighbors = [u for u in g.neighbors(v) if g.degree(u) == 2]
+    deg = g.degrees
+    deg2_neighbors = [u for u in g.adj[v] if deg[u] == 2]
 
     def cond(c: Condition, at=None) -> None:
         out.extend(_condition_violations(g, p, kappa, c, (v,) if at is None else at))
@@ -304,30 +307,34 @@ def audit_final_charges(
 
     Every negative element is reported together with the violated local
     hypotheses of its class; for a connected drawing the total is -8, so
-    the negative list is never empty on valid input.
+    the negative list is never empty on valid input. The report holds the
+    ledger's twelfths as exact ``Fraction`` values.
     """
     firings: dict[str, int] = {}
     for t in ledger.transfers:
         firings[t.rule] = firings.get(t.rule, 0) + 1
     total = ledger.total()
+    charges = {elem: Fraction(q, SCALE) for elem, q in ledger.charges.items()}
     negative: list[NegativeElement] = []
     for elem in sorted(ledger.charges):
-        q = ledger.charges[elem]
-        if q < 0:
+        if ledger.charges[elem] < 0:
             violated = tuple(element_hypothesis_failures(p, g, kappa, elem))
-            negative.append(NegativeElement(elem, q, violated))
+            negative.append(NegativeElement(elem, charges[elem], violated))
     return DischargeReport(
-        total=total,
-        conserved=total == Fraction(-8),
+        total=Fraction(total, SCALE),
+        conserved=total == -8 * SCALE,
         rule_firings=firings,
         negative_elements=negative,
-        charges=dict(ledger.charges),
+        charges=charges,
     )
 
 
 def discharge(p: PlaneGraph, g: Graph, kappa: int | None = None) -> DischargeReport:
-    """Full pipeline: initial charges, rules, audit."""
+    """Full pipeline: initial charges, rules, audit. A palette below the
+    max degree raises ValueError: no coloring can use it."""
     if kappa is None:
-        kappa = (g.max_degree() if g.n else 0) + DEFAULT_SLACK
+        kappa = g.delta + DEFAULT_SLACK
+    elif kappa < g.delta:
+        raise ValueError(f"palette {kappa} below max degree {g.delta}; properness impossible")
     ledger = apply_rules(initial_charges(p), p, g, kappa)
     return audit_final_charges(ledger, p, g, kappa)

@@ -90,7 +90,11 @@ class PlaneGraph:
 
     Vertices 0..n_real-1 are the base vertices; n_real.. are crossings.
     ``graph`` is the planarized graph, ``segment_origin`` maps each of its
-    edges back to the base edge it belongs to.
+    edges back to the base edge it belongs to. ``triangles_at[v]`` holds
+    the indices of the 3-faces at v, with multiplicity; it is computed
+    once, with the face index, so that the face conditions cost O(deg v)
+    per vertex: its length is v's 3-face count, and a 2-vertex lies on a
+    3-face iff it is non-empty.
     """
 
     __slots__ = (
@@ -101,6 +105,7 @@ class PlaneGraph:
         "rotation",
         "faces",
         "segment_origin",
+        "triangles_at",
         "_face_index_at",
     )
 
@@ -121,10 +126,16 @@ class PlaneGraph:
         self.faces = faces
         self.segment_origin = segment_origin
         index: list[list[int]] = [[] for _ in range(graph.n)]
+        triangles: list[list[int]] = [[] for _ in range(graph.n)]
         for i, f in enumerate(faces):
-            for v in f.vertices:
+            walk = f.vertices
+            for v in walk:
                 index[v].append(i)
+            if len(walk) == 3:
+                for v in walk:
+                    triangles[v].append(i)
         self._face_index_at = tuple(tuple(ix) for ix in index)
+        self.triangles_at: tuple[tuple[int, ...], ...] = tuple(tuple(t) for t in triangles)
 
     def is_crossing(self, v: int) -> bool:
         return v >= self.n_real
@@ -280,7 +291,7 @@ def degree_charge_total(p: PlaneGraph) -> int:
     equals -8 for every connected plane graph."""
     if not p.graph.is_connected():
         raise EmbeddingError("charge identity requires a connected drawing")
-    vertex_part = sum(p.graph.degree(v) - 4 for v in range(p.graph.n))
+    vertex_part = sum(d - 4 for d in p.graph.degrees)
     face_part = sum(f.degree - 4 for f in p.faces)
     return vertex_part + face_part
 
@@ -291,14 +302,8 @@ def degree_two_face_violations(p: PlaneGraph) -> list[tuple[int, int]]:
     In a drawing with as few crossings as possible every 2-vertex lies
     only on faces of degree >= 4; violations signal a non-minimal drawing.
     """
-    out = []
-    for v in range(p.n_real):
-        if p.base.degree(v) != 2:
-            continue
-        for fi in p.faces_at(v):
-            if p.faces[fi].degree == 3:
-                out.append((v, fi))
-    return out
+    deg = p.base.degrees
+    return [(v, fi) for v in range(p.n_real) if deg[v] == 2 for fi in p.triangles_at[v]]
 
 
 def triangle_face_budget(p: PlaneGraph, v: int) -> tuple[int, int, bool]:
@@ -306,9 +311,10 @@ def triangle_face_budget(p: PlaneGraph, v: int) -> tuple[int, int, bool]:
     the bound floor(2(deg - deg2neighbors)/3)."""
     if p.is_crossing(v):
         raise ValueError(f"vertex {v} is a crossing vertex")
+    deg = p.base.degrees
     ell = p.base.degree(v)
-    lam = sum(1 for u in p.base.neighbors(v) if p.base.degree(u) == 2)
-    count = sum(1 for fi in p.faces_at(v) if p.faces[fi].degree == 3)
+    lam = sum(1 for u in p.base.adj[v] if deg[u] == 2)
+    count = len(p.triangles_at[v])
     bound = (2 * (ell - lam)) // 3
     return count, bound, count <= bound
 

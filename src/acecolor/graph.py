@@ -2,7 +2,9 @@
 
 Vertices are 0..n-1 and edges are stored canonically as (min, max) pairs,
 so every iteration over a graph is deterministic. Graphs are immutable
-after construction; removing an edge produces a new graph.
+after construction; removing an edge produces a new graph. Because of
+that, the degree of every vertex and the max degree are computed once,
+when the graph is built.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ def canonical_edge(u: int, v: int) -> Edge:
 
 
 class Graph:
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "adj", "degrees", "delta")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -43,6 +45,9 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        self.degrees: tuple[int, ...] = tuple(map(len, adj))
+        # the max degree, 0 without vertices; max_degree() refuses that case
+        self.delta: int = max(self.degrees, default=0)
 
     @property
     def m(self) -> int:
@@ -65,7 +70,7 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self.check_vertex(v)
-        return len(self.adj[v])
+        return self.degrees[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self.check_vertex(v)
@@ -79,12 +84,12 @@ class Graph:
     def max_degree(self) -> int:
         if self.n == 0:
             raise ValueError("max degree of an empty graph is undefined")
-        return max(len(a) for a in self.adj)
+        return self.delta
 
     def min_degree(self) -> int:
         if self.n == 0:
             raise ValueError("min degree of an empty graph is undefined")
-        return min(len(a) for a in self.adj)
+        return min(self.degrees)
 
     def without_edge(self, u: int, v: int) -> "Graph":
         """New graph with edge uv removed (vertex set unchanged)."""
@@ -95,7 +100,8 @@ class Graph:
 
     def count_neighbors_with_degree_at_least(self, v: int, d: int) -> int:
         self.check_vertex(v)
-        return sum(1 for u in self.adj[v] if len(self.adj[u]) >= d)
+        deg = self.degrees
+        return sum(1 for u in self.adj[v] if deg[u] >= d)
 
     def is_triangle_free(self) -> tuple[bool, tuple[int, int, int] | None]:
         """Return (True, None) or (False, witness triangle)."""

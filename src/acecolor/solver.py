@@ -65,8 +65,8 @@ def edge_insertion_order(g: Graph) -> list[Edge]:
     ``(deg, id)`` entries: a vertex gets a new entry whenever its degree
     drops, and entries that no longer match its degree are skipped, so
     the order costs O(m log n)."""
-    deg = [g.degree(v) for v in range(g.n)]
-    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    deg = list(g.degrees)
+    nbrs = [set(a) for a in g.adj]
     heap = [(d, v) for v, d in enumerate(deg) if d > 0]
     heapq.heapify(heap)
     order: list[Edge] = []
@@ -96,8 +96,8 @@ def acyclic_lower_bound(g: Graph) -> int:
     degree below Δ/2 (isolated vertices included): each strip raises
     2m - Δ(n-1) by Δ - 2d > 0. It costs O(n + m). For Δ <= 1 there is no
     color pair, and a single edge needs one color, so the bound is Δ."""
-    deg = [len(a) for a in g.adj]
-    delta = max(deg, default=0)
+    deg = list(g.degrees)
+    delta = g.delta
     if delta <= 1:
         return delta
     low = (delta - 1) // 2  # d < Δ/2 iff d <= low
@@ -237,7 +237,7 @@ def heuristic_color(
     ``acyclic_lower_bound`` proves it too small. A palette below the max
     degree raises ValueError.
     """
-    delta = g.max_degree() if g.n else 0
+    delta = g.delta
     if kappa < delta:
         raise ValueError(f"palette {kappa} below max degree {delta}; properness impossible")
     if kappa == delta and kappa < acyclic_lower_bound(g):

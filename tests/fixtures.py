@@ -65,3 +65,14 @@ def five_vertex_fixture():
     b.insert_crossing(v, r[4])
     b.insert_crossing(r[7], r[6])
     return b.to_drawing()
+
+
+def heavy_four_vertex_fixture():
+    """3x3 grid whose center 4-vertex (vertex 4) has four neighbors pumped
+    to degree 11 with hanging 4-cycles: the all-10+ case of the 4-vertex
+    rule."""
+    b = grid_builder(3, 3)
+    for z in (1, 3, 5, 7):
+        for _ in range(4):
+            attach_square(b, z, b.rotation[z][0])
+    return b.to_drawing()

@@ -17,6 +17,7 @@ from acecolor.conditions import (
     recheck_witness,
 )
 from acecolor.discharging import (
+    SCALE,
     apply_rules,
     discharge,
     element_hypothesis_failures,
@@ -202,10 +203,10 @@ def test_criterion_5_conservation_and_worked_computations(corpus):
 
     d, w = subdivided_grid_two_vertex()
     p = planarize(d)
-    led = apply_rules(initial_charges(p), p, d.base)
-    assert led.charges[("v", w)] == Fraction(0)
+    led = apply_rules(initial_charges(p), p, d.base)  # twelfths
+    assert led.charges[("v", w)] == 0
     incoming = [t for t in led.transfers if t.target == ("v", w)]
-    assert [t.amount for t in incoming] == [Fraction(1), Fraction(1)]
+    assert [t.amount for t in incoming] == [SCALE, SCALE]  # 1 and 1
 
     d = crossed_grid()
     p = planarize(d)
@@ -213,17 +214,17 @@ def test_criterion_5_conservation_and_worked_computations(corpus):
     three = [i for i, f in enumerate(p.faces) if f.degree == 3]
     assert three
     for i in three:
-        assert led.charges[("f", i)] == Fraction(0)
+        assert led.charges[("f", i)] == 0
         amounts = [t.amount for t in led.transfers if t.target == ("f", i)]
-        assert amounts == [Fraction(1, 2), Fraction(1, 2)]
+        assert amounts == [SCALE // 2, SCALE // 2]  # 1/2 and 1/2
 
     d = five_vertex_fixture()
     p = planarize(d)
     g = d.base
     led = apply_rules(initial_charges(p), p, g)
-    assert led.charges[("v", 0)] == Fraction(0)
-    assert [t.amount for t in led.transfers if t.target == ("v", 0)] == [Fraction(1, 6)] * 3
-    assert [t.amount for t in led.transfers if t.source == ("v", 0)] == [Fraction(1, 2)] * 3
+    assert led.charges[("v", 0)] == 0
+    assert [t.amount for t in led.transfers if t.target == ("v", 0)] == [SCALE // 6] * 3  # 1/6
+    assert [t.amount for t in led.transfers if t.source == ("v", 0)] == [SCALE // 2] * 3  # 1/2
     _report(5, f"{len(corpus)} totals exactly -8; all three local cases exactly 0")
 
 

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acecolor.conditions import (
     CONDITION_ORDER,
@@ -10,8 +13,9 @@ from acecolor.conditions import (
     find_reducible_configuration,
     recheck_witness,
 )
+from acecolor.embedding import degree_two_face_violations, planarize
 from acecolor.errors import SizeRefusal
-from acecolor.generate import generate_instance, grid_builder
+from acecolor.generate import FAMILIES, generate_instance, grid_builder
 from acecolor.graph import Graph
 
 from graphlib import complete, cube, cycle, grid, path, star, triangle_free_tiny
@@ -230,3 +234,92 @@ def test_deletion_probe_isolated_vertex():
     ok, detail = deletion_minimal_probe(g, 2)
     assert not ok
     assert detail["isolated_vertices"] == [4]
+
+
+def test_find_reducible_refuses_palette_below_max_degree():
+    d = generate_instance("grid-with-crossings", 3)
+    g = d.base
+    for kappa in (0, g.max_degree() - 1):
+        with pytest.raises(ValueError, match="below max degree"):
+            find_reducible_configuration(g, d, kappa)
+    find_reducible_configuration(g, d, g.max_degree())  # the lowest palette accepted
+
+
+@pytest.mark.parametrize(
+    "cond",
+    [Condition.DEG2_BIG_NEIGHBORS, Condition.DEG2_FACE_SIZES, Condition.TRIANGLE_FACE_BUDGET],
+)
+def test_scope_outside_vertex_range_is_refused(cond):
+    # in a drawing with crossings, id n is a vertex of the plane graph (the
+    # first crossing) but not of the graph the conditions speak about
+    b = grid_builder(3, 4)
+    b.insert_crossing(5, 6)
+    d = b.to_drawing()
+    g = d.base
+    for bad in (-1, g.n):
+        for scope in ((bad,), (0, bad)):
+            with pytest.raises(ValueError, match="outside"):
+                check_condition(g, d, kappa_for(g), cond, vertices=scope)
+    # the scope may be any iterable, an iterator included
+    full = check_condition(g, d, kappa_for(g), cond)
+    assert check_condition(g, d, kappa_for(g), cond, vertices=iter(range(g.n))) == full
+
+
+@st.composite
+def face_drawings(draw):
+    """Generated corpus drawings, or grids with subdivided edges and
+    crossings that may put 2-vertices on 3-faces."""
+    if draw(st.booleans()):
+        return generate_instance(draw(st.sampled_from(FAMILIES)), draw(st.integers(0, 500)))
+    b = grid_builder(draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+    for _ in range(draw(st.integers(0, 5))):
+        b.subdivide(*draw(st.sampled_from(sorted(b.edges))))
+    for _ in range(draw(st.integers(0, 5))):
+        a, c = draw(st.sampled_from(sorted(b.edges)))
+        if b.can_insert_crossing(a, c, protect_deg2=False):
+            b.insert_crossing(a, c, protect_deg2=False)
+    return b.to_drawing()
+
+
+@settings(max_examples=80, deadline=None)
+@given(face_drawings(), st.data())
+def test_scoped_face_conditions_match_full_scope(d, data):
+    p = planarize(d)
+    g = d.base
+    # the per-vertex 3-faces agree with a recount from the face list
+    recount = Counter(v for f in p.faces if f.degree == 3 for v in f.vertices)
+    for v in range(p.graph.n):
+        assert len(p.triangles_at[v]) == recount[v]
+        assert p.triangles_at[v] == tuple(i for i in p.faces_at(v) if p.faces[i].degree == 3)
+    assert degree_two_face_violations(p) == [
+        (v, i)
+        for v in range(p.n_real)
+        if g.degree(v) == 2
+        for i in p.faces_at(v)
+        if p.faces[i].degree == 3
+    ]
+    scope = data.draw(st.sets(st.integers(0, g.n - 1)))
+    for cond in (Condition.DEG2_FACE_SIZES, Condition.TRIANGLE_FACE_BUDGET):
+        full = check_condition(g, p, kappa_for(g), cond)
+        scoped = check_condition(g, p, kappa_for(g), cond, vertices=scope)
+        assert scoped == [w for w in full if w.vertices[0] in scope]
+
+
+def test_two_vertex_on_three_face_is_found_in_scope():
+    # a subdivision vertex next to a crossing lies on a 3-face; its own
+    # scope finds it, and a scope without it does not
+    b = grid_builder(3, 3)
+    w = b.subdivide(0, 1)
+    x = b.insert_crossing(w, 1, protect_deg2=False)
+    d = b.to_drawing()
+    p = planarize(d)
+    g = d.base
+    assert x >= g.n and p.triangles_at[w]
+    found = check_condition(g, p, kappa_for(g), Condition.DEG2_FACE_SIZES, vertices=(w,))
+    assert found and all(f.vertices == (w,) for f in found)
+    others = tuple(v for v in range(g.n) if v != w)
+    assert not [
+        f
+        for f in check_condition(g, p, kappa_for(g), Condition.DEG2_FACE_SIZES, vertices=others)
+        if f.vertices == (w,)
+    ]

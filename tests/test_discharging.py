@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from acecolor.discharging import (
+    SCALE,
     ChargeLedger,
     Transfer,
     apply_rules,
@@ -13,52 +14,9 @@ from acecolor.discharging import (
 )
 from acecolor.embedding import planarize
 from acecolor.errors import EmbeddingError
-from acecolor.generate import DrawingBuilder, cycle_builder, generate_instance, grid_builder
+from acecolor.generate import cycle_builder, generate_instance, grid_builder
 
-
-def attach_square(b, z, after):
-    """Degree-padding gadget: hang a 4-cycle at z inside the face corner
-    following neighbor `after` in z's rotation."""
-    w1, w2, w3 = b.n, b.n + 1, b.n + 2
-    b.n += 3
-    for e in [(z, w1), (w1, w2), (w2, w3), (w3, z)]:
-        b.edges.add((min(e), max(e)))
-    i = b.rotation[z].index(after)
-    b.rotation[z][i + 1 : i + 1] = [w1, w3]
-    b.rotation[w1] = [z, w2]
-    b.rotation[w2] = [w1, w3]
-    b.rotation[w3] = [w2, z]
-
-
-def five_vertex_fixture():
-    """A drawing holding a 5-vertex with exactly three 8+ neighbors and
-    exactly three incident 3-faces: wheel-with-ring base, degree pumps,
-    and three crossing insertions. Center vertex is 0."""
-    v = 0
-    r = [1 + i for i in range(8)]
-    y = [9 + i for i in range(8)]
-    edges = [(v, r[i]) for i in (0, 2, 4, 6)]
-    rotation = {v: [r[0], r[2], r[4], r[6]]}
-    for i in range(8):
-        edges.append((r[i], r[(i + 1) % 8]))
-        edges.append((y[i], y[(i + 1) % 8]))
-        edges.append((r[i], y[i]))
-        if i % 2 == 0:
-            rotation[r[i]] = [y[i], r[(i + 1) % 8], v, r[(i - 1) % 8]]
-        else:
-            rotation[r[i]] = [y[i], r[(i + 1) % 8], r[(i - 1) % 8]]
-        rotation[y[i]] = [y[(i + 1) % 8], r[i], y[(i - 1) % 8]]
-    b = DrawingBuilder(17, edges, rotation)
-    attach_square(b, r[2], y[2])
-    attach_square(b, r[2], r[1])
-    attach_square(b, r[6], r[5])
-    attach_square(b, r[6], r[5])
-    attach_square(b, y[7], y[6])
-    attach_square(b, y[7], y[6])
-    b.insert_crossing(v, r[0])
-    b.insert_crossing(v, r[4])
-    b.insert_crossing(r[7], r[6])
-    return b.to_drawing()
+from fixtures import five_vertex_fixture
 
 
 def test_initial_charges_basics():
@@ -66,24 +24,24 @@ def test_initial_charges_basics():
     w = b.subdivide(5, 6)
     d = b.to_drawing()
     p = planarize(d)
-    led = initial_charges(p)
-    assert led.charges[("v", w)] == Fraction(-2)  # 2-vertex
-    assert led.total() == Fraction(-8)
+    led = initial_charges(p)  # the ledger counts twelfths
+    assert led.charges[("v", w)] == -2 * SCALE  # 2-vertex
+    assert led.total() == -8 * SCALE
     # crossing vertex carries 0
     b = grid_builder(3, 4)
     x = b.insert_crossing(5, 6)
     p = planarize(b.to_drawing())
     led = initial_charges(p)
-    assert led.charges[("v", x)] == Fraction(0)
+    assert led.charges[("v", x)] == 0
     three = [i for i, f in enumerate(p.faces) if f.degree == 3]
-    assert all(led.charges[("f", i)] == Fraction(-1) for i in three)
+    assert all(led.charges[("f", i)] == -1 * SCALE for i in three)
 
 
 def test_initial_charges_c4():
     p = planarize(cycle_builder(4).to_drawing())
     led = initial_charges(p)
-    assert led.total() == Fraction(-8)
-    assert all(led.charges[("v", v)] == Fraction(-2) for v in range(4))
+    assert led.total() == -8 * SCALE
+    assert all(led.charges[("v", v)] == -2 * SCALE for v in range(4))
 
 
 def test_initial_charges_rejects_disconnected():
@@ -109,9 +67,9 @@ def test_worked_computation_two_vertex():
     d = b.to_drawing()
     p = planarize(d)
     led = apply_rules(initial_charges(p), p, d.base)
-    assert led.charges[("v", w)] == Fraction(0)
+    assert led.charges[("v", w)] == 0
     incoming = [t for t in led.transfers if t.target == ("v", w)]
-    assert [t.amount for t in incoming] == [Fraction(1), Fraction(1)]
+    assert [t.amount for t in incoming] == [SCALE, SCALE]  # 1 and 1
     assert all(t.rule == "deg2-from-neighbors" for t in incoming)
     assert not [t for t in led.transfers if t.source == ("v", w)]
 
@@ -127,9 +85,9 @@ def test_worked_computation_three_face():
     three = [i for i, f in enumerate(p.faces) if f.degree == 3]
     assert three
     for i in three:
-        assert led.charges[("f", i)] == Fraction(0)
+        assert led.charges[("f", i)] == 0
         incoming = [t for t in led.transfers if t.target == ("f", i)]
-        assert [t.amount for t in incoming] == [Fraction(1, 2), Fraction(1, 2)]
+        assert [t.amount for t in incoming] == [SCALE // 2, SCALE // 2]  # 1/2 and 1/2
         assert all(t.rule == "triface-from-real" for t in incoming)
 
 
@@ -143,11 +101,11 @@ def test_worked_computation_five_vertex():
     assert sorted(g.degree(u) >= 8 for u in g.neighbors(0)).count(True) == 3
     assert sum(1 for i in p.faces_at(0) if p.faces[i].degree == 3) == 3
     led = apply_rules(initial_charges(p), p, g)
-    assert led.charges[("v", 0)] == Fraction(0)
+    assert led.charges[("v", 0)] == 0
     incoming = [t for t in led.transfers if t.target == ("v", 0)]
     outgoing = [t for t in led.transfers if t.source == ("v", 0)]
-    assert [t.amount for t in incoming] == [Fraction(1, 6)] * 3
-    assert [t.amount for t in outgoing] == [Fraction(1, 2)] * 3
+    assert [t.amount for t in incoming] == [SCALE // 6] * 3  # 1/6
+    assert [t.amount for t in outgoing] == [SCALE // 2] * 3  # 1/2
     assert {t.rule for t in incoming} == {"deg5-sixth"}
     assert {t.rule for t in outgoing} == {"triface-from-real"}
 
@@ -161,20 +119,20 @@ def test_conservation_on_fresh_and_applied_ledgers():
     assert conservation_check(led0, led0)
     led1 = apply_rules(led0, p, d.base)
     assert conservation_check(led0, led1)
-    assert led1.total() == Fraction(-8)
+    assert led1.total() == -8 * SCALE
 
 
 def test_conservation_detects_fabricated_transfer():
     p = planarize(grid_builder(3, 3).to_drawing())
     led0 = initial_charges(p)
     forged = led0.copy()
-    forged.charges[("v", 0)] += Fraction(1, 2)  # one-sided transfer
+    forged.charges[("v", 0)] += SCALE // 2  # one-sided transfer of 1/2
     forged.transfers.append(
-        Transfer("forged", ("v", 1), ("v", 0), Fraction(1, 2))
+        Transfer("forged", ("v", 1), ("v", 0), SCALE // 2)
     )
     assert not conservation_check(led0, forged)
     with pytest.raises(ValueError):
-        other = ChargeLedger({("v", 99): Fraction(0)})
+        other = ChargeLedger({("v", 99): 0})
         conservation_check(led0, other)
 
 
@@ -247,3 +205,31 @@ def test_report_serialization():
     assert all("/" in row["charge"] for row in doc["negative_elements"])
     led = apply_rules(initial_charges(p), p, d.base)
     assert sum(doc["rule_firings"].values()) == len(led.transfers)
+
+
+def test_ledger_counts_integer_twelfths():
+    # every charge and amount is an int; the report holds the same values
+    # as exact fractions
+    d = five_vertex_fixture()
+    p = planarize(d)
+    g = d.base
+    for slack in (0, 16):
+        kappa = g.max_degree() + slack
+        led = apply_rules(initial_charges(p), p, g, kappa)
+        assert all(type(q) is int for q in led.charges.values())
+        assert all(type(t.amount) is int and t.amount > 0 for t in led.transfers)
+        rep = discharge(p, g, kappa)
+        assert rep.charges == {e: Fraction(q, SCALE) for e, q in led.charges.items()}
+        assert rep.total == Fraction(led.total(), SCALE) == -8
+        for ne in rep.negative_elements:
+            assert ne.charge == Fraction(led.charges[ne.element], SCALE) < 0
+
+
+def test_discharge_refuses_palette_below_max_degree():
+    d = generate_instance("grid-with-crossings", 3)
+    p = planarize(d)
+    g = d.base
+    for kappa in (0, 1, g.max_degree() - 1):
+        with pytest.raises(ValueError, match="below max degree"):
+            discharge(p, g, kappa)
+    assert discharge(p, g, g.max_degree()).total == -8

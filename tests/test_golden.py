@@ -1,19 +1,33 @@
-"""Golden outputs of the heuristic colorer, pinned before refactors.
+"""Golden outputs, pinned before refactors.
 
-The slice below is taken from the tight-palette set of the pipeline
-benchmark, ``CorpusSpec(count=90, n_max=20, seed=1000)``: every instance
-is colored at kappa = max degree and, on a miss, at max degree + 1. It
+Heuristic colorer: the slice below is taken from the tight-palette set
+of the pipeline benchmark, ``CorpusSpec(count=90, n_max=20, seed=1000)``:
+every instance is colored at kappa = max degree and, on a miss, at max
+degree + 1. It
 holds the instances whose final colorings use recolor, exchange and
 uncolor-shift moves, plus misses that spend the whole move budget. The
 hash covers each coloring, its moves in order and the restarts used, so
 any change to an accept/reject decision, the move order or the budget
 use shows up here.
+
+Discharging and the structural conditions: over the 210-drawing
+acceptance corpus, ``CorpusSpec(count=210, seed=1000)``, at the default
+palette and at max degree + 2, and over two hand-built drawings at every
+slack from 0 to 16, the hash covers each discharge report (its JSON and
+every final charge), each condition's witnesses and the reducible
+witness.
 """
 
 import hashlib
+import json
 
-from acecolor.generate import CorpusSpec, generate_instance
+from acecolor.conditions import CONDITION_ORDER, check_condition, find_reducible_configuration
+from acecolor.discharging import discharge
+from acecolor.embedding import planarize
+from acecolor.generate import CorpusSpec, generate_corpus, generate_instance
 from acecolor.solver import heuristic_color
+
+from fixtures import five_vertex_fixture, heavy_four_vertex_fixture
 
 SPEC = CorpusSpec(count=90, n_max=20, seed=1000)
 WITH_MOVES = (11, 22, 24, 34, 38, 39, 46, 65, 68, 74, 89)
@@ -48,3 +62,66 @@ def test_heuristic_golden_outputs_on_tight_slice():
     assert kinds == {"recolor", "exchange", "uncolor-shift"}
     assert misses == len(MISSES)
     assert h.hexdigest() == GOLDEN
+
+
+# -- discharging and the structural conditions on the acceptance corpus ---------
+
+CORPUS = CorpusSpec(count=210, seed=1000)
+DISCHARGE_GOLDEN = {
+    16: "559c781bc842a0e867320b7026f7198d8f0aaa04bcb59986c1c047fc22531e90",
+    2: "261fbb7935004f35e3997b671dea2c93ef8b3a7ca6c4c51b8dd437f93110297b",
+}
+FIXTURE_GOLDEN = "c4a8936d2d606e7eb376c23afaa5c5919fff4fcf536eda5d0c576bb4abe3474d"
+
+
+def _hash_discharge_audit(h, name: str, d, kappa: int) -> set:
+    """Feed h the discharge report (JSON plus every final charge), each
+    condition's witness list and the reducible witness of one drawing at
+    palette kappa. Returns the rules that fired."""
+    g = d.base
+    p = planarize(d)
+    rep = discharge(p, g, kappa)
+    charges = [(e, f"{q.numerator}/{q.denominator}") for e, q in sorted(rep.charges.items())]
+    h.update(f"{name} {kappa} {json.dumps(rep.to_json(), sort_keys=True)} {charges}\n".encode())
+    for cond in CONDITION_ORDER:
+        found = check_condition(g, p, kappa, cond)
+        h.update(f"{cond.value} {[(w.vertices, w.detail) for w in found]}\n".encode())
+    w = find_reducible_configuration(g, p, kappa)
+    w = None if w is None else (w.condition.value, w.vertices, w.detail)
+    h.update(f"witness {w}\n".encode())
+    return set(rep.rule_firings)
+
+
+def _discharge_audit_digest(slack: int) -> tuple[str, set]:
+    """Digest over the corpus at kappa = max degree + slack, and the rules
+    that fired."""
+    h = hashlib.sha256()
+    fired = set()
+    for name, d in generate_corpus(CORPUS):
+        fired |= _hash_discharge_audit(h, name, d, d.base.max_degree() + slack)
+    return h.hexdigest(), fired
+
+
+def test_discharge_and_audit_golden_at_default_palette():
+    digest, _ = _discharge_audit_digest(16)
+    assert digest == DISCHARGE_GOLDEN[16]
+
+
+def test_discharge_and_audit_golden_at_slack_two():
+    # at slack 2 the tight (degree 4) and high (degree 5+) rules fire on
+    # the corpus; huge is degree 8+, above its max degree of 6
+    digest, fired = _discharge_audit_digest(2)
+    assert {"deg3-from-tight", "deg3-from-high"} <= fired
+    assert digest == DISCHARGE_GOLDEN[2]
+
+
+def test_discharge_and_audit_golden_on_fixtures():
+    # the corpus has max degree <= 6, so the fractional 4- and 5-vertex
+    # rules (1/4, 1/3, 1/6) fire only on these hand-built drawings
+    h = hashlib.sha256()
+    fired = set()
+    for name, d in (("five", five_vertex_fixture()), ("heavy-four", heavy_four_vertex_fixture())):
+        for slack in range(17):
+            fired |= _hash_discharge_audit(h, name, d, d.base.max_degree() + slack)
+    assert {"deg4-quarter", "deg4-third", "deg5-sixth"} <= fired
+    assert h.hexdigest() == FIXTURE_GOLDEN

@@ -42,6 +42,16 @@ def test_max_degree_empty_vertex_set():
         g.max_degree()
     with pytest.raises(ValueError):
         g.min_degree()
+    assert g.delta == 0 and g.degrees == ()
+
+
+def test_degrees_and_delta_computed_at_construction():
+    s = star(5)
+    assert s.degrees == (5, 1, 1, 1, 1, 1)
+    assert s.delta == s.max_degree() == 5
+    assert Graph(3, []).delta == 0
+    e = s.without_edge(0, 1)
+    assert (e.degrees, e.delta) == ((4, 0, 1, 1, 1, 1), 4)
 
 
 def test_rejects_loops_and_duplicates():
@@ -109,6 +119,8 @@ def test_degree_sum_is_twice_edge_count(n, data):
     )
     g = Graph(n, chosen)
     assert sum(g.degree(v) for v in range(n)) == 2 * g.m
+    assert g.degrees == tuple(len(g.neighbors(v)) for v in range(n))
+    assert g.delta == max(g.degrees)
 
 
 def test_count_neighbors_with_degree_at_least():
