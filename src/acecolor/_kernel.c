@@ -3,8 +3,9 @@
  * Same search as ``_kernel_py``: backtracking over edges in the given
  * order, lowest color first, properness and bichromatic-cycle pruning, and
  * a first-use symmetry break on colors, so both return the same coloring
- * (or None) for every input. The backtracking is a loop over an explicit
- * per-depth ``maxc`` array, so no input can exhaust the C stack.
+ * (or None, or False past the node budget) for every input. The
+ * backtracking is a loop over an explicit per-depth ``maxc`` array, so no
+ * input can exhaust the C stack.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -62,15 +63,20 @@ done:
 
 static PyObject *find_coloring(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *n_obj, *k_obj, *eu_seq, *ev_seq, *order_seq, *result = NULL;
-    if (!PyArg_ParseTuple(args, "OOOOO:find_coloring", &n_obj, &k_obj, &eu_seq, &ev_seq, &order_seq))
+    PyObject *n_obj, *k_obj, *eu_seq, *ev_seq, *order_seq, *budget_obj = NULL, *result = NULL;
+    if (!PyArg_ParseTuple(args, "OOOOO|O:find_coloring", &n_obj, &k_obj, &eu_seq, &ev_seq,
+                          &order_seq, &budget_obj))
         return NULL;
-    /* out-of-range ints clip to the Py_ssize_t range, which keeps their meaning here */
+    /* out-of-range ints clip to the Py_ssize_t range, which keeps their
+     * meaning here; a negative max_nodes means no node budget */
     Py_ssize_t n = PyNumber_AsSsize_t(n_obj, NULL);
     if (n == -1 && PyErr_Occurred())
         return NULL;
     Py_ssize_t k_arg = PyNumber_AsSsize_t(k_obj, NULL);
     if (k_arg == -1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t max_nodes = budget_obj ? PyNumber_AsSsize_t(budget_obj, NULL) : -1;
+    if (max_nodes == -1 && PyErr_Occurred())
         return NULL;
     Py_ssize_t m = PySequence_Size(eu_seq);
     if (m < 0)
@@ -107,10 +113,13 @@ static PyObject *find_coloring(PyObject *Py_UNUSED(self), PyObject *args)
         result = Py_NewRef(Py_None);
         goto done;
     }
-    Py_ssize_t i = 0;
-    unsigned long nodes = 0;
+    Py_ssize_t i = 0, nodes = 0;
     while (i >= 0 && i < m) {
-        if (!(++nodes & 0xFFFFF) && PyErr_CheckSignals())
+        if (++nodes > max_nodes && max_nodes >= 0) { /* budget spent: no answer yet */
+            result = Py_NewRef(Py_False);
+            goto done;
+        }
+        if (!(nodes & 0xFFFFF) && PyErr_CheckSignals())
             goto done;
         int e = order[i], u = eu[e], v = ev[e], c = colors[e];
         int limit = maxc[i] + 1 < k ? maxc[i] + 1 : k;
@@ -149,8 +158,10 @@ done:
 
 static PyMethodDef methods[] = {
     {"find_coloring", find_coloring, METH_VARARGS,
-     "find_coloring(n, k, eu, ev, order) -> list[int] | None\n\n"
-     "Mirror of ``_kernel_py.find_coloring`` (see that module for the contract)."},
+     "find_coloring(n, k, eu, ev, order, max_nodes=-1) -> list[int] | None | False\n\n"
+     "Mirror of ``_kernel_py.find_coloring`` (see that module for the contract):\n"
+     "the colors, None when no coloring within k colors exists, or False once\n"
+     "the search has visited more than max_nodes >= 0 nodes."},
     {NULL, NULL, 0, NULL},
 };
 

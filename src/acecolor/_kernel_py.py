@@ -4,6 +4,8 @@ Backtracks over edges in a fixed order, lowest color first, pruning
 assignments that break properness or close a bichromatic cycle. Color
 classes are interchangeable, so edge i may only use colors up to one more
 than the largest color used on earlier edges (first-use symmetry break).
+A node is one pass of the backtracking loop: one edge tried at one depth,
+forward or back. A node budget caps how many the search may visit.
 
 The hand-written C extension in ``_kernel.c`` implements the same search,
 input checks included, and returns the same result for every input;
@@ -11,6 +13,8 @@ input checks included, and returns the same result for every input;
 """
 
 from __future__ import annotations
+
+import operator
 
 BACKEND = "python"
 
@@ -21,15 +25,21 @@ def find_coloring(
     eu: list[int],
     ev: list[int],
     order: list[int],
-) -> list[int] | None:
+    max_nodes: int = -1,
+) -> list[int] | None | bool:
     """Search for an acyclic edge coloring with colors 1..k.
 
     eu/ev give edge endpoints; order is the permutation of edge indices to
     color, typically chosen so each edge touches previously colored ones.
     Returns per-edge colors aligned with eu/ev, or None if no coloring
-    exists within k colors. Raises ValueError unless every endpoint lies
-    in [0, n) and order is a permutation of range(m).
+    exists within k colors. With max_nodes >= 0 the search stops once it
+    has visited more than max_nodes nodes and returns False: no answer
+    either way. A negative max_nodes (the default) sets no limit. An
+    empty graph or k <= 0 is answered before the first node. Raises
+    ValueError unless every endpoint lies in [0, n) and order is a
+    permutation of range(m).
     """
+    max_nodes = operator.index(max_nodes)
     m = len(eu)
     for name, seq, bound in (("eu", eu, n), ("ev", ev, n), ("order", order, m)):
         if len(seq) != m:
@@ -73,9 +83,16 @@ def find_coloring(
     # Backtracking as a loop, as in the C kernel, so the recursion limit
     # caps no input: colors[order[i]] is the color tried at depth i (0 for
     # none yet) and maxc[i] the largest color on the edges before it.
+    # stop is the first node past the budget; without a budget it is 0,
+    # which the count never equals.
     maxc = [0] * (m + 1)
+    stop = max_nodes + 1 if max_nodes >= 0 else 0
+    nodes = 0
     i = 0
     while 0 <= i < m:
+        nodes += 1
+        if nodes == stop:
+            return False
         e = order[i]
         u = eu[e]
         v = ev[e]

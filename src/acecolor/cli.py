@@ -260,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="run the heuristic colorer")
     common(p)
-    p.add_argument("--budget", type=int, default=None, help="repair move budget")
+    p.add_argument("--budget", type=int, default=None,
+                   help="repair moves per attempt (default 50 per edge); repairs run "
+                        "only after the search spends its node budget")
     p.add_argument("--restarts", type=int, default=3)
     p.add_argument("--coloring-out", default=None, help="save the coloring")
     p.set_defaults(func=cmd_color)

@@ -280,13 +280,15 @@ def _check_triangle_face_budget(g: Graph, plane: PlaneGraph, vertices) -> list[C
 def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     """Counting conditions at the neighbors of every 2-vertex, with the
     two conditional refinements for adjacent supports and for supports
-    with the minimum count."""
+    with the minimum count. A scope visits only the 2-vertices next to
+    it; the witnesses come out sorted either way."""
     delta = g.delta
     deg, adj = g.degrees, g.adj
     scope = set(_scope(g, vertices))
+    around = range(g.n) if vertices is None else {u for b in scope for u in adj[b]}
     out = []
     cond = Condition.DEG2_SUPPORT_COUNTS
-    for v0 in range(g.n):
+    for v0 in around:
         if deg[v0] != 2:
             continue
         w, v = adj[v0]

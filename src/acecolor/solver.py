@@ -4,14 +4,16 @@
 degree Δ, or Δ+1 when a forest-count argument proves Δ colors too few.
 The exact solver is a backtracking search (see ``acecolor.kernel``) meant
 for desk-scale instances, run bottom-up from that bound. The heuristic
-colors edges one at a time in a peeling-derived order, always assigning a
-valid color when one exists and otherwise attempting local repairs:
-recoloring a single incident edge, exchanging the colors of two edges at
-a shared vertex, or uncoloring a sibling edge to free the stuck one.
-Every repair is gated by ``valid_colors``, one edge assignment at a time,
-and a move budget keeps failure detectable. It gives up at once on a
-palette the lower bound rules out. Callers verify the returned coloring
-once.
+first runs the same search on the peeling-derived order under a node
+budget of ``NODES_PER_EDGE`` per edge; its first descent is the greedy
+coloring, so where greedy needs no help the two agree. Only when the
+budget is spent does the greedy pass run with local repairs: recoloring
+a single incident edge, exchanging the colors of two edges at a shared
+vertex, or uncoloring a sibling edge to free the stuck one. Every repair
+is gated by ``valid_colors``, one edge assignment at a time, and a move
+budget keeps failure detectable. It gives up at once on a palette the
+lower bound rules out or the search refutes. Callers verify the returned
+coloring once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ from .coloring import EdgeColoring, verify
 from .graph import Edge, Graph, canonical_edge
 
 DEFAULT_SLACK = 16  # default palette is max degree plus this
+# heuristic_color's search budget, in kernel nodes per edge. The search
+# takes exactly m nodes wherever greedy needs no repair; at kappa = max
+# degree it needs at most 57·m on the acceptance corpus.
+NODES_PER_EDGE = 100
 
 
 @dataclass(frozen=True)
@@ -118,15 +124,20 @@ def _coloring_order(g: Graph) -> list[Edge]:
     return list(reversed(edge_insertion_order(g)))
 
 
-def _run_kernel(g: Graph, k: int, order_edges: list[Edge]) -> EdgeColoring | None:
+def _run_kernel(
+    g: Graph, k: int, order_edges: list[Edge], max_nodes: int = -1
+) -> EdgeColoring | None | bool:
+    """The kernel's answer as a coloring, None (no coloring within k
+    colors) or False (more than max_nodes search nodes, if >= 0). A
+    coloring has palette k, so k = 0 raises ValueError even when m = 0."""
     eu = [e[0] for e in g.edges]
     ev = [e[1] for e in g.edges]
     index = {e: i for i, e in enumerate(g.edges)}
     order = [index[e] for e in order_edges]
-    colors = kernel.find_coloring(g.n, k, eu, ev, order)
-    if colors is None:
-        return None
-    out = EdgeColoring(g, max(k, 1))
+    colors = kernel.find_coloring(g.n, k, eu, ev, order, max_nodes)
+    if colors is None or colors is False:
+        return colors
+    out = EdgeColoring(g, k)
     for e, c in zip(g.edges, colors):
         out.assign(e, c)
     return out
@@ -227,23 +238,35 @@ def heuristic_color(
     seed: int = 0,
     restarts: int = 3,
 ) -> SolveOutcome | None:
-    """Color all edges with at most kappa colors, repairing stuck states.
+    """Color all edges with at most kappa colors.
 
-    Deterministic for a fixed seed: the first attempt uses the peeling
-    order with lowest-color tie-breaking, and each restart reshuffles the
-    order and color choices with a seeded generator. Returns None after
-    the restart cap, never silently escalating the palette, and at once,
-    before any attempt, when kappa is the max degree and
-    ``acyclic_lower_bound`` proves it too small. A palette below the max
-    degree raises ValueError.
+    First the search kernel runs on the peeling order under a budget of
+    ``NODES_PER_EDGE * m`` nodes. Its coloring comes back with no moves
+    and no restarts; its refutation returns None at once. Only when the
+    budget is spent do the repair attempts run, with move_budget repair
+    moves each (default 50·m): the first uses the peeling order with
+    lowest-color tie-breaking, and each restart reshuffles the order and
+    color choices with a generator seeded by seed. Deterministic for a
+    fixed seed.
+
+    Returns None when no coloring within kappa colors exists: proved by
+    ``acyclic_lower_bound`` (kappa is the max degree) or by the search,
+    both before any repair attempt. It also returns None after the
+    restart cap, never silently escalating the palette. A palette below
+    the max degree raises ValueError.
     """
     delta = g.delta
     if kappa < delta:
         raise ValueError(f"palette {kappa} below max degree {delta}; properness impossible")
     if kappa == delta and kappa < acyclic_lower_bound(g):
         return None
-    budget = 50 * g.m if move_budget is None else move_budget
     base_order = _coloring_order(g)
+    found = _run_kernel(g, kappa, base_order, NODES_PER_EDGE * g.m)
+    if found is None:
+        return None
+    if found is not False:
+        return SolveOutcome(coloring=found, colors_used=len(set(found.colored_edges().values())))
+    budget = 50 * g.m if move_budget is None else move_budget
     for attempt in range(restarts + 1):
         order = list(base_order)
         rng = random.Random(f"{seed}:{attempt}") if attempt else None

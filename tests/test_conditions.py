@@ -303,6 +303,13 @@ def test_scoped_face_conditions_match_full_scope(d, data):
         full = check_condition(g, p, kappa_for(g), cond)
         scoped = check_condition(g, p, kappa_for(g), cond, vertices=scope)
         assert scoped == [w for w in full if w.vertices[0] in scope]
+    # deg2-support-counts binds the support vertex; its refinements depend
+    # on the slack, so check a drawn palette too
+    for kappa in (kappa_for(g), g.max_degree() + data.draw(st.integers(0, 4))):
+        cond = Condition.DEG2_SUPPORT_COUNTS
+        full = check_condition(g, p, kappa, cond)
+        scoped = check_condition(g, p, kappa, cond, vertices=scope)
+        assert scoped == [w for w in full if w.vertices[0] in scope]
 
 
 def test_two_vertex_on_three_face_is_found_in_scope():

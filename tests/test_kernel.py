@@ -1,19 +1,12 @@
 """Backend parity: the compiled C kernel and the pure-Python fallback must
-implement the identical search, input checks included.
+implement the identical search, input checks and node counts included.
 
-When the extension is not built in place, the ``c_kernel`` fixture builds
-it once per session from ``src/acecolor/_kernel.c`` into a temporary
-directory with setuptools and loads it from there. The compiled tests
-skip only when no C compiler is found.
+The ``c_kernel`` and ``backend`` fixtures live in ``conftest.py``; the
+compiled tests skip only when no C compiler is found.
 """
 
-import importlib.util
-import shlex
-import shutil
 import signal
-import sysconfig
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,45 +15,7 @@ from hypothesis import strategies as st
 from acecolor import _kernel_py
 from acecolor import kernel
 
-from graphlib import complete, cycle, path, petersen, small_library
-
-KERNEL_C = Path(__file__).resolve().parents[1] / "src" / "acecolor" / "_kernel.c"
-
-
-def _build_kernel(out_dir: Path):
-    from setuptools import Distribution, Extension
-
-    ext = Extension("acecolor._kernel", [str(KERNEL_C)], extra_compile_args=["-O2"])
-    cmd = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
-    cmd.build_lib = str(out_dir)
-    cmd.build_temp = str(out_dir / "tmp")
-    cmd.ensure_finalized()
-    cmd.run()
-    spec = importlib.util.spec_from_file_location(ext.name, cmd.get_ext_fullpath(ext.name))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="session")
-def c_kernel(tmp_path_factory):
-    try:
-        from acecolor import _kernel
-
-        return _kernel
-    except ImportError:
-        pass
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if not cc or shutil.which(cc[0]) is None:
-        pytest.skip("no C compiler found to build the C kernel")
-    return _build_kernel(tmp_path_factory.mktemp("c_kernel"))
-
-
-@pytest.fixture(params=["python", "c"])
-def backend(request):
-    if request.param == "python":
-        return _kernel_py
-    return request.getfixturevalue("c_kernel")
+from graphlib import complete, complete_bipartite, cycle, path, petersen, small_library
 
 
 def _inputs(g):
@@ -134,6 +89,65 @@ def kernel_inputs(draw):
 @given(kernel_inputs())
 def test_backends_agree_on_random_graphs(c_kernel, args):
     assert _kernel_py.find_coloring(*args) == c_kernel.find_coloring(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_inputs())
+def test_backends_agree_at_every_node_budget(c_kernel, args):
+    # equal outcomes at every budget up to 5m mean equal node counts: the
+    # smallest budget that gives an answer is the number of nodes visited
+    m = len(args[2])
+    for budget in range(5 * m + 1):
+        a = _kernel_py.find_coloring(*args, budget)
+        b = c_kernel.find_coloring(*args, budget)
+        assert a == b and type(a) is type(b), budget
+    unbounded = _kernel_py.find_coloring(*args)
+    assert a is False or a == unbounded
+
+
+def test_zero_node_budget_gives_no_answer(backend):
+    n, eu, ev, order = _inputs(cycle(4))
+    assert backend.find_coloring(n, 3, eu, ev, order, 0) is False
+    # an empty graph or an empty palette is answered before the first node
+    assert backend.find_coloring(n, 3, [], [], [], 0) == []
+    assert backend.find_coloring(n, 0, eu, ev, order, 0) is None
+
+
+def test_forest_takes_exactly_m_nodes(backend):
+    # with 2*delta - 1 colors no edge of a forest is ever stuck, so the
+    # search visits each edge once and never backtracks
+    edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (6, 7), (6, 8), (8, 9)]
+    eu, ev = [u for u, _ in edges], [v for _, v in edges]
+    m = len(edges)
+    for order in (list(range(m)), list(reversed(range(m))), [4, 8, 0, 6, 2, 7, 1, 5, 3]):
+        full = backend.find_coloring(10, 5, eu, ev, order)
+        assert full is not None and backend.find_coloring(10, 5, eu, ev, order, m) == full
+        assert backend.find_coloring(10, 5, eu, ev, order, m - 1) is False
+
+
+def test_negative_budget_is_no_limit(backend):
+    for name, g in small_library():
+        if g.m > 12:
+            continue
+        n, eu, ev, order = _inputs(g)
+        for k in range(max(1, g.max_degree()), g.max_degree() + 3):
+            five = backend.find_coloring(n, k, eu, ev, order)
+            assert backend.find_coloring(n, k, eu, ev, order, -1) == five, (name, k)
+            assert backend.find_coloring(n, k, eu, ev, order, -(2**70)) == five, (name, k)
+
+
+def test_spent_budget_is_not_a_refutation(backend):
+    # K5,5 has no acyclic 5-coloring; a small budget must not claim that
+    n, eu, ev, order = _inputs(complete_bipartite(5, 5))
+    assert backend.find_coloring(n, 5, eu, ev, order, 1000) is False
+    assert backend.find_coloring(n, 5, eu, ev, order, 2**70) is not False
+
+
+@pytest.mark.parametrize("budget", [1.5, "10", None])
+def test_node_budget_must_be_an_int(backend, budget):
+    n, eu, ev, order = _inputs(cycle(4))
+    with pytest.raises(TypeError):
+        backend.find_coloring(n, 3, eu, ev, order, budget)
 
 
 def test_deep_search_does_not_recurse(backend):

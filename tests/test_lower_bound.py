@@ -116,7 +116,9 @@ def test_heuristic_returns_none_at_once_when_bound_exceeds_delta(monkeypatch):
 
 
 # The kappa = delta misses of the heuristic on the tight-palette set of the
-# pipeline benchmark, split by what the search kernel says at delta.
+# pipeline benchmark, split by what proves them: the lower bound, or the
+# budgeted search inside heuristic_color. The repair path, run on its own,
+# also misses the former repair misses, which the search colors at delta.
 TIGHT = CorpusSpec(count=90, n_max=20, seed=1000)
 PROVED_BY_BOUND = {
     f"named-{i}"
@@ -124,7 +126,7 @@ PROVED_BY_BOUND = {
               1050, 1053, 1056, 1059, 1062, 1071, 1080, 1083)
 }
 REFUTED_BY_SEARCH_ONLY = {"named-1008"}
-HEURISTIC_MISSES = {
+FORMER_REPAIR_MISSES = {
     "subdivided-quadrangulation-1000",
     "subdivided-quadrangulation-1030",
     "subdivided-quadrangulation-1081",
@@ -133,23 +135,39 @@ HEURISTIC_MISSES = {
 }
 
 
-def test_split_of_delta_misses_on_tight_set():
+def test_split_of_delta_misses_on_tight_set(monkeypatch):
+    def no_attempt(*args):
+        raise AssertionError("repair attempt on the tight set")
+
+    monkeypatch.setattr(solver, "_color_once", no_attempt)
     misses = {}
-    for name, d in generate_corpus(TIGHT):
-        g = d.base
-        if heuristic_color(g, g.max_degree()) is None:
+    graphs = {name: d.base for name, d in generate_corpus(TIGHT)}
+    for name, g in graphs.items():
+        out = heuristic_color(g, g.max_degree())
+        if out is None:
             misses[name] = g
-    assert set(misses) == PROVED_BY_BOUND | REFUTED_BY_SEARCH_ONLY | HEURISTIC_MISSES
+        else:
+            assert out.moves == [] and out.restarts_used == 0
+    assert set(misses) == PROVED_BY_BOUND | REFUTED_BY_SEARCH_ONLY
     for name, g in misses.items():
         delta = g.max_degree()
         bound = acyclic_lower_bound(g)
         colors = _kernel_coloring(g, delta)
+        assert colors is None
         if name in PROVED_BY_BOUND:
-            assert bound == delta + 1 and colors is None
-        elif name in REFUTED_BY_SEARCH_ONLY:
-            assert bound == delta and colors is None
-            assert (g.n, g.m, delta) == (11, 15, 3)  # 2m = delta * (n - 1): no proof
+            assert bound == delta + 1
         else:
             assert bound == delta
-            edges = list(g.edges)
-            assert is_proper(g.n, edges, colors) and is_acyclic(g.n, edges, colors)
+            assert (g.n, g.m, delta) == (11, 15, 3)  # 2m = delta * (n - 1): no proof
+    for name in FORMER_REPAIR_MISSES:
+        g = graphs[name]
+        out = heuristic_color(g, g.max_degree())
+        edges = list(g.edges)
+        colors = [out.coloring.color_of(e) for e in edges]
+        assert is_proper(g.n, edges, colors) and is_acyclic(g.n, edges, colors)
+    monkeypatch.undo()
+    monkeypatch.setattr(solver, "NODES_PER_EDGE", 0)
+    repair_misses = {
+        name for name, g in graphs.items() if heuristic_color(g, g.max_degree()) is None
+    }
+    assert repair_misses == PROVED_BY_BOUND | REFUTED_BY_SEARCH_ONLY | FORMER_REPAIR_MISSES

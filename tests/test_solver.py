@@ -1,11 +1,14 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acecolor import _kernel_py, kernel, solver
 from acecolor.coloring import EdgeColoring, verify
+from acecolor.generate import grid_builder
 from acecolor.graph import Graph
 from acecolor.solver import (
     edge_insertion_order,
@@ -281,15 +284,64 @@ def test_repair_exchange_unblocks_stuck_edge():
     assert verify(fixed).ok
 
 
-def test_heuristic_recovers_via_repairs_at_tight_palette():
-    # at palette = exact index, the greedy pass gets stuck on these and
-    # the repair ladder (with restarts for K4,4) rescues the run
+def test_heuristic_recovers_via_repairs_at_tight_palette(monkeypatch):
+    # at palette = exact index the budgeted search colors both at once
+    for g, kappa in ((prism(), 4), (complete_bipartite(4, 4), 5)):
+        out = heuristic_color(g, kappa, seed=0)
+        assert out is not None and verify(out.coloring).ok
+        assert (out.moves, out.restarts_used, out.colors_used) == ([], 0, kappa)
+    # with no node budget the greedy pass gets stuck on these, and the
+    # repair ladder (with restarts for K4,4) rescues the run
+    monkeypatch.setattr(solver, "NODES_PER_EDGE", 0)
     out = heuristic_color(prism(), 4, seed=0)
     assert out is not None and verify(out.coloring).ok
     assert len(out.moves) >= 1
     out = heuristic_color(complete_bipartite(4, 4), 5, seed=0)
     assert out is not None and verify(out.coloring).ok
     assert out.colors_used == 5
+
+
+@pytest.mark.parametrize("impl", ["python", "c"])
+def test_spent_node_budget_falls_back_in_bounded_time(monkeypatch, request, impl):
+    # a subdivided 20x20 grid (n = 500, m = 860) whose search at kappa =
+    # max degree outlasts its node budget; the repair path then runs
+    b = grid_builder(20, 20)
+    rng = random.Random(11)
+    for _ in range(100):
+        b.subdivide(*rng.choice(sorted(b.edges)))
+    g = b.to_drawing().base
+    assert (g.n, g.m, g.max_degree()) == (500, 860, 4)
+    backend = _kernel_py if impl == "python" else request.getfixturevalue("c_kernel")
+    answers = []
+
+    def find_coloring(*args):
+        answers.append(backend.find_coloring(*args))
+        return answers[-1]
+
+    attempts = []
+    color_once = solver._color_once
+
+    def counted_color_once(*args):
+        attempts.append(args[3])
+        return color_once(*args)
+
+    monkeypatch.setattr(kernel, "find_coloring", find_coloring)
+    monkeypatch.setattr(solver, "_color_once", counted_color_once)
+    t0 = time.perf_counter()
+    out = heuristic_color(g, 4)
+    assert time.perf_counter() - t0 < 30
+    assert answers == [False] and attempts[0] == 50 * g.m  # the default move budget
+    assert out is None or verify(out.coloring).ok
+
+
+def test_search_refutation_above_max_degree_skips_repairs(monkeypatch):
+    def no_attempt(*args):
+        raise AssertionError("repair attempt after a refutation")
+
+    monkeypatch.setattr(solver, "_color_once", no_attempt)
+    # K4 needs 5 colors; 4 is above its max degree and the lower bound
+    assert solver.acyclic_lower_bound(complete(4)) == 4
+    assert heuristic_color(complete(4), 4) is None
 
 
 def test_repair_moves_preserve_colored_count():
