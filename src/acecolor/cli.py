@@ -249,17 +249,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instances=True):
-        if instances:
-            p.add_argument("instance", nargs="+", help="instance file(s)")
-        p.add_argument("--kappa", type=int, default=None,
-                       help="palette size (default: max degree + 16)")
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, kappa=True):
+        p.add_argument("instance", nargs="+", help="instance file(s)")
+        if kappa:
+            p.add_argument("--kappa", type=int, default=None,
+                           help="palette size (default: max degree + 16)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write report(s) here")
 
     p = sub.add_parser("color", help="run the heuristic colorer")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None,
                    help="repair moves per attempt (default 50 per edge); repairs run "
                         "only after the search spends its node budget")
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("verify", help="check a serialized coloring")
-    common(p)
+    common(p, kappa=False)
     p.add_argument("--coloring", required=True, help="coloring file")
     p.set_defaults(func=cmd_verify)
 
@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("gen", help="generate corpus instances")
-    common(p, instances=False)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None, help="write instances here")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--nmin", type=int, default=10)
     p.add_argument("--nmax", type=int, default=60)

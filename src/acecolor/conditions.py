@@ -7,11 +7,12 @@ local degree conditions; each enum member below is one of them, checkable
 directly on a concrete graph (plus, for the face conditions, a drawing).
 A witness is a binding of a condition's quantifiers at which it fails.
 
-Thresholds are parameterized by the palette slack kappa - max_degree;
-with the default palette kappa = max_degree + 16 they instantiate to the
-familiar constants (2-vertices need 20+ neighbors, 3-vertices need 18+
-neighbors, and so on). The checks assume kappa >= max_degree + 2, the
-regime in which the underlying structure results hold.
+Every degree threshold that scales with the palette slack kappa -
+max_degree is declared once, in the ``Thresholds`` table; the discharging
+rules read the same table, so a rule and the condition it relies on
+cannot drift apart. ``HEAVY`` and ``DEG5_BIG`` are the two thresholds
+that do not scale. The checks assume kappa >= max_degree + 2, the regime
+in which the underlying structure results hold.
 
 Every check reads the degrees and the max degree the graph computed once,
 and the face checks read the per-vertex 3-faces of the plane graph, so a
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 from .embedding import Drawing, PlaneGraph, planarize, triangle_face_budget
 from .errors import SizeRefusal
@@ -42,7 +45,6 @@ class Condition(Enum):
     TRIANGLE_FACE_BUDGET = "triangle-face-budget"
     DEG2_SUPPORT_COUNTS = "deg2-support-counts"
     DEG4_DEGREE_SUM = "deg4-degree-sum"
-    DEG4_DEGREE_SUM_TRIANGLES = "deg4-degree-sum-triangles"
     DEG3_TIGHT_STRUCTURE = "deg3-tight-structure"
 
 
@@ -75,8 +77,32 @@ class ConditionWitness:
     detail: str
 
 
-def _slack_thresholds(g: Graph, kappa: int) -> tuple[int, int]:
-    return kappa - g.delta + 4, kappa - g.delta + 2  # thresholds for 2- and 3-vertices
+HEAVY = 10  # a vertex of this degree or more is heavy
+DEG5_BIG = 8  # a 5-vertex needs three neighbors of this degree or more
+
+
+class Thresholds(NamedTuple):
+    """The degree thresholds of one palette, all offsets of the slack
+    kappa - max_degree: a "tight" vertex has degree exactly ``tight``, a
+    "high" one at least ``high``, a "huge" one at least ``huge``, and a
+    2-vertex needs two neighbors of degree ``deg2_big`` or more."""
+
+    slack: int
+    tight: int
+    high: int
+    deg2_big: int
+    huge: int
+
+
+@lru_cache(maxsize=64)
+def _table(slack: int) -> Thresholds:
+    return Thresholds(slack, slack + 2, slack + 3, slack + 4, slack + 6)
+
+
+def thresholds(g: Graph, kappa: int) -> Thresholds:
+    """The table of palette kappa on g. Tables are immutable, so one per
+    slack is built and shared: a call costs a lookup, not a construction."""
+    return _table(kappa - g.delta)
 
 
 def _scope(g: Graph, vertices) -> list[int]:
@@ -106,7 +132,7 @@ def _check_min_degree_2connected(g: Graph, kappa: int, vertices) -> list[Conditi
 
 
 def _check_deg2_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    big, _ = _slack_thresholds(g, kappa)
+    big = thresholds(g, kappa).deg2_big
     deg = g.degrees
     out = []
     for v in _scope(g, vertices):
@@ -126,7 +152,7 @@ def _check_deg2_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionW
 
 
 def _check_deg3_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    _, big = _slack_thresholds(g, kappa)
+    big = thresholds(g, kappa).tight
     deg = g.degrees
     out = []
     for v in _scope(g, vertices):
@@ -146,7 +172,7 @@ def _check_deg3_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionW
 
 
 def _check_tight_vertex_small_neighbor(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    _, tight = _slack_thresholds(g, kappa)
+    tight = thresholds(g, kappa).tight
     deg = g.degrees
     out = []
     for w in _scope(g, vertices):
@@ -181,21 +207,22 @@ def _check_two_deg4_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionW
 
 
 def _check_deg4_neighbor_profile(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
+    """A 4-vertex has four heavy neighbors, or one light one and three
+    huge ones: exactly the 4-vertices the deg4-* rules send charge to."""
+    huge = thresholds(g, kappa).huge
     deg = g.degrees
     out = []
     for v in _scope(g, vertices):
         if deg[v] != 4:
             continue
         degs = sorted(deg[u] for u in g.adj[v])
-        all_ten = degs[0] >= 10
-        small_plus_three_22 = degs[0] <= 9 and degs[1] >= 22
-        if not (all_ten or small_plus_three_22):
+        if not (degs[0] >= HEAVY or degs[1] >= huge):
             out.append(
                 ConditionWitness(
                     Condition.DEG4_NEIGHBOR_PROFILE,
                     (v,),
                     f"4-vertex {v} has neighbor degrees {degs}; needs four "
-                    "10+ or one 9- with three 22+",
+                    f"{HEAVY}+ or one {HEAVY - 1}- with three {huge}+",
                 )
             )
     return out
@@ -207,25 +234,25 @@ def _check_deg5_neighbor_profile(g: Graph, kappa: int, vertices) -> list[Conditi
     for v in _scope(g, vertices):
         if deg[v] != 5:
             continue
-        have = g.count_neighbors_with_degree_at_least(v, 8)
+        have = g.count_neighbors_with_degree_at_least(v, DEG5_BIG)
         if have < 3:
             out.append(
                 ConditionWitness(
                     Condition.DEG5_NEIGHBOR_PROFILE,
                     (v,),
-                    f"5-vertex {v} is adjacent to only {have} vertices of degree >= 8",
+                    f"5-vertex {v} is adjacent to only {have} vertices of degree >= {DEG5_BIG}",
                 )
             )
     return out
 
 
 def _check_heavy_deg2_support(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    need_count = kappa - g.delta + 1
-    need_degree = kappa - g.delta + 2
+    t = thresholds(g, kappa)
+    need_count, need_degree = t.slack + 1, t.tight
     deg = g.degrees
     out = []
     for v in _scope(g, vertices):
-        if deg[v] < 10:
+        if deg[v] < HEAVY:
             continue
         if not any(deg[u] == 2 for u in g.adj[v]):
             continue
@@ -282,7 +309,7 @@ def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[Condition
     two conditional refinements for adjacent supports and for supports
     with the minimum count. A scope visits only the 2-vertices next to
     it; the witnesses come out sorted either way."""
-    delta = g.delta
+    t = thresholds(g, kappa)
     deg, adj = g.degrees, g.adj
     scope = set(_scope(g, vertices))
     around = range(g.n) if vertices is None else {u for b in scope for u in adj[b]}
@@ -327,11 +354,11 @@ def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[Condition
                             f"{kappa - deg[a] + 3}",
                         )
                     )
-            if kappa >= delta + 2:
-                strong = g.count_neighbors_with_degree_at_least(b, kappa - delta + 2)
-                if strong == kappa - delta + 1:
+            if t.slack >= 2:
+                strong = g.count_neighbors_with_degree_at_least(b, t.tight)
+                if strong == t.slack + 1:
                     deg2 = sum(1 for u in adj[b] if deg[u] == 2)
-                    max_deg2 = deg[b] + delta - kappa - 3
+                    max_deg2 = deg[b] - t.high
                     if deg2 > max_deg2:
                         out.append(
                             ConditionWitness(
@@ -341,25 +368,21 @@ def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[Condition
                                 f"neighbors has {deg2} 2-neighbors, max {max_deg2}",
                             )
                         )
-                    if deg[b] < kappa - delta + 4:
+                    if deg[b] < t.deg2_big:
                         out.append(
                             ConditionWitness(
                                 cond,
                                 (b,),
                                 f"support {b} with exactly {strong} strong "
-                                f"neighbors has degree {deg[b]} < {kappa - delta + 4}",
+                                f"neighbors has degree {deg[b]} < {t.deg2_big}",
                             )
                         )
     # deduplicate identical witnesses from the two orderings
     return sorted(set(out), key=lambda w: (w.vertices, w.detail))
 
 
-def _triangles_through(g: Graph, u: int, v: int) -> list[int]:
-    return sorted(set(g.adj[u]) & set(g.adj[v]))
-
-
 def _check_deg4_degree_sum(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    delta = g.delta
+    slack = thresholds(g, kappa).slack
     deg = g.degrees
     out = []
     for w0 in _scope(g, vertices):
@@ -367,7 +390,7 @@ def _check_deg4_degree_sum(g: Graph, kappa: int, vertices) -> list[ConditionWitn
             continue
         total = sum(deg[x] for x in g.adj[w0])
         for w in g.adj[w0]:
-            if deg[w] <= kappa - delta and total < 2 * kappa + 4:
+            if deg[w] <= slack and total < 2 * kappa + 4:
                 out.append(
                     ConditionWitness(
                         Condition.DEG4_DEGREE_SUM,
@@ -380,47 +403,11 @@ def _check_deg4_degree_sum(g: Graph, kappa: int, vertices) -> list[ConditionWitn
     return out
 
 
-def _check_deg4_degree_sum_triangles(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    delta = g.delta
-    deg = g.degrees
-    out = []
-    for w0 in _scope(g, vertices):
-        if deg[w0] != 4:
-            continue
-        total = sum(deg[x] for x in g.adj[w0])
-        for w in g.adj[w0]:
-            if deg[w] > kappa - delta + 1:
-                continue
-            if len(_triangles_through(g, w, w0)) < 2:
-                continue
-            if total < 2 * kappa + 5:
-                out.append(
-                    ConditionWitness(
-                        Condition.DEG4_DEGREE_SUM_TRIANGLES,
-                        (w0,),
-                        f"4-vertex {w0}, edge to {w} in two triangles: sum "
-                        f"{total} < {2 * kappa + 5}",
-                    )
-                )
-            elif total == 2 * kappa + 5:
-                weak = [x for x in g.adj[w] if x != w0 and deg[x] < 6]
-                if weak:
-                    out.append(
-                        ConditionWitness(
-                            Condition.DEG4_DEGREE_SUM_TRIANGLES,
-                            (w0,),
-                            f"equality case at {w0}: other neighbors of {w} "
-                            f"must all have degree >= 6, but {weak} do not",
-                        )
-                    )
-    return out
-
-
 def _check_deg3_tight_structure(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    """Structure around a 3-vertex with a neighbor of the threshold degree
-    kappa - max_degree + 2, via its degree consequences only."""
-    delta = g.delta
-    tight = kappa - delta + 2
+    """Structure around a 3-vertex with a tight neighbor, via its degree
+    consequences only."""
+    t = thresholds(g, kappa)
+    delta, tight = g.delta, t.tight
     deg = g.degrees
     out = []
     cond = Condition.DEG3_TIGHT_STRUCTURE
@@ -430,28 +417,21 @@ def _check_deg3_tight_structure(g: Graph, kappa: int, vertices) -> list[Conditio
         for w in g.adj[v]:
             if deg[w] != tight:
                 continue
-            if _triangles_through(g, w, v):
-                out.append(
-                    ConditionWitness(
-                        cond, (v, w), f"edge ({w}, {v}) lies in a triangle"
-                    )
-                )
-                continue
             others = [x for x in g.adj[v] if x != w]
             ok = False
             for v1, v2 in ((others[0], others[1]), (others[1], others[0])):
                 if deg[v1] != delta:
                     continue
-                if not (delta >= deg[v2] >= kappa - delta + 3):
+                if not (delta >= deg[v2] >= t.high):
                     continue
                 if g.count_neighbors_with_degree_at_least(v1, tight) < kappa - deg[v2] + 1:
                     continue
                 if (
                     g.count_neighbors_with_degree_at_least(v2, kappa - deg[v2] + 2)
-                    < kappa - delta
+                    < t.slack
                 ):
                     continue
-                if g.count_neighbors_with_degree_at_least(v2, 4) < kappa - delta + 1:
+                if g.count_neighbors_with_degree_at_least(v2, 4) < t.slack + 1:
                     continue
                 ok = True
                 break
@@ -479,7 +459,6 @@ _GRAPH_CHECKS = {
     Condition.HEAVY_DEG2_SUPPORT: _check_heavy_deg2_support,
     Condition.DEG2_SUPPORT_COUNTS: _check_deg2_support_counts,
     Condition.DEG4_DEGREE_SUM: _check_deg4_degree_sum,
-    Condition.DEG4_DEGREE_SUM_TRIANGLES: _check_deg4_degree_sum_triangles,
     Condition.DEG3_TIGHT_STRUCTURE: _check_deg3_tight_structure,
 }
 

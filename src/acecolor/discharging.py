@@ -14,10 +14,9 @@ Vertex-to-vertex rules follow adjacency in the *base* graph, never in the
 planarized one; crossing vertices neither send nor receive (they hold
 charge 0 throughout). Face rules count incidences per boundary-walk slot.
 
-Thresholds scale with the palette slack kappa - max_degree: a "tight"
-vertex has degree slack+2, a "high" vertex slack+3 or more, a "huge"
-vertex slack+6 or more. At the default slack of 16 these are 18, 19+ and
-22+. The small thresholds (10, 9, 8) are fixed rule constants.
+The rules' degree thresholds are read from the palette-threshold table
+of ``conditions`` (``Thresholds``, ``HEAVY``, ``DEG5_BIG``), the same
+table the structural conditions read.
 
 The audit attaches to every negative element the structural hypotheses
 whose failure explains the deficit; if all attached hypotheses hold, the
@@ -30,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .conditions import Condition, check_condition
+from .conditions import DEG5_BIG, HEAVY, Condition, check_condition, thresholds
 from .embedding import PlaneGraph
 from .errors import EmbeddingError
 from .graph import Graph
@@ -140,16 +139,12 @@ def initial_charges(p: PlaneGraph) -> ChargeLedger:
     return ChargeLedger(charges)
 
 
-def _rule_thresholds(g: Graph, kappa: int) -> tuple[int, int, int]:
-    slack = kappa - g.delta
-    return slack + 2, slack + 3, slack + 6  # tight, high, huge
-
-
 def compute_transfers(p: PlaneGraph, g: Graph, kappa: int | None = None) -> list[Transfer]:
     """All rule firings, computed from the pre-rule structure only."""
     if kappa is None:
         kappa = g.delta + DEFAULT_SLACK
-    tight, high, huge = _rule_thresholds(g, kappa)
+    t = thresholds(g, kappa)
+    tight, high, huge = t.tight, t.high, t.huge
     deg, adj = g.degrees, g.adj
     out: list[Transfer] = []
 
@@ -165,16 +160,16 @@ def compute_transfers(p: PlaneGraph, g: Graph, kappa: int | None = None) -> list
                     out.append(Transfer("deg3-from-high", ("v", u), ("v", v), HALF))
         elif d == 4:
             degs = sorted(deg[u] for u in adj[v])
-            if degs[0] >= 10:
+            if degs[0] >= HEAVY:
                 for u in adj[v]:
                     out.append(Transfer("deg4-quarter", ("v", u), ("v", v), QUARTER))
-            elif degs[0] <= 9 and degs[1] >= huge:
+            elif degs[1] >= huge:
                 for u in adj[v]:
                     if deg[u] >= huge:
                         out.append(Transfer("deg4-third", ("v", u), ("v", v), THIRD))
         elif d == 5:
             for u in adj[v]:
-                if deg[u] >= 8:
+                if deg[u] >= DEG5_BIG:
                     out.append(Transfer("deg5-sixth", ("v", u), ("v", v), SIXTH))
 
     n_real = p.n_real
@@ -279,7 +274,7 @@ def element_hypothesis_failures(
         prof = _face_profile_deg3(p, v)
         if prof:
             out.append(prof)
-    elif d in (4, 5, 6, 7, 8, 9):
+    elif 4 <= d < HEAVY:
         if d == 4:
             cond(Condition.DEG4_NEIGHBOR_PROFILE)
         elif d == 5:
@@ -287,15 +282,15 @@ def element_hypothesis_failures(
         cond(Condition.TRIANGLE_FACE_BUDGET)
         if deg2_neighbors:
             cond(Condition.DEG2_BIG_NEIGHBORS, at=tuple(deg2_neighbors))
-    else:  # d >= 10
+    else:  # heavy, or degree below 2
         cond(Condition.TRIANGLE_FACE_BUDGET)
         if deg2_neighbors:
             cond(Condition.HEAVY_DEG2_SUPPORT)
         else:
-            tight, high, huge = _rule_thresholds(g, kappa)
-            if d == tight:
+            t = thresholds(g, kappa)
+            if d == t.tight:
                 cond(Condition.TIGHT_VERTEX_SMALL_NEIGHBOR)
-            elif high <= d < huge:
+            elif t.high <= d < t.huge:
                 cond(Condition.TWO_DEG4_NEIGHBORS)
     return out
 

@@ -81,9 +81,6 @@ class Drawing:
     def crossing_count(self) -> int:
         return len(self.crossing_pairs)
 
-    def crossing_vertex(self, pair_index: int) -> int:
-        return self.base.n + pair_index
-
 
 class PlaneGraph:
     """The plane graph of a drawing: crossings are degree-4 vertices.
@@ -144,13 +141,6 @@ class PlaneGraph:
         """Indices of faces incident with v, with multiplicity."""
         self.graph.check_vertex(v)
         return self._face_index_at[v]
-
-    def real_degree(self, v: int) -> int:
-        """Degree of a real vertex in the base graph (equals its degree in
-        the planarized graph)."""
-        if self.is_crossing(v):
-            raise ValueError(f"vertex {v} is a crossing vertex")
-        return self.base.degree(v)
 
     def reconstructed_base_edges(self) -> set[Edge]:
         """Contract every crossing vertex back: recover the base edge set."""

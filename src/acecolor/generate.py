@@ -16,7 +16,7 @@ every emitted drawing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .embedding import Drawing, Face, planarize, trace_faces
 from .errors import EmbeddingError
@@ -219,12 +219,6 @@ class CorpusSpec:
     n_max: int = 60
     families: tuple[str, ...] = FAMILIES
     seed: int = 0
-
-
-@dataclass
-class GenerationReport:
-    produced: list[str] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
 
 
 def _grid_dims(rng: random.Random, n_min: int, n_max: int, slack: int = 0) -> tuple[int, int]:

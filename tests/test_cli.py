@@ -237,3 +237,22 @@ def test_batch_out_creates_directory(tmp_path, drawing_file, c5_file):
     rc = main(["discharge", str(drawing_file), "--out", str(outdir) + "/"])
     assert rc == 0
     assert (outdir / "crossed.discharge.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "g.txt", "--seed", "1"],
+        ["verify", "g.txt", "--coloring", "c.txt", "--seed", "1"],
+        ["discharge", "d.txt", "--seed", "1"],
+        ["audit", "d.txt", "--seed", "1"],
+        ["verify", "g.txt", "--coloring", "c.txt", "--kappa", "5"],
+        ["gen", "--kappa", "5"],
+        ["gen", "--format", "json"],
+    ],
+)
+def test_options_a_subcommand_would_ignore_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

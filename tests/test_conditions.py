@@ -122,17 +122,6 @@ def test_deg4_degree_sum():
     assert [w.vertices for w in found] == [(0,)]
 
 
-def test_deg4_degree_sum_triangles():
-    # K4 plus a pendant at 0: edge (0,1) lies in two triangles and the
-    # neighbor degree sum is far below the bound (general palette)
-    g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)])
-    found = check_condition(g, None, g.max_degree() + 2, Condition.DEG4_DEGREE_SUM_TRIANGLES)
-    assert found and all(w.vertices == (0,) for w in found)
-    # triangle-free graphs: vacuous
-    q = grid(3, 3)
-    assert not check_condition(q, None, kappa_for(q), Condition.DEG4_DEGREE_SUM_TRIANGLES)
-
-
 def test_deg3_tight_structure():
     # 3-vertex 1 adjacent to the tight hub 0 (degree 18 = max degree 18),
     # with two pendant co-neighbors: no labeling can meet the degree bounds
@@ -140,11 +129,6 @@ def test_deg3_tight_structure():
     g = Graph(21, edges)
     found = check_condition(g, None, kappa_for(g), Condition.DEG3_TIGHT_STRUCTURE)
     assert any(w.vertices == (1, 0) for w in found)
-    # triangle branch: tight neighbor in a triangle with the 3-vertex
-    edges = [(0, i) for i in range(1, 19)] + [(1, 2), (1, 19)]
-    g = Graph(20, edges)
-    found = check_condition(g, None, kappa_for(g), Condition.DEG3_TIGHT_STRUCTURE)
-    assert any("triangle" in w.detail for w in found)
 
 
 def test_claims_require_drawing():
@@ -201,7 +185,7 @@ def test_find_reducible_on_sample_corpus_with_recheck():
 
 def test_condition_order_is_fixed_and_complete():
     assert CONDITION_ORDER[0] is Condition.MIN_DEGREE_2CONNECTED
-    assert Condition.DEG4_DEGREE_SUM_TRIANGLES not in CONDITION_ORDER  # triangle-only
+    assert set(CONDITION_ORDER) == set(Condition)
     assert len(set(CONDITION_ORDER)) == len(CONDITION_ORDER)
 
 

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from acecolor.conditions import DEG5_BIG, HEAVY, Condition, check_condition, thresholds
 from acecolor.discharging import (
     SCALE,
     ChargeLedger,
     Transfer,
     apply_rules,
+    compute_transfers,
     conservation_check,
     discharge,
     element_hypothesis_failures,
@@ -14,9 +16,9 @@ from acecolor.discharging import (
 )
 from acecolor.embedding import planarize
 from acecolor.errors import EmbeddingError
-from acecolor.generate import cycle_builder, generate_instance, grid_builder
+from acecolor.generate import CorpusSpec, cycle_builder, generate_corpus, generate_instance, grid_builder
 
-from fixtures import five_vertex_fixture
+from fixtures import five_vertex_fixture, heavy_four_vertex_fixture
 
 
 def test_initial_charges_basics():
@@ -233,3 +235,27 @@ def test_discharge_refuses_palette_below_max_degree():
         with pytest.raises(ValueError, match="below max degree"):
             discharge(p, g, kappa)
     assert discharge(p, g, g.max_degree()).total == -8
+
+
+def test_threshold_table_holds_the_paper_constants_at_default_slack():
+    g = five_vertex_fixture().base
+    t = thresholds(g, g.max_degree() + 16)
+    assert (t.slack, t.tight, t.high, t.deg2_big, t.huge) == (16, 18, 19, 20, 22)
+    assert (HEAVY, DEG5_BIG) == (10, 8)
+
+
+def test_deg4_rules_fire_exactly_where_the_neighbor_profile_holds():
+    # the deg4-* rules and DEG4_NEIGHBOR_PROFILE read one threshold table,
+    # so at every palette a 4-vertex takes charge from a deg4 rule iff the
+    # condition finds no witness at it
+    drawings = [d for _, d in generate_corpus(CorpusSpec(count=210, seed=1000))]
+    drawings += [five_vertex_fixture(), heavy_four_vertex_fixture()]
+    for i, d in enumerate(drawings):
+        p = planarize(d)
+        g = d.base
+        fours = {v for v in range(g.n) if g.degree(v) == 4}
+        for slack in range(21):
+            kappa = g.max_degree() + slack
+            fed = {t.target[1] for t in compute_transfers(p, g, kappa) if t.rule.startswith("deg4-")}
+            found = check_condition(g, p, kappa, Condition.DEG4_NEIGHBOR_PROFILE)
+            assert fed == fours - {w.vertices[0] for w in found}, (i, slack)

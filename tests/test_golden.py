@@ -107,9 +107,9 @@ def test_search_coloring_is_greedy_coloring_where_no_repair_is_needed():
 
 DISCHARGE_GOLDEN = {
     16: "559c781bc842a0e867320b7026f7198d8f0aaa04bcb59986c1c047fc22531e90",
-    2: "261fbb7935004f35e3997b671dea2c93ef8b3a7ca6c4c51b8dd437f93110297b",
+    2: "7ddddc66c60b713e7e35ca2d3f3370ce72a810969a09dca6e4c1f0d31aef26de",
 }
-FIXTURE_GOLDEN = "c4a8936d2d606e7eb376c23afaa5c5919fff4fcf536eda5d0c576bb4abe3474d"
+FIXTURE_GOLDEN = "e805fa99b1a71a9ca73aa6956e96b59155c0368435265858eb900a16fed5c086"
 
 
 def _hash_discharge_audit(h, name: str, d, kappa: int) -> set:
