@@ -265,7 +265,9 @@ def element_hypothesis_failures(
     def cond(c: Condition, at=None) -> None:
         out.extend(_condition_violations(g, p, kappa, c, (v,) if at is None else at))
 
-    if d == 2:
+    if d < 2:
+        cond(Condition.MIN_DEGREE_2CONNECTED)
+    elif d == 2:
         cond(Condition.DEG2_BIG_NEIGHBORS)
         cond(Condition.DEG2_FACE_SIZES)
     elif d == 3:
@@ -282,7 +284,7 @@ def element_hypothesis_failures(
         cond(Condition.TRIANGLE_FACE_BUDGET)
         if deg2_neighbors:
             cond(Condition.DEG2_BIG_NEIGHBORS, at=tuple(deg2_neighbors))
-    else:  # heavy, or degree below 2
+    else:  # heavy
         cond(Condition.TRIANGLE_FACE_BUDGET)
         if deg2_neighbors:
             cond(Condition.HEAVY_DEG2_SUPPORT)

@@ -9,6 +9,11 @@ face walking a->b and f2 the face walking b->a, the chord runs from p
 The insertion splits each flanking face into a 3-face and a face of the
 original degree, so Euler's formula is preserved by construction.
 
+Each insertion question is read locally from the rotation system (p
+follows a at b, r follows b at a, and the flanking faces are distinct iff
+the walk of f1 misses b->a), so a candidate costs O(degree + flanking
+face), not a pass over the whole drawing.
+
 Everything here is seed-deterministic; the embedding module re-validates
 every emitted drawing.
 """
@@ -18,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .embedding import Drawing, Face, planarize, trace_faces
+from .embedding import Drawing, planarize
 from .errors import EmbeddingError
 from .graph import Edge, Graph, canonical_edge
 
@@ -59,47 +64,41 @@ class DrawingBuilder:
 
     # -- crossing phase -------------------------------------------------------
 
-    def _vertex_count(self) -> int:
-        return self.n + len(self.pairs)
+    def _after(self, v: int, u: int) -> int:
+        """The neighbor after u in v's rotation: the face walk's next step
+        from dart (u, v)."""
+        rot = self.rotation[v]
+        return rot[(rot.index(u) + 1) % len(rot)]
 
-    def faces(self) -> list[Face]:
-        rot = {v: tuple(r) for v, r in self.rotation.items()}
-        return trace_faces(self._vertex_count(), rot)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def _abstract_adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(self.n)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+    def _base_neighbors(self, v: int) -> set[int]:
+        """Base neighbors of a real vertex, read from its rotation: a
+        crossing stands for the vertex opposite v there."""
+        out = set()
+        for w in self.rotation[v]:
+            if w >= self.n:
+                rot = self.rotation[w]
+                w = rot[(rot.index(v) + 2) % 4]
+            out.add(w)
+        return out
 
     def insertion_corners(self, a: int, b: int) -> tuple[int, int] | None:
-        """Chord corners for crossing edge (a, b), or None if the edge has
-        no two distinct flanking faces."""
-        f1 = f2 = None
-        for f in self.faces():
-            if (a, b) in f.walk:
-                f1 = f
-            if (b, a) in f.walk:
-                f2 = f
-        if f1 is None or f2 is None or f1 == f2:
+        """Chord corners for crossing edge (a, b), or None if (a, b) is not
+        a dart of the rotation or has no two distinct flanking faces."""
+        if b not in self.rotation.get(a, ()):
             return None
-        i = f1.walk.index((a, b))
-        p = f1.walk[(i + 1) % len(f1.walk)][1]
-        j = f2.walk.index((b, a))
-        r = f2.walk[(j + 1) % len(f2.walk)][1]
-        return p, r
+        u, v = a, b
+        while True:  # walk the face of (a, b); meeting (b, a) means one face
+            u, v = v, self._after(v, u)
+            if (u, v) == (b, a):
+                return None
+            if (u, v) == (a, b):
+                return self._after(b, a), self._after(a, b)
 
-    def can_insert_crossing(
-        self, a: int, b: int, triangle_filter: bool = True, protect_deg2: bool = True
-    ) -> bool:
+    def can_insert_crossing(self, a: int, b: int, protect_deg2: bool = True) -> bool:
         e = canonical_edge(a, b)
         if e not in self.edges or e in self.crossed:
             return False
-        if protect_deg2 and (self.degree(a) < 3 or self.degree(b) < 3):
+        if protect_deg2 and (len(self.rotation[a]) < 3 or len(self.rotation[b]) < 3):
             # the new 3-faces contain a and b; keep 2-vertices off 3-faces
             return False
         corners = self.insertion_corners(a, b)
@@ -112,20 +111,15 @@ class DrawingBuilder:
             return False
         if canonical_edge(p, r) in self.edges:
             return False
-        if triangle_filter:
-            adj = self._abstract_adjacency()
-            if adj[p] & adj[r]:
-                return False
-        return True
+        # a common neighbor of p and r would close a triangle with the chord
+        return self._base_neighbors(p).isdisjoint(self._base_neighbors(r))
 
-    def insert_crossing(
-        self, a: int, b: int, triangle_filter: bool = True, protect_deg2: bool = True
-    ) -> int:
+    def insert_crossing(self, a: int, b: int, protect_deg2: bool = True) -> int:
         """Insert a chord crossing edge (a, b); returns the crossing vertex id."""
-        if not self.can_insert_crossing(a, b, triangle_filter, protect_deg2):
+        if not self.can_insert_crossing(a, b, protect_deg2):
             raise EmbeddingError(f"cannot insert a crossing over edge ({a}, {b})")
-        p, r = self.insertion_corners(a, b)
-        x = self._vertex_count()
+        p, r = self._after(b, a), self._after(a, b)
+        x = self.n + len(self.pairs)
         chord = canonical_edge(p, r)
         self.edges.add(chord)
         self.pairs.append((canonical_edge(a, b), chord))

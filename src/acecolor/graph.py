@@ -4,7 +4,8 @@ Vertices are 0..n-1 and edges are stored canonically as (min, max) pairs,
 so every iteration over a graph is deterministic. Graphs are immutable
 after construction; removing an edge produces a new graph. Because of
 that, the degree of every vertex and the max degree are computed once,
-when the graph is built.
+when the graph is built, and the cut vertices on the first call that
+asks for them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ def canonical_edge(u: int, v: int) -> Edge:
 
 
 class Graph:
-    __slots__ = ("n", "edges", "adj", "degrees", "delta")
+    __slots__ = ("n", "edges", "adj", "degrees", "delta", "_cut_vertices")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -48,6 +49,7 @@ class Graph:
         self.degrees: tuple[int, ...] = tuple(map(len, adj))
         # the max degree, 0 without vertices; max_degree() refuses that case
         self.delta: int = max(self.degrees, default=0)
+        self._cut_vertices: tuple[int, ...] | None = None
 
     @property
     def m(self) -> int:
@@ -138,7 +140,13 @@ class Graph:
         return len(self.connected_components()) == 1
 
     def articulation_points(self) -> list[int]:
-        """Cut vertices, via the standard DFS low-point computation."""
+        """Cut vertices, sorted; the DFS runs once per graph."""
+        if self._cut_vertices is None:
+            self._cut_vertices = self._find_cut_vertices()
+        return list(self._cut_vertices)
+
+    def _find_cut_vertices(self) -> tuple[int, ...]:
+        """The standard DFS low-point computation."""
         disc = [-1] * self.n
         low = [0] * self.n
         points: set[int] = set()
@@ -171,7 +179,7 @@ class Graph:
                             points.add(parent)
             if root_children >= 2:
                 points.add(root)
-        return sorted(points)
+        return tuple(sorted(points))
 
 
 def _parse_graph_lines(lines: list[str], where: str = "graph") -> tuple[Graph, list[str]]:

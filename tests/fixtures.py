@@ -76,3 +76,11 @@ def heavy_four_vertex_fixture():
         for _ in range(4):
             attach_square(b, z, b.rotation[z][0])
     return b.to_drawing()
+
+
+def pendant_cycle_fixture():
+    """The 4-cycle 0-1-2-3 with a pendant vertex 4 at 0, drawn in the
+    outer face."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]
+    rotation = {0: [1, 4, 3], 1: [2, 0], 2: [3, 1], 3: [0, 2], 4: [0]}
+    return DrawingBuilder(5, edges, rotation).to_drawing()

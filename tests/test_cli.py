@@ -8,6 +8,7 @@ from acecolor.embedding import format_drawing
 from acecolor.generate import grid_builder
 from acecolor.graph import format_graph
 
+from fixtures import pendant_cycle_fixture
 from graphlib import cycle, grid, star
 
 
@@ -162,6 +163,13 @@ def test_discharge_reports_conservation(drawing_file, capsys):
     out = capsys.readouterr().out
     assert "total=-8/1" in out
     assert "conserved=yes" in out
+
+
+def test_discharge_blames_pendant_vertex(tmp_path, capsys):
+    path = tmp_path / "pendant.txt"
+    path.write_text(format_drawing(pendant_cycle_fixture()))
+    assert main(["discharge", str(path)]) == 0
+    assert "elem=v:4 charge=-3/1 violated=min-degree-2connected" in capsys.readouterr().out
 
 
 def test_discharge_requires_drawing(c5_file, capsys):

@@ -314,3 +314,17 @@ def test_two_vertex_on_three_face_is_found_in_scope():
         for f in check_condition(g, p, kappa_for(g), Condition.DEG2_FACE_SIZES, vertices=others)
         if f.vertices == (w,)
     ]
+
+
+def test_audit_runs_one_cut_vertex_search_per_drawing(monkeypatch):
+    # the full-scope check and the reducible-witness search share the
+    # graph's kept cut vertices
+    calls = []
+    find = Graph._find_cut_vertices
+    monkeypatch.setattr(Graph, "_find_cut_vertices", lambda g: calls.append(1) or find(g))
+    d = generate_instance("subdivided-quadrangulation", 3)
+    g, p = d.base, planarize(d)
+    for cond in CONDITION_ORDER:
+        check_condition(g, p, kappa_for(g), cond)
+    assert find_reducible_configuration(g, p, kappa_for(g)) is not None
+    assert len(calls) == 1

@@ -18,7 +18,7 @@ from acecolor.embedding import planarize
 from acecolor.errors import EmbeddingError
 from acecolor.generate import CorpusSpec, cycle_builder, generate_corpus, generate_instance, grid_builder
 
-from fixtures import five_vertex_fixture, heavy_four_vertex_fixture
+from fixtures import five_vertex_fixture, heavy_four_vertex_fixture, pendant_cycle_fixture
 
 
 def test_initial_charges_basics():
@@ -259,3 +259,17 @@ def test_deg4_rules_fire_exactly_where_the_neighbor_profile_holds():
             fed = {t.target[1] for t in compute_transfers(p, g, kappa) if t.rule.startswith("deg4-")}
             found = check_condition(g, p, kappa, Condition.DEG4_NEIGHBOR_PROFILE)
             assert fed == fours - {w.vertices[0] for w in found}, (i, slack)
+
+
+def test_pendant_vertex_is_blamed_on_min_degree():
+    # a degree-1 vertex ends negative; its hypothesis is min degree 2
+    d = pendant_cycle_fixture()
+    p = planarize(d)
+    g = d.base
+    kappa = g.max_degree() + 16
+    rep = discharge(p, g, kappa)
+    negative = {ne.element: ne for ne in rep.negative_elements}
+    assert negative[("v", 4)].charge < 0
+    assert [v.hypothesis for v in negative[("v", 4)].violated] == ["min-degree-2connected"]
+    assert element_hypothesis_failures(p, g, kappa, ("v", 4)) == list(negative[("v", 4)].violated)
+    assert all(ne.violated for ne in rep.negative_elements)

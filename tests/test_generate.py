@@ -1,16 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acecolor.embedding import degree_charge_total, format_drawing, planarize
+from acecolor.embedding import degree_charge_total, format_drawing, planarize, trace_faces
 from acecolor.errors import EmbeddingError
 from acecolor.generate import (
     FAMILIES,
     CorpusSpec,
+    DrawingBuilder,
     cube_builder,
     cycle_builder,
     generate_corpus,
     generate_instance,
     grid_builder,
 )
+from acecolor.graph import canonical_edge
 
 
 def test_grid_builder_is_quadrangulation():
@@ -44,7 +48,7 @@ def test_subdivision_after_crossing_rejected():
 
 def test_insertion_creates_two_triangle_faces():
     b = grid_builder(3, 4)
-    before_faces = len(b.faces())
+    before_faces = len(planarize(b.to_drawing()).faces)
     x = b.insert_crossing(5, 6)
     p = planarize(b.to_drawing())
     three = [f for f in p.faces if f.degree == 3]
@@ -79,6 +83,118 @@ def test_insertion_triangle_filter():
     # chord endpoints kept independent
     (e1, e2) = d.crossing_pairs[0]
     assert not set(e1) & set(e2)
+
+
+class ReferenceInsertion:
+    """Insertion questions answered the long way: faces traced over the
+    whole drawing, degrees counted over the edge set, and adjacency
+    rebuilt from it."""
+
+    def __init__(self, b):
+        self.b = b
+        rot = {v: tuple(r) for v, r in b.rotation.items()}
+        self.faces = trace_faces(b.n + len(b.pairs), rot)
+        self.face_of = {dart: i for i, f in enumerate(self.faces) for dart in f.walk}
+        self.adj = {v: set() for v in range(b.n)}
+        for u, v in b.edges:
+            self.adj[u].add(v)
+            self.adj[v].add(u)
+
+    def corners(self, a, c):
+        f1, f2 = self.face_of.get((a, c)), self.face_of.get((c, a))
+        if f1 is None or f2 is None or f1 == f2:
+            return None
+        walk1, walk2 = self.faces[f1].walk, self.faces[f2].walk
+        p = walk1[(walk1.index((a, c)) + 1) % len(walk1)][1]
+        r = walk2[(walk2.index((c, a)) + 1) % len(walk2)][1]
+        return p, r
+
+    def can_insert(self, a, c, protect_deg2):
+        b = self.b
+        e = canonical_edge(a, c)
+        if e not in b.edges or e in b.crossed:
+            return False
+        degree = {v: sum(1 for f in b.edges if v in f) for v in (a, c)}
+        if protect_deg2 and min(degree.values()) < 3:
+            return False
+        corners = self.corners(a, c)
+        if corners is None:
+            return False
+        p, r = corners
+        if p >= b.n or r >= b.n or p == r or p in (a, c) or r in (a, c):
+            return False
+        return canonical_edge(p, r) not in b.edges and not self.adj[p] & self.adj[r]
+
+
+def dumbbell_builder():
+    """Two 4-cycles joined by the bridge 0-4, whose two sides lie on one
+    face."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4), (0, 4)]
+    rotation = {
+        0: [3, 4, 1], 1: [0, 2], 2: [1, 3], 3: [2, 0],
+        4: [7, 0, 5], 5: [4, 6], 6: [5, 7], 7: [6, 4],
+    }
+    return DrawingBuilder(8, edges, rotation)
+
+
+@st.composite
+def builders_with_steps(draw):
+    """A grid, cycle, cube or dumbbell, randomly subdivided, with a list of
+    crossing attempts (edge index, orientation, protect_deg2) to replay."""
+    kind = draw(st.sampled_from(["grid", "cycle", "cube", "dumbbell"]))
+    if kind == "grid":
+        b = grid_builder(draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+    elif kind == "cycle":
+        b = cycle_builder(draw(st.integers(3, 9)))
+    elif kind == "cube":
+        b = cube_builder()
+    else:
+        b = dumbbell_builder()
+    for _ in range(draw(st.integers(0, 4))):
+        b.subdivide(*draw(st.sampled_from(sorted(b.edges))))
+    steps = draw(
+        st.lists(st.tuples(st.integers(0, 10**6), st.booleans(), st.booleans()), max_size=6)
+    )
+    return b, steps
+
+
+def _assert_matches_reference(b):
+    ref = ReferenceInsertion(b)
+    count = b.n + len(b.pairs)
+    # every ordered pair, with ids one past either end: crossed edges,
+    # non-edges, crossing vertices and both orientations
+    for a in range(-1, count + 1):
+        for c in range(-1, count + 1):
+            assert b.insertion_corners(a, c) == ref.corners(a, c), (a, c)
+            for protect in (True, False):
+                assert b.can_insert_crossing(a, c, protect_deg2=protect) == ref.can_insert(a, c, protect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(builders_with_steps())
+def test_insertion_questions_match_face_tracing_reference(case):
+    b, steps = case
+    _assert_matches_reference(b)
+    for index, flip, protect in steps:
+        edges = sorted(b.edges)
+        a, c = edges[index % len(edges)]
+        if flip:
+            a, c = c, a
+        if ReferenceInsertion(b).can_insert(a, c, protect):
+            assert b.insert_crossing(a, c, protect_deg2=protect) == b.n + len(b.pairs) - 1
+            planarize(b.to_drawing())  # validation
+        else:
+            with pytest.raises(EmbeddingError):
+                b.insert_crossing(a, c, protect_deg2=protect)
+        _assert_matches_reference(b)
+
+
+def test_bridge_has_no_insertion_corners():
+    b = dumbbell_builder()
+    planarize(b.to_drawing())  # validation
+    assert b.insertion_corners(0, 4) is None and b.insertion_corners(4, 0) is None
+    assert not b.can_insert_crossing(0, 4)
+    assert b.insertion_corners(0, 1) == (2, 3)
 
 
 def test_named_builders():

@@ -22,16 +22,21 @@ palette and at max degree + 2, and over two hand-built drawings at every
 slack from 0 to 16, the hash covers each discharge report (its JSON and
 every final charge), each condition's witnesses and the reducible
 witness.
+
+The generator: the serialized drawings of the acceptance corpus, the
+tight-palette set, and the exact and scaling inputs of the pipeline
+benchmark at seed 1.
 """
 
 import hashlib
 import json
+import random
 
 from acecolor import solver
 from acecolor.conditions import CONDITION_ORDER, check_condition, find_reducible_configuration
 from acecolor.discharging import discharge
-from acecolor.embedding import planarize
-from acecolor.generate import CorpusSpec, generate_corpus, generate_instance
+from acecolor.embedding import format_drawing, planarize
+from acecolor.generate import CorpusSpec, generate_corpus, generate_instance, grid_builder
 from acecolor.solver import heuristic_color
 
 from fixtures import five_vertex_fixture, heavy_four_vertex_fixture
@@ -163,3 +168,74 @@ def test_discharge_and_audit_golden_on_fixtures():
             fired |= _hash_discharge_audit(h, name, d, d.base.max_degree() + slack)
     assert {"deg4-quarter", "deg4-third", "deg5-sixth"} <= fired
     assert h.hexdigest() == FIXTURE_GOLDEN
+
+
+# -- the generator ----------------------------------------------------------------
+
+# The inputs of the pipeline benchmark, copied here so that the digest
+# does not move when the benchmark's own files do: the small-instance
+# specs of its exact workload and its scaling grids, both at seed 1.
+EXACT_SMALL = {"named": 32, "subdivided-quadrangulation": 32, "grid-with-crossings": 16}
+EXACT_SEED0 = 1000 + 210 * 1
+SCALING_SHAPES = (
+    ("crossed-grid", 12, 12, 6),
+    ("subdivided-grid", 12, 12, 40),
+    ("crossed-grid", 16, 16, 8),
+    ("subdivided-grid", 16, 16, 60),
+    ("crossed-grid", 22, 23, 12),
+    ("subdivided-grid", 20, 20, 100),
+    ("crossed-grid", 28, 28, 15),
+    ("subdivided-grid", 26, 26, 200),
+    ("crossed-grid", 32, 32, 18),
+)
+GENERATOR_GOLDEN = "9dcfe91704046879411f5bebf40d048448ffadc470649979a10dd2bfa2fa5bfa"
+
+
+def _exact_small_drawings():
+    """The corpus drawings the exact workload takes (m <= 16 or n <= 8),
+    a fixed number per family, searched spec by spec."""
+    for family, quota in EXACT_SMALL.items():
+        base, found = EXACT_SEED0, 0
+        while found < quota:
+            spec = CorpusSpec(count=quota, n_max=16, families=(family,), seed=base)
+            for name, d in generate_corpus(spec):
+                if (d.base.m <= 16 or d.base.n <= 8) and found < quota:
+                    yield name, d
+                    found += 1
+            base += quota
+
+
+def _scaling_drawings():
+    """Grids with crossing chords or subdivided edges at edges drawn from
+    a seeded shuffle of the grid's edges."""
+    for i, (shape, rows, cols, extra) in enumerate(SCALING_SHAPES):
+        rng = random.Random(f"scaling:1:{i}")
+        b = grid_builder(rows, cols)
+        candidates = sorted(b.edges)
+        rng.shuffle(candidates)
+        if shape == "subdivided-grid":
+            for u, v in candidates[:extra]:
+                b.subdivide(u, v)
+        else:
+            inserted = 0
+            for a, c in candidates:
+                if inserted == extra:
+                    break
+                if b.can_insert_crossing(a, c):
+                    b.insert_crossing(a, c)
+                    inserted += 1
+        yield f"{shape}-{rows}x{cols}-{i}", b.to_drawing()
+
+
+def test_generator_golden():
+    h = hashlib.sha256()
+    sources = (
+        generate_corpus(CORPUS),
+        generate_corpus(SPEC),
+        _exact_small_drawings(),
+        _scaling_drawings(),
+    )
+    for source in sources:
+        for name, d in source:
+            h.update(f"{name}\n{format_drawing(d)}".encode())
+    assert h.hexdigest() == GENERATOR_GOLDEN

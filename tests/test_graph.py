@@ -165,3 +165,24 @@ def test_articulation_points():
     # two cycles sharing one vertex
     g = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     assert g.articulation_points() == [2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_kept_articulation_points_equal_a_fresh_dfs(n, data):
+    pairs = list(combinations(range(n), 2))
+    g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    first = g.articulation_points()
+    first.append(-1)  # the caller's list is its own
+    kept = g.articulation_points()
+    assert kept == list(g._find_cut_vertices()) == Graph(n, g.edges).articulation_points()
+    # a cut vertex is one whose removal leaves more components
+    comps = len(g.connected_components())
+    brute = []
+    for v in range(n):
+        rest = [e for e in g.edges if v not in e]
+        relabel = {u: i for i, u in enumerate(u for u in range(n) if u != v)}
+        h = Graph(n - 1, [(relabel[a], relabel[b]) for a, b in rest])
+        if len(h.connected_components()) > comps - (g.degree(v) == 0):
+            brute.append(v)
+    assert kept == brute
