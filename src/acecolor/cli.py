@@ -19,7 +19,7 @@ from .conditions import (
     CONDITION_ORDER,
     check_condition,
     exact_size_ok,
-    find_reducible_configuration,
+    require_in_scope,
 )
 from .coloring import format_coloring, parse_coloring, verify
 from .discharging import discharge
@@ -200,13 +200,18 @@ def cmd_audit(args) -> int:
                              "(crossing and rotation lines), got a bare graph")
         kappa = _palette(args, g)
         plane = planarize(d)
+        require_in_scope(g, kappa)
         report = {"instance": Path(path).stem, "kappa": kappa}
+        # the witness is the first entry of the first failing condition in
+        # CONDITION_ORDER, as find_reducible_configuration picks it
+        found = None
         for cond in CONDITION_ORDER:
             witnesses = check_condition(g, plane, kappa, cond)
             report[f"condition.{cond.value}"] = (
                 "pass" if not witnesses else f"fail({len(witnesses)})"
             )
-        found = find_reducible_configuration(g, plane, kappa)
+            if found is None and witnesses:
+                found = witnesses[0]
         if found is None:
             report["reducible"] = "none"
             status = EXIT_INVARIANT

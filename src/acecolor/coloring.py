@@ -13,6 +13,7 @@ form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import ParseError
 from .graph import Edge, Graph, canonical_edge
@@ -129,6 +130,29 @@ class EdgeColoring:
         self._color[e] = c
         self._at[u][c] = v
         self._at[v][c] = u
+
+    @classmethod
+    def from_colors(cls, graph: Graph, kappa: int, colors) -> "EdgeColoring":
+        """The total coloring giving ``graph.edges[i]`` the color
+        ``colors[i]``, built in one pass. Each edge is checked as ``assign``
+        checks it, in edge order and with its messages; a sequence whose
+        length is not m is refused first."""
+        out = cls(graph, kappa)
+        edges = graph.edges
+        if len(colors) != len(edges):
+            raise ValueError(f"expected {len(edges)} colors, one per edge, got {len(colors)}")
+        at = out._at
+        for e, c in zip(edges, colors):
+            if not (1 <= c <= kappa):
+                raise ValueError(f"color {c} outside 1..{kappa}")
+            u, v = e
+            au, av = at[u], at[v]
+            if c in au or c in av:
+                raise ValueError(f"color {c} already present at an endpoint of {e}")
+            au[c] = v
+            av[c] = u
+        out._color = dict(zip(edges, colors))
+        return out
 
     def uncolor(self, e: tuple[int, int]) -> int:
         e = self._edge(e)
@@ -288,10 +312,17 @@ class EdgeColoring:
 def verify(coloring: EdgeColoring) -> VerifyReport:
     """From-scratch check that a coloring is proper and acyclic.
 
-    Recomputes everything from the edge->color map without trusting the
-    incremental indexes; this is the oracle of record for all tests. The
-    acyclicity check walks every pair of used color classes and reports a
-    bichromatic cycle as its edge list when one exists.
+    Recomputes everything from ``colored_edges()`` without trusting the
+    incremental indexes; this is the oracle of record for all tests.
+
+    Acyclicity is tested only on the color pairs that at least 4 vertices
+    hold both colors of. In a proper coloring of a simple graph a
+    bichromatic cycle alternates its two colors, so it has even length at
+    least 4, and each of its vertices holds both colors: a pair with fewer
+    holders has no cycle. For the other pairs the alternating paths are
+    walked from the holders, each vertex at most once per pair. Pairs are
+    visited in sorted order and the first cycle found is reported as its
+    edge list by ``_find_two_color_cycle``.
     """
     g = coloring.graph
     assigned = coloring.colored_edges()
@@ -308,13 +339,46 @@ def verify(coloring: EdgeColoring) -> VerifyReport:
                     conflict=(canonical_edge(a, at[a][c]), canonical_edge(a, b)),
                 )
             at[a][c] = b
-    used = sorted(set(assigned.values()))
-    for i, alpha in enumerate(used):
-        for beta in used[i + 1 :]:
-            cycle = _find_two_color_cycle(g.n, assigned, alpha, beta)
-            if cycle is not None:
-                return VerifyReport(proper=True, acyclic=False, cycle=cycle)
+    holders: dict[tuple[int, int], list[int]] = {}
+    for v, colors in enumerate(at):
+        if len(colors) > 1:
+            for pair in combinations(sorted(colors), 2):
+                holders.setdefault(pair, []).append(v)
+    for pair in sorted(holders):
+        hs = holders[pair]
+        if len(hs) >= 4 and _pair_has_cycle(at, *pair, hs):
+            cycle = _find_two_color_cycle(g.n, assigned, *pair)
+            return VerifyReport(proper=True, acyclic=False, cycle=cycle)
     return VerifyReport(proper=True, acyclic=True)
+
+
+def _pair_has_cycle(
+    at: list[dict[int, int]], alpha: int, beta: int, holders: list[int]
+) -> bool:
+    """Whether the alpha/beta edges of a proper coloring (``at`` maps
+    vertex -> color -> neighbor) close a cycle through one of the holders,
+    the vertices with both colors. Each component is a path or a cycle:
+    from a holder the walk along alpha either returns to it (a cycle) or
+    ends, and then the walk along beta marks the rest of the path."""
+    seen: set[int] = set()
+    for s in holders:
+        if s in seen:
+            continue
+        seen.add(s)
+        x, use = at[s][alpha], beta
+        while x != s:
+            seen.add(x)
+            nxt = at[x].get(use)
+            if nxt is None:
+                break
+            x, use = nxt, alpha if use == beta else beta
+        else:
+            return True
+        x, use = at[s][beta], alpha
+        while x is not None:
+            seen.add(x)
+            x, use = at[x].get(use), alpha if use == beta else beta
+    return False
 
 
 def _find_two_color_cycle(

@@ -505,6 +505,16 @@ def check_condition(
     return _GRAPH_CHECKS[condition](g, kappa, vertices)
 
 
+def require_in_scope(g: Graph, kappa: int) -> None:
+    """Raise ValueError unless a reducible witness must exist: the palette
+    is at least the max degree and g is triangle-free."""
+    if kappa < g.delta:
+        raise ValueError(f"palette {kappa} below max degree {g.delta}; properness impossible")
+    ok, witness = g.is_triangle_free()
+    if not ok:
+        raise ValueError(f"graph contains triangle {witness}; outside the scope")
+
+
 def find_reducible_configuration(
     g: Graph, drawing, kappa: int
 ) -> ConditionWitness | None:
@@ -514,11 +524,7 @@ def find_reducible_configuration(
     never return None; a None result flags a bug (or a counterexample to
     the underlying structure theory) and callers treat it as an error.
     """
-    if kappa < g.delta:
-        raise ValueError(f"palette {kappa} below max degree {g.delta}; properness impossible")
-    ok, witness = g.is_triangle_free()
-    if not ok:
-        raise ValueError(f"graph contains triangle {witness}; outside the scope")
+    require_in_scope(g, kappa)
     plane = _resolve_plane(drawing)
     for cond in CONDITION_ORDER:
         if cond in FACE_CONDITIONS:

@@ -311,7 +311,9 @@ def audit_final_charges(
     for t in ledger.transfers:
         firings[t.rule] = firings.get(t.rule, 0) + 1
     total = ledger.total()
-    charges = {elem: Fraction(q, SCALE) for elem, q in ledger.charges.items()}
+    # one Fraction per distinct charge, shared by the elements holding it
+    value = {q: Fraction(q, SCALE) for q in set(ledger.charges.values())}
+    charges = {elem: value[q] for elem, q in ledger.charges.items()}
     negative: list[NegativeElement] = []
     for elem in sorted(ledger.charges):
         if ledger.charges[elem] < 0:

@@ -347,15 +347,23 @@ def parse_drawing(text: str) -> Drawing:
         pairs.append(((a, b), (c, dd)))
         i += 1
     rotation: dict[int, list[int]] = {}
-    n_cross = len(pairs)
+    n, n_cross = base.n, len(pairs)
+    # the tokens format_drawing writes; any other spelling goes through
+    # _vertex_token, which accepts or rejects it with its own message
+    ids = {str(v): v for v in range(n)}
+    ids.update((f"X{j}", n + j) for j in range(n_cross))
     for ln in rest[i:]:
         parts = ln.split()
         if parts[0] != "rot" or len(parts) < 2 or not parts[1].endswith(":"):
             raise ParseError(f"drawing: expected 'rot v: ...', got {ln!r}")
-        v = _vertex_token(parts[1][:-1], base.n, n_cross)
+        tok = parts[1][:-1]
+        v = ids[tok] if tok in ids else _vertex_token(tok, n, n_cross)
         if v in rotation:
-            raise ParseError(f"drawing: duplicate rotation for vertex {parts[1][:-1]}")
-        rotation[v] = [_vertex_token(t, base.n, n_cross) for t in parts[2:]]
+            raise ParseError(f"drawing: duplicate rotation for vertex {tok}")
+        try:
+            rotation[v] = [ids[t] for t in parts[2:]]
+        except KeyError:
+            rotation[v] = [_vertex_token(t, n, n_cross) for t in parts[2:]]
     try:
         return Drawing(base, pairs, rotation)
     except EmbeddingError as exc:

@@ -62,6 +62,24 @@ class DrawingBuilder:
         self.rotation[v][self.rotation[v].index(u)] = w
         return w
 
+    def attach_square(self, z: int, after: int) -> tuple[int, int, int]:
+        """Hang a 4-cycle z-w1-w2-w3 at z inside the face corner following
+        neighbor `after` in z's rotation; returns the new (w1, w2, w3)."""
+        if self.pairs:
+            raise ValueError("cannot attach a cycle after crossings were inserted")
+        rot = self.rotation[z]
+        if after not in rot:
+            raise ValueError(f"{after} is not a neighbor of {z}")
+        w1, w2, w3 = self.n, self.n + 1, self.n + 2
+        self.n += 3
+        self.edges.update(canonical_edge(*e) for e in ((z, w1), (w1, w2), (w2, w3), (w3, z)))
+        i = rot.index(after)
+        rot[i + 1 : i + 1] = [w1, w3]
+        self.rotation[w1] = [z, w2]
+        self.rotation[w2] = [w1, w3]
+        self.rotation[w3] = [w2, z]
+        return w1, w2, w3
+
     # -- crossing phase -------------------------------------------------------
 
     def _after(self, v: int, u: int) -> int:

@@ -35,7 +35,7 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            e = canonical_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
@@ -45,7 +45,9 @@ class Graph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        # each list is sorted already: x's neighbors below x come from the
+        # edges (u, x), which precede the edges (x, v), each group in order
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self.degrees: tuple[int, ...] = tuple(map(len, adj))
         # the max degree, 0 without vertices; max_degree() refuses that case
         self.delta: int = max(self.degrees, default=0)
@@ -96,7 +98,7 @@ class Graph:
     def without_edge(self, u: int, v: int) -> "Graph":
         """New graph with edge uv removed (vertex set unchanged)."""
         e = canonical_edge(u, v)
-        if e not in set(self.edges):
+        if not (0 <= u < self.n and 0 <= v < self.n) or v not in self.adj[u]:
             raise ValueError(f"edge {e} not in graph")
         return Graph(self.n, [f for f in self.edges if f != e])
 

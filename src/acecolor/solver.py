@@ -75,19 +75,29 @@ def edge_insertion_order(g: Graph) -> list[Edge]:
     nbrs = [set(a) for a in g.adj]
     heap = [(d, v) for v, d in enumerate(deg) if d > 0]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     order: list[Edge] = []
     for _ in range(g.m):
-        d, v = heapq.heappop(heap)
+        d, v = pop(heap)
         while deg[v] != d:  # stale: v's degree dropped since this entry
-            d, v = heapq.heappop(heap)
-        u = min(nbrs[v], key=lambda x: (deg[x], x))
-        order.append(canonical_edge(v, u))
+            d, v = pop(heap)
+        # the neighbor of least (degree, id)
+        u, du = -1, g.n  # every degree is below n
+        for x in nbrs[v]:
+            dx = deg[x]
+            if dx < du or (dx == du and x < u):
+                u, du = x, dx
+        order.append((v, u) if v < u else (u, v))
         nbrs[v].discard(u)
         nbrs[u].discard(v)
-        for x in (v, u):
-            deg[x] -= 1
-            if deg[x]:
-                heapq.heappush(heap, (deg[x], x))
+        d -= 1
+        deg[v] = d
+        if d:
+            push(heap, (d, v))
+        du -= 1
+        deg[u] = du
+        if du:
+            push(heap, (du, u))
     return order
 
 
@@ -124,23 +134,30 @@ def _coloring_order(g: Graph) -> list[Edge]:
     return list(reversed(edge_insertion_order(g)))
 
 
-def _run_kernel(
-    g: Graph, k: int, order_edges: list[Edge], max_nodes: int = -1
-) -> EdgeColoring | None | bool:
-    """The kernel's answer as a coloring, None (no coloring within k
-    colors) or False (more than max_nodes search nodes, if >= 0). A
-    coloring has palette k, so k = 0 raises ValueError even when m = 0."""
-    eu = [e[0] for e in g.edges]
-    ev = [e[1] for e in g.edges]
+KernelInput = tuple[list[int], list[int], list[int]]
+
+
+def _kernel_input(g: Graph, order_edges: list[Edge]) -> KernelInput:
+    """The kernel's edge arrays (endpoints by edge index) and the edge
+    order as indices."""
     index = {e: i for i, e in enumerate(g.edges)}
-    order = [index[e] for e in order_edges]
+    return [u for u, _ in g.edges], [v for _, v in g.edges], [index[e] for e in order_edges]
+
+
+def _run_kernel(
+    g: Graph, k: int, kernel_input: KernelInput, max_nodes: int = -1
+) -> EdgeColoring | None | bool:
+    """The kernel's answer on ``_kernel_input`` arrays as a coloring, None
+    (no coloring within k colors) or False (more than max_nodes search
+    nodes, if >= 0). Its per-edge colors become the coloring in one pass
+    through ``EdgeColoring.from_colors``, which re-checks their range and
+    properness. A coloring has palette k, so k = 0 raises ValueError even
+    when m = 0."""
+    eu, ev, order = kernel_input
     colors = kernel.find_coloring(g.n, k, eu, ev, order, max_nodes)
     if colors is None or colors is False:
         return colors
-    out = EdgeColoring(g, k)
-    for e, c in zip(g.edges, colors):
-        out.assign(e, c)
-    return out
+    return EdgeColoring.from_colors(g, k, colors)
 
 
 def has_acyclic_coloring(g: Graph, k: int) -> EdgeColoring | None:
@@ -150,7 +167,7 @@ def has_acyclic_coloring(g: Graph, k: int) -> EdgeColoring | None:
         return EdgeColoring(g, max(k, 1))
     if k < acyclic_lower_bound(g):
         return None
-    return _run_kernel(g, k, _coloring_order(g))
+    return _run_kernel(g, k, _kernel_input(g, _coloring_order(g)))
 
 
 def exact_acyclic_index(g: Graph, upper_bound: int) -> ExactResult | None:
@@ -163,9 +180,9 @@ def exact_acyclic_index(g: Graph, upper_bound: int) -> ExactResult | None:
     lo = acyclic_lower_bound(g)
     if upper_bound < lo:
         return None
-    order = _coloring_order(g)
+    kernel_input = _kernel_input(g, _coloring_order(g))  # shared by every palette
     for k in range(lo, upper_bound + 1):
-        col = _run_kernel(g, k, order)
+        col = _run_kernel(g, k, kernel_input)
         if col is not None:
             return ExactResult(k, col)
     return None
@@ -261,7 +278,7 @@ def heuristic_color(
     if kappa == delta and kappa < acyclic_lower_bound(g):
         return None
     base_order = _coloring_order(g)
-    found = _run_kernel(g, kappa, base_order, NODES_PER_EDGE * g.m)
+    found = _run_kernel(g, kappa, _kernel_input(g, base_order), NODES_PER_EDGE * g.m)
     if found is None:
         return None
     if found is not False:

@@ -5,20 +5,6 @@ from __future__ import annotations
 from acecolor.generate import DrawingBuilder, grid_builder
 
 
-def attach_square(b: DrawingBuilder, z: int, after: int) -> None:
-    """Degree-padding gadget: hang a 4-cycle at z inside the face corner
-    following neighbor `after` in z's rotation."""
-    w1, w2, w3 = b.n, b.n + 1, b.n + 2
-    b.n += 3
-    for e in [(z, w1), (w1, w2), (w2, w3), (w3, z)]:
-        b.edges.add((min(e), max(e)))
-    i = b.rotation[z].index(after)
-    b.rotation[z][i + 1 : i + 1] = [w1, w3]
-    b.rotation[w1] = [z, w2]
-    b.rotation[w2] = [w1, w3]
-    b.rotation[w3] = [w2, z]
-
-
 def subdivided_grid_two_vertex():
     """3x4 grid with one interior edge subdivided: the new 2-vertex has
     two supports of degree >= 3 and no 3-face, the balanced case."""
@@ -55,12 +41,12 @@ def five_vertex_fixture():
             rotation[r[i]] = [y[i], r[(i + 1) % 8], r[(i - 1) % 8]]
         rotation[y[i]] = [y[(i + 1) % 8], r[i], y[(i - 1) % 8]]
     b = DrawingBuilder(17, edges, rotation)
-    attach_square(b, r[2], y[2])
-    attach_square(b, r[2], r[1])
-    attach_square(b, r[6], r[5])
-    attach_square(b, r[6], r[5])
-    attach_square(b, y[7], y[6])
-    attach_square(b, y[7], y[6])
+    b.attach_square(r[2], y[2])
+    b.attach_square(r[2], r[1])
+    b.attach_square(r[6], r[5])
+    b.attach_square(r[6], r[5])
+    b.attach_square(y[7], y[6])
+    b.attach_square(y[7], y[6])
     b.insert_crossing(v, r[0])
     b.insert_crossing(v, r[4])
     b.insert_crossing(r[7], r[6])
@@ -74,7 +60,7 @@ def heavy_four_vertex_fixture():
     b = grid_builder(3, 3)
     for z in (1, 3, 5, 7):
         for _ in range(4):
-            attach_square(b, z, b.rotation[z][0])
+            b.attach_square(z, b.rotation[z][0])
     return b.to_drawing()
 
 

@@ -4,8 +4,9 @@ import pytest
 
 from acecolor.cli import main
 from acecolor.coloring import parse_coloring
+from acecolor.conditions import find_reducible_configuration
 from acecolor.embedding import format_drawing
-from acecolor.generate import grid_builder
+from acecolor.generate import CorpusSpec, cycle_builder, generate_corpus, grid_builder
 from acecolor.graph import format_graph
 
 from fixtures import pendant_cycle_fixture
@@ -192,6 +193,30 @@ def test_audit_finds_witness(drawing_file, capsys):
     out = capsys.readouterr().out
     assert "reducible=" in out
     assert "witness_vertices=" in out
+
+
+@pytest.mark.parametrize("slack", [2, 16])
+def test_audit_witness_is_the_one_find_reducible_configuration_picks(tmp_path, capsys, slack):
+    # the audit takes the first entry of the first failing condition from
+    # the lists it reports, instead of searching a second time
+    for name, d in generate_corpus(CorpusSpec(count=210, seed=1000)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(format_drawing(d))
+        kappa = d.base.delta + slack
+        rc = main(["audit", str(path), "--kappa", str(kappa), "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        w = find_reducible_configuration(d.base, d, kappa)
+        assert rc == 0 and w is not None
+        got = (doc["reducible"], doc["witness_vertices"], doc["witness_detail"])
+        assert got == (w.condition.value, str(list(w.vertices)), w.detail), name
+
+
+def test_audit_refuses_a_triangle(tmp_path, capsys):
+    path = tmp_path / "triangle.txt"
+    path.write_text(format_drawing(cycle_builder(3).to_drawing()))
+    assert main(["audit", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "outside the scope" in captured.err and captured.out == ""
 
 
 def test_audit_requires_drawing(c5_file):

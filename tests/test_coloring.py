@@ -1,16 +1,21 @@
 import random
+import re
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acecolor.coloring import (
     EdgeColoring,
+    VerifyReport,
     extension_probe,
     format_coloring,
     parse_coloring,
     verify,
 )
 from acecolor.errors import ParseError
-from acecolor.graph import Graph
+from acecolor.graph import Graph, canonical_edge
 
 from graphlib import cycle, path, star
 from oracle import is_acyclic, is_proper
@@ -320,3 +325,156 @@ def test_parse_coloring_rejects_malformed():
 def test_kappa_validation():
     with pytest.raises(ValueError):
         EdgeColoring(cycle(4), 0)
+
+
+# -- verify against the scan of every color pair ---------------------------------
+
+
+def _pair_scan_verify(coloring) -> VerifyReport:
+    """Reference verify: for every pair of used colors, in sorted order,
+    rebuild the pair's adjacency from all colored edges and report the
+    first component with as many edges as vertices."""
+    g = coloring.graph
+    assigned = coloring.colored_edges()
+    at = [{} for _ in range(g.n)]
+    for (u, v), c in sorted(assigned.items()):
+        for a, b in ((u, v), (v, u)):
+            if c in at[a]:
+                return VerifyReport(
+                    proper=False,
+                    acyclic=False,
+                    conflict=(canonical_edge(a, at[a][c]), canonical_edge(a, b)),
+                )
+            at[a][c] = b
+    used = sorted(set(assigned.values()))
+    for i, alpha in enumerate(used):
+        for beta in used[i + 1 :]:
+            adj = {}
+            for (u, v), c in assigned.items():
+                if c == alpha or c == beta:
+                    adj.setdefault(u, []).append(v)
+                    adj.setdefault(v, []).append(u)
+            seen = set()
+            for s in adj:
+                if s in seen:
+                    continue
+                comp, stack = [], [s]
+                seen.add(s)
+                while stack:
+                    x = stack.pop()
+                    comp.append(x)
+                    for y in adj[x]:
+                        if y not in seen:
+                            seen.add(y)
+                            stack.append(y)
+                if sum(len(adj[x]) for x in comp) // 2 == len(comp):
+                    cs = set(comp)
+                    cycle_edges = tuple(sorted(
+                        e for e, c in assigned.items()
+                        if c in (alpha, beta) and e[0] in cs and e[1] in cs
+                    ))
+                    return VerifyReport(proper=True, acyclic=False, cycle=cycle_edges)
+    return VerifyReport(proper=True, acyclic=True)
+
+
+@st.composite
+def raw_colorings(draw):
+    """A random graph with a color map written past ``assign``'s guard:
+    partial, possibly improper, with bichromatic cycles planted in
+    several color pairs."""
+    n = draw(st.integers(2, 12))
+    kappa = draw(st.integers(1, 6))
+    color: dict = {}
+    # planted alternating cycles, vertex-disjoint unless `overlap` is drawn
+    order, overlap = draw(st.permutations(range(n))), draw(st.booleans())
+    for _ in range(draw(st.integers(0, 3)) if kappa > 1 else 0):
+        lengths = [k for k in (4, 6, 8) if k <= len(order)]
+        if not lengths:
+            break
+        length = draw(st.sampled_from(lengths))
+        ring, order = order[:length], order[0 if overlap else length :]
+        a, b = draw(st.lists(st.integers(1, kappa), min_size=2, max_size=2, unique=True))
+        for i in range(length):
+            color[canonical_edge(ring[i], ring[(i + 1) % length])] = (a, b)[i % 2]
+    pairs = list(combinations(range(n), 2))
+    keep_proper = draw(st.booleans())  # then only colors free at both ends
+    for e in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)):
+        if keep_proper and e in color:
+            continue  # the planted cycles stay
+        color.pop(e, None)
+        used = {c for f, c in color.items() if set(f) & set(e)} if keep_proper else set()
+        c = draw(st.sampled_from([0] + [c for c in range(1, kappa + 1) if c not in used]))
+        if c:  # 0 leaves the edge uncolored
+            color[e] = c
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n))
+    g = Graph(n, sorted(set(color) | set(extra)))
+    col = EdgeColoring(g, kappa)
+    col._color = dict(draw(st.permutations(sorted(color.items()))))
+    return col
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_colorings())
+def test_verify_equals_the_pair_scan_and_the_oracle(col):
+    rep = verify(col)
+    assert rep == _pair_scan_verify(col)
+    edges = sorted(col.colored_edges())
+    colors = [col.colored_edges()[e] for e in edges]
+    assert rep.proper == is_proper(col.graph.n, edges, colors)
+    if rep.proper:
+        assert rep.acyclic == is_acyclic(col.graph.n, edges, colors)
+    if rep.cycle is not None:  # the reported cycle is one of two colors
+        assert len({col.colored_edges()[e] for e in rep.cycle}) == 2
+
+
+def test_verify_reports_the_first_cyclic_pair_in_sorted_order():
+    # two disjoint 4-cycles: colors (2, 3) on 0-1-2-3 and (1, 4) on 4-5-6-7
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+    col = colored(g, 4, {(0, 1): 2, (1, 2): 3, (2, 3): 2, (0, 3): 3,
+                         (4, 5): 1, (5, 6): 4, (6, 7): 1, (4, 7): 4})
+    assert verify(col).cycle == ((4, 5), (4, 7), (5, 6), (6, 7))
+    # pairs held by fewer than 4 vertices are skipped, not misjudged
+    star4 = colored(star(4), 4, {(0, 1): 1, (0, 2): 2, (0, 3): 3, (0, 4): 4})
+    assert verify(star4).ok
+
+
+# -- bulk colorings ---------------------------------------------------------------
+
+
+def _assign_loop(g, kappa, colors):
+    out = EdgeColoring(g, kappa)
+    for e, c in zip(g.edges, colors):
+        out.assign(e, c)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 5), st.data())
+def test_from_colors_equals_the_assign_loop(n, kappa, data):
+    pairs = list(combinations(range(n), 2))
+    g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    colors = data.draw(st.lists(st.integers(0, kappa + 1), min_size=g.m, max_size=g.m))
+    try:
+        want = _assign_loop(g, kappa, colors)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            EdgeColoring.from_colors(g, kappa, colors)
+        return
+    got = EdgeColoring.from_colors(g, kappa, colors)
+    assert got == want and got._at == want._at
+    assert list(got.colored_edges().items()) == list(want.colored_edges().items())
+
+
+def test_from_colors_rejects_length_range_and_clashes():
+    c4 = cycle(4)  # edges (0, 1), (0, 3), (1, 2), (2, 3)
+    for colors in ([1, 2, 1], [1, 2, 1, 2, 1], []):
+        with pytest.raises(ValueError, match=f"expected 4 colors, one per edge, got {len(colors)}"):
+            EdgeColoring.from_colors(c4, 3, colors)
+    with pytest.raises(ValueError, match=re.escape("color 4 outside 1..3")):
+        EdgeColoring.from_colors(c4, 3, [1, 2, 4, 1])
+    with pytest.raises(ValueError, match=re.escape("color 0 outside 1..3")):
+        EdgeColoring.from_colors(c4, 3, [1, 0, 2, 1])
+    with pytest.raises(ValueError, match=re.escape("color 1 already present at an endpoint of (0, 3)")):
+        EdgeColoring.from_colors(c4, 3, [1, 1, 2, 3])
+    col = EdgeColoring.from_colors(c4, 3, [1, 2, 2, 1])
+    assert col.is_total() and not verify(col).acyclic

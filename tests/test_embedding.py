@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from acecolor.embedding import (
@@ -5,6 +7,7 @@ from acecolor.embedding import (
     degree_charge_total,
     degree_two_face_violations,
     format_drawing,
+    _vertex_token,
     parse_drawing,
     planarize,
     triangle_face_budget,
@@ -208,3 +211,45 @@ def test_parse_drawing_rejects_malformed():
         parse_drawing(good + "rot 0: 1 4 3\n")  # duplicate rotation
     with pytest.raises(ParseError):
         parse_drawing("2 1\n0 1\nrot 0: 1\nrot 1: 0\nnonsense\n")
+
+
+def test_parse_drawing_accepts_every_spelling_of_a_token():
+    # the table of canonical tokens is a shortcut: signs, leading zeros
+    # and zero-padded crossing numbers still parse, in any rotation slot
+    b = grid_builder(4, 4)
+    b.insert_crossing(5, 6)
+    b.insert_crossing(7, 11)
+    d = b.to_drawing()
+    text = format_drawing(d)
+
+    def respell(tok: str) -> str:
+        if tok.startswith("X"):
+            return "X0" + tok[1:]
+        return (f"+{tok}", f"00{tok}", tok)[int(tok) % 3]  # 3 -> +3, 7 -> 007
+
+    lines = []
+    for ln in text.splitlines():
+        if ln.startswith("rot "):
+            head, row = ln[4:].split(":")
+            ln = f"rot {respell(head)}: " + " ".join(respell(t) for t in row.split())
+        lines.append(ln)
+    odd = "\n".join(lines) + "\n"
+    assert "+3" in odd and "007" in odd and "X01" in odd
+    back = parse_drawing(odd)
+    assert back.rotation == d.rotation and back.base == d.base
+    assert back.crossing_pairs == d.crossing_pairs
+    assert format_drawing(back) == text
+
+
+@pytest.mark.parametrize("tok", ["Y", "1.0", "Xa", "X", "X1", "X-1", "99", "-1", "4", "X+"])
+@pytest.mark.parametrize("slot", ["head", "row"])
+def test_parse_drawing_rejects_a_bad_token_with_its_own_message(tok, slot):
+    good = format_drawing(k4_crossed_drawing())
+    with pytest.raises(ParseError) as expected:
+        _vertex_token(tok, 4, 1)
+    if slot == "head":
+        bad = good.replace("rot 3:", f"rot {tok}:")
+    else:
+        bad = good.replace("rot 3: 2 0 X0", f"rot 3: 2 {tok} X0")
+    with pytest.raises(ParseError, match=re.escape(str(expected.value))):
+        parse_drawing(bad)

@@ -24,6 +24,25 @@ def test_grid_builder_is_quadrangulation():
     assert degree_charge_total(p) == -8
 
 
+def test_attach_square_hangs_a_4_face_in_the_corner():
+    b = grid_builder(3, 3)
+    assert b.attach_square(4, 1) == (9, 10, 11)
+    assert b.rotation[4] == [1, 9, 11, 5, 7, 3]
+    p = planarize(b.to_drawing())
+    assert p.base.degrees[4] == 6 and [p.base.degrees[w] for w in (9, 10, 11)] == [2, 2, 2]
+    # the corner face grows from 4 to 8; the square bounds a new 4-face
+    assert sorted(f.degree for f in p.faces) == [4] * 4 + [8, 8]
+    assert degree_charge_total(p) == -8
+    # a corner that is not there changes nothing; nor may a crossing precede it
+    before = format_drawing(b.to_drawing())
+    with pytest.raises(ValueError):
+        b.attach_square(4, 0)
+    assert format_drawing(b.to_drawing()) == before
+    b.insert_crossing(4, 5)
+    with pytest.raises(ValueError):
+        b.attach_square(0, 1)
+
+
 def test_grid_builder_rejects_degenerate():
     with pytest.raises(ValueError):
         grid_builder(1, 5)

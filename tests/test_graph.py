@@ -1,3 +1,5 @@
+import random
+import re
 from itertools import combinations
 
 import pytest
@@ -67,8 +69,38 @@ def test_without_edge_is_a_copy():
     c4 = cycle(4)
     g = c4.without_edge(0, 1)
     assert g.m == 3 and c4.m == 4
-    with pytest.raises(ValueError):
-        c4.without_edge(0, 2)
+    assert c4.without_edge(3, 0) == Graph(4, [(0, 1), (1, 2), (2, 3)])
+    # a non-edge, a loop and out-of-range ids all get the one message
+    for u, v, e in [(0, 2, (0, 2)), (2, 0, (0, 2)), (1, 1, (1, 1)), (3, 4, (3, 4)),
+                    (-1, 0, (-1, 0)), (0, -1, (-1, 0)), (7, 9, (7, 9))]:
+        with pytest.raises(ValueError, match=re.escape(f"edge {e} not in graph")):
+            c4.without_edge(u, v)
+
+
+def test_rejects_loops_and_duplicates_with_their_messages():
+    with pytest.raises(ValueError, match=re.escape("duplicate edge (0, 1)")):
+        Graph(3, [(1, 2), (1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        Graph(3, [(0, 1), (2, 2)])
+    with pytest.raises(ValueError, match=re.escape("edge (3, 0) has an endpoint outside 0..2")):
+        Graph(3, [(0, 1), (3, 0)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 14), st.data())
+def test_any_edge_order_gives_sorted_adjacency(n, data):
+    pairs = list(combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(shuffled)
+    g = Graph(n, edges)
+    for h in (Graph(n, shuffled), Graph(n, shuffled[::-1]), Graph(n, sorted(edges, reverse=True))):
+        assert h == g and h.edges == g.edges == tuple(sorted(edges))
+        assert h.adj == g.adj and h.degrees == g.degrees and h.delta == g.delta
+    for v in range(n):
+        assert list(g.adj[v]) == sorted({u for e in edges for u in e if v in e and u != v})
+        assert g.degrees[v] == len(g.adj[v])
 
 
 def test_triangle_free():
