@@ -16,14 +16,21 @@ in which the underlying structure results hold.
 
 Every check reads the degrees and the max degree the graph computed once,
 and the face checks read the per-vertex 3-faces of the plane graph, so a
-check scoped to a few vertices costs O(their degrees), not O(n).
+check scoped to a few vertices costs O(their degrees), not O(n). A check
+visits only the vertices that can fail it: those of its degree class
+(read from the graph's degree classes at full scope), the vertices on a
+3-face, or the neighbors of 2-vertices. A check scoped to a set of
+vertices returns the concatenation of its results scoped to each of them
+alone, in increasing order; the discharging audit relies on this to
+blame all negative elements with one check per condition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from .embedding import Drawing, PlaneGraph, planarize, triangle_face_budget
@@ -46,6 +53,10 @@ class Condition(Enum):
     DEG2_SUPPORT_COUNTS = "deg2-support-counts"
     DEG4_DEGREE_SUM = "deg4-degree-sum"
     DEG3_TIGHT_STRUCTURE = "deg3-tight-structure"
+
+    # members are singletons and compare by identity, so they hash by it
+    # too, in C, instead of by name through Enum.__hash__
+    __hash__ = object.__hash__
 
 
 FACE_CONDITIONS = frozenset({Condition.DEG2_FACE_SIZES, Condition.TRIANGLE_FACE_BUDGET})
@@ -70,8 +81,7 @@ CONDITION_ORDER: tuple[Condition, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ConditionWitness:
+class ConditionWitness(NamedTuple):
     condition: Condition
     vertices: tuple[int, ...]
     detail: str
@@ -105,42 +115,81 @@ def thresholds(g: Graph, kappa: int) -> Thresholds:
     return _table(kappa - g.delta)
 
 
-def _scope(g: Graph, vertices) -> list[int]:
-    """The vertices a check examines, sorted; check_condition has
-    validated them, so checks index degrees and adjacency directly."""
-    return sorted(vertices) if vertices is not None else list(range(g.n))
+def _scope(g: Graph, vertices) -> Sequence[int]:
+    """The vertices a check examines, sorted: all of them, or the scope
+    check_condition has validated, deduplicated and sorted."""
+    return range(g.n) if vertices is None else vertices
+
+
+def _of_degree(g: Graph, vertices, d: int) -> Sequence[int]:
+    """The vertices of degree d a check examines, sorted: the graph's
+    degree class, or the scope's members of it."""
+    if vertices is None:
+        classes = g.degree_classes()
+        return classes[d] if 0 <= d < len(classes) else ()
+    deg = g.degrees
+    return [v for v in vertices if deg[v] == d]
+
+
+def _heavy(g: Graph, vertices) -> Sequence[int]:
+    """The heavy vertices a check examines, sorted."""
+    if vertices is None:
+        return sorted(chain.from_iterable(g.degree_classes()[HEAVY:]))
+    deg = g.degrees
+    return [v for v in vertices if deg[v] >= HEAVY]
+
+
+def _at_least(nbrs: tuple[int, ...], deg: tuple[int, ...], d: int) -> int:
+    """How many of nbrs have degree d or more."""
+    have = 0
+    for u in nbrs:
+        if deg[u] >= d:
+            have += 1
+    return have
 
 
 # -- individual checks ----------------------------------------------------------
+#
+# A check scoped to S returns the concatenation of its results scoped to
+# each vertex of S alone, in increasing order: the audit's batched blame
+# rests on this. Only the full-scope min-degree-2connected check orders
+# its witnesses otherwise, with the disconnected-graph witness among them.
 
 
 def _check_min_degree_2connected(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    out = []
     cond = Condition.MIN_DEGREE_2CONNECTED
     deg = g.degrees
-    scope = set(_scope(g, vertices))
-    for v in sorted(scope):
-        if deg[v] < 2:
-            out.append(ConditionWitness(cond, (v,), f"vertex {v} has degree {deg[v]} < 2"))
-    if vertices is None and g.n >= 2 and not g.is_connected():
+
+    def low(v: int) -> ConditionWitness:
+        return ConditionWitness(cond, (v,), f"vertex {v} has degree {deg[v]} < 2")
+
+    def cut(v: int) -> ConditionWitness:
+        return ConditionWitness(cond, (v,), f"vertex {v} is a cut vertex")
+
+    if vertices is not None:
+        cuts = set(g.articulation_points())
+        out = []
+        for v in vertices:
+            if deg[v] < 2:
+                out.append(low(v))
+            if v in cuts:
+                out.append(cut(v))
+        return out
+    out = [low(v) for v in range(g.n) if deg[v] < 2]
+    if g.n >= 2 and not g.is_connected():
         reps = tuple(c[0] for c in g.connected_components())
         out.append(ConditionWitness(cond, reps, "graph is disconnected"))
-    for v in g.articulation_points():
-        if v in scope:
-            out.append(ConditionWitness(cond, (v,), f"vertex {v} is a cut vertex"))
+    out.extend(cut(v) for v in g.articulation_points())
     return out
 
 
 def _check_deg2_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     big = thresholds(g, kappa).deg2_big
-    deg = g.degrees
+    deg, adj = g.degrees, g.adj
     out = []
-    for v in _scope(g, vertices):
-        if deg[v] != 2:
-            continue
-        have = g.count_neighbors_with_degree_at_least(v, big)
-        if have < 2:
-            degs = [deg[u] for u in g.adj[v]]
+    for v in _of_degree(g, vertices, 2):
+        if _at_least(adj[v], deg, big) < 2:
+            degs = [deg[u] for u in adj[v]]
             out.append(
                 ConditionWitness(
                     Condition.DEG2_BIG_NEIGHBORS,
@@ -153,14 +202,11 @@ def _check_deg2_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionW
 
 def _check_deg3_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     big = thresholds(g, kappa).tight
-    deg = g.degrees
+    deg, adj = g.degrees, g.adj
     out = []
-    for v in _scope(g, vertices):
-        if deg[v] != 3:
-            continue
-        have = g.count_neighbors_with_degree_at_least(v, big)
-        if have < 3:
-            degs = [deg[u] for u in g.adj[v]]
+    for v in _of_degree(g, vertices, 3):
+        if _at_least(adj[v], deg, big) < 3:
+            degs = [deg[u] for u in adj[v]]
             out.append(
                 ConditionWitness(
                     Condition.DEG3_BIG_NEIGHBORS,
@@ -173,12 +219,10 @@ def _check_deg3_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionW
 
 def _check_tight_vertex_small_neighbor(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     tight = thresholds(g, kappa).tight
-    deg = g.degrees
+    deg, adj = g.degrees, g.adj
     out = []
-    for w in _scope(g, vertices):
-        if deg[w] != tight:
-            continue
-        small = [u for u in g.adj[w] if deg[u] == 3]
+    for w in _of_degree(g, vertices, tight):
+        small = [u for u in adj[w] if deg[u] == 3]
         if len(small) >= 2:
             out.append(
                 ConditionWitness(
@@ -192,9 +236,10 @@ def _check_tight_vertex_small_neighbor(g: Graph, kappa: int, vertices) -> list[C
 
 
 def _check_two_deg4_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
+    deg, adj = g.degrees, g.adj
     out = []
     for v in _scope(g, vertices):
-        have = g.count_neighbors_with_degree_at_least(v, 4)
+        have = _at_least(adj[v], deg, 4)
         if have < 2:
             out.append(
                 ConditionWitness(
@@ -210,12 +255,10 @@ def _check_deg4_neighbor_profile(g: Graph, kappa: int, vertices) -> list[Conditi
     """A 4-vertex has four heavy neighbors, or one light one and three
     huge ones: exactly the 4-vertices the deg4-* rules send charge to."""
     huge = thresholds(g, kappa).huge
-    deg = g.degrees
+    deg, adj = g.degrees, g.adj
     out = []
-    for v in _scope(g, vertices):
-        if deg[v] != 4:
-            continue
-        degs = sorted(deg[u] for u in g.adj[v])
+    for v in _of_degree(g, vertices, 4):
+        degs = sorted([deg[u] for u in adj[v]])
         if not (degs[0] >= HEAVY or degs[1] >= huge):
             out.append(
                 ConditionWitness(
@@ -229,12 +272,10 @@ def _check_deg4_neighbor_profile(g: Graph, kappa: int, vertices) -> list[Conditi
 
 
 def _check_deg5_neighbor_profile(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    deg = g.degrees
+    deg, adj = g.degrees, g.adj
     out = []
-    for v in _scope(g, vertices):
-        if deg[v] != 5:
-            continue
-        have = g.count_neighbors_with_degree_at_least(v, DEG5_BIG)
+    for v in _of_degree(g, vertices, 5):
+        have = _at_least(adj[v], deg, DEG5_BIG)
         if have < 3:
             out.append(
                 ConditionWitness(
@@ -249,14 +290,12 @@ def _check_deg5_neighbor_profile(g: Graph, kappa: int, vertices) -> list[Conditi
 def _check_heavy_deg2_support(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     t = thresholds(g, kappa)
     need_count, need_degree = t.slack + 1, t.tight
-    deg = g.degrees
+    deg, adj = g.degrees, g.adj
     out = []
-    for v in _scope(g, vertices):
-        if deg[v] < HEAVY:
+    for v in _heavy(g, vertices):
+        if 2 not in [deg[u] for u in adj[v]]:
             continue
-        if not any(deg[u] == 2 for u in g.adj[v]):
-            continue
-        have = g.count_neighbors_with_degree_at_least(v, need_degree)
+        have = _at_least(adj[v], deg, need_degree)
         if have < need_count:
             out.append(
                 ConditionWitness(
@@ -272,12 +311,9 @@ def _check_heavy_deg2_support(g: Graph, kappa: int, vertices) -> list[ConditionW
 
 def _check_deg2_face_sizes(g: Graph, plane: PlaneGraph, vertices) -> list[ConditionWitness]:
     """Real 2-vertices on a 3-face (embedding.degree_two_face_violations),
-    read from the 3-faces at each vertex of the scope."""
-    deg = plane.base.degrees
+    read from the 3-faces at each 2-vertex of the scope."""
     out = []
-    for v in _scope(g, None if vertices is None else set(vertices)):
-        if v >= plane.n_real or deg[v] != 2:
-            continue
+    for v in _of_degree(plane.base, vertices, 2):
         for fi in plane.triangles_at[v]:
             out.append(
                 ConditionWitness(
@@ -290,8 +326,13 @@ def _check_deg2_face_sizes(g: Graph, plane: PlaneGraph, vertices) -> list[Condit
 
 
 def _check_triangle_face_budget(g: Graph, plane: PlaneGraph, vertices) -> list[ConditionWitness]:
+    """Only vertices on a 3-face are visited: a count of 0 is within
+    every budget, which is never negative."""
+    triangles = plane.triangles_at
     out = []
     for v in _scope(g, vertices):
+        if not triangles[v]:
+            continue
         count, bound, ok = triangle_face_budget(plane, v)
         if not ok:
             out.append(
@@ -305,92 +346,73 @@ def _check_triangle_face_budget(g: Graph, plane: PlaneGraph, vertices) -> list[C
 
 
 def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    """Counting conditions at the neighbors of every 2-vertex, with the
-    two conditional refinements for adjacent supports and for supports
-    with the minimum count. A scope visits only the 2-vertices next to
-    it; the witnesses come out sorted either way."""
+    """Counting conditions at each support (neighbor) b of a 2-vertex v0
+    whose other neighbor is a, with the two conditional refinements for
+    adjacent supports and for supports with the minimum count. Only the
+    supports in the scope are visited. A witness binds its support, and
+    one support's witnesses come out once each, ordered by their text."""
     t = thresholds(g, kappa)
     deg, adj = g.degrees, g.adj
-    scope = set(_scope(g, vertices))
-    around = range(g.n) if vertices is None else {u for b in scope for u in adj[b]}
-    out = []
     cond = Condition.DEG2_SUPPORT_COUNTS
-    for v0 in around:
-        if deg[v0] != 2:
+    if vertices is None:
+        vertices = sorted({b for v0 in _of_degree(g, None, 2) for b in adj[v0]})
+    out = []
+    for b in vertices:
+        nbrs = adj[b]
+        twos = [v0 for v0 in nbrs if deg[v0] == 2]
+        if not twos:
             continue
-        w, v = adj[v0]
-        for a, b in ((w, v), (v, w)):
-            # b must support the 2-vertex: many neighbors of high degree
-            if b not in scope:
-                continue
-            need_degree = kappa - deg[b] + 2
-            need_count = kappa - deg[a] + 1
-            have = g.count_neighbors_with_degree_at_least(b, need_degree)
+        # b must support its 2-vertices: many neighbors of high degree
+        db = deg[b]
+        need_degree = kappa - db + 2
+        have = _at_least(nbrs, deg, need_degree)
+        details = set()  # the adjacent-support details repeat across 2-vertices
+        for v0 in twos:
+            w, v = adj[v0]
+            a = w if v == b else v
+            da = deg[a]
+            need_count = kappa - da + 1
             if have < need_count:
-                out.append(
-                    ConditionWitness(
-                        cond,
-                        (b,),
-                        f"support {b} of 2-vertex {v0}: {have} neighbors of "
-                        f"degree >= {need_degree}, needs {need_count}",
-                    )
+                details.add(
+                    f"support {b} of 2-vertex {v0}: {have} neighbors of "
+                    f"degree >= {need_degree}, needs {need_count}"
                 )
-            if kappa >= deg[b] + 1 and a in adj[b]:
-                if have < kappa - deg[a] + 2:
-                    out.append(
-                        ConditionWitness(
-                            cond,
-                            (b,),
-                            f"adjacent supports: {b} has {have} neighbors of "
-                            f"degree >= {need_degree}, needs {kappa - deg[a] + 2}",
-                        )
+            if kappa >= db + 1 and a in nbrs:
+                if have < kappa - da + 2:
+                    details.add(
+                        f"adjacent supports: {b} has {have} neighbors of "
+                        f"degree >= {need_degree}, needs {kappa - da + 2}"
                     )
-                if deg[b] < kappa - deg[a] + 3:
-                    out.append(
-                        ConditionWitness(
-                            cond,
-                            (b,),
-                            f"adjacent supports: deg({b}) = {deg[b]} < "
-                            f"{kappa - deg[a] + 3}",
-                        )
+                if db < kappa - da + 3:
+                    details.add(f"adjacent supports: deg({b}) = {db} < {kappa - da + 3}")
+        if t.slack >= 2:
+            strong = _at_least(nbrs, deg, t.tight)
+            if strong == t.slack + 1:
+                max_deg2 = db - t.high
+                if len(twos) > max_deg2:
+                    details.add(
+                        f"support {b} with exactly {strong} strong "
+                        f"neighbors has {len(twos)} 2-neighbors, max {max_deg2}"
                     )
-            if t.slack >= 2:
-                strong = g.count_neighbors_with_degree_at_least(b, t.tight)
-                if strong == t.slack + 1:
-                    deg2 = sum(1 for u in adj[b] if deg[u] == 2)
-                    max_deg2 = deg[b] - t.high
-                    if deg2 > max_deg2:
-                        out.append(
-                            ConditionWitness(
-                                cond,
-                                (b,),
-                                f"support {b} with exactly {strong} strong "
-                                f"neighbors has {deg2} 2-neighbors, max {max_deg2}",
-                            )
-                        )
-                    if deg[b] < t.deg2_big:
-                        out.append(
-                            ConditionWitness(
-                                cond,
-                                (b,),
-                                f"support {b} with exactly {strong} strong "
-                                f"neighbors has degree {deg[b]} < {t.deg2_big}",
-                            )
-                        )
-    # deduplicate identical witnesses from the two orderings
-    return sorted(set(out), key=lambda w: (w.vertices, w.detail))
+                if db < t.deg2_big:
+                    details.add(
+                        f"support {b} with exactly {strong} strong "
+                        f"neighbors has degree {db} < {t.deg2_big}"
+                    )
+        out.extend(ConditionWitness(cond, (b,), x) for x in sorted(details))
+    return out
 
 
 def _check_deg4_degree_sum(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     slack = thresholds(g, kappa).slack
-    deg = g.degrees
+    deg, adj = g.degrees, g.adj
     out = []
-    for w0 in _scope(g, vertices):
-        if deg[w0] != 4:
+    for w0 in _of_degree(g, vertices, 4):
+        total = sum([deg[x] for x in adj[w0]])
+        if total >= 2 * kappa + 4:
             continue
-        total = sum(deg[x] for x in g.adj[w0])
-        for w in g.adj[w0]:
-            if deg[w] <= slack and total < 2 * kappa + 4:
+        for w in adj[w0]:
+            if deg[w] <= slack:
                 out.append(
                     ConditionWitness(
                         Condition.DEG4_DEGREE_SUM,
@@ -408,30 +430,25 @@ def _check_deg3_tight_structure(g: Graph, kappa: int, vertices) -> list[Conditio
     consequences only."""
     t = thresholds(g, kappa)
     delta, tight = g.delta, t.tight
-    deg = g.degrees
+    deg, adj = g.degrees, g.adj
     out = []
     cond = Condition.DEG3_TIGHT_STRUCTURE
-    for v in _scope(g, vertices):
-        if deg[v] != 3:
-            continue
-        for w in g.adj[v]:
+    for v in _of_degree(g, vertices, 3):
+        for w in adj[v]:
             if deg[w] != tight:
                 continue
-            others = [x for x in g.adj[v] if x != w]
+            others = [x for x in adj[v] if x != w]
             ok = False
             for v1, v2 in ((others[0], others[1]), (others[1], others[0])):
                 if deg[v1] != delta:
                     continue
                 if not (delta >= deg[v2] >= t.high):
                     continue
-                if g.count_neighbors_with_degree_at_least(v1, tight) < kappa - deg[v2] + 1:
+                if _at_least(adj[v1], deg, tight) < kappa - deg[v2] + 1:
                     continue
-                if (
-                    g.count_neighbors_with_degree_at_least(v2, kappa - deg[v2] + 2)
-                    < t.slack
-                ):
+                if _at_least(adj[v2], deg, kappa - deg[v2] + 2) < t.slack:
                     continue
-                if g.count_neighbors_with_degree_at_least(v2, 4) < t.slack + 1:
+                if _at_least(adj[v2], deg, 4) < t.slack + 1:
                     continue
                 ok = True
                 break
@@ -489,14 +506,16 @@ def check_condition(
 
     `drawing` (a Drawing or PlaneGraph) is required for the two face
     conditions and ignored otherwise. `vertices` restricts the bindings
-    examined, which the discharging audit uses for per-element blame; an
-    id outside 0..n-1 raises ValueError.
+    examined to a set of vertices (order and repeats do not matter); an id
+    outside 0..n-1 raises ValueError. The discharging audit passes the
+    union of the vertices its elements' blame asks about.
     """
     if vertices is not None:
         vertices = tuple(vertices)  # an iterator is read once, here
         for v in vertices:
             if not (0 <= v < g.n):
                 raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+        vertices = sorted(set(vertices))
     if condition in FACE_CONDITIONS:
         plane = _resolve_plane(drawing)
         if plane is None:

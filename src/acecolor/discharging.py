@@ -21,15 +21,21 @@ table the structural conditions read.
 The audit attaches to every negative element the structural hypotheses
 whose failure explains the deficit; if all attached hypotheses hold, the
 element cannot be negative (this implication is what the test suite
-checks instance by instance).
+checks instance by instance). The hypotheses of an element's degree
+class form its blame ladder (``_ladder``). The audit blames all negative
+elements in one batch: each condition is checked once, scoped to the
+union of the vertices the ladders ask it about, and every element takes
+the witnesses at its own vertices, in ladder order.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .conditions import DEG5_BIG, HEAVY, Condition, check_condition, thresholds
+from .conditions import DEG5_BIG, HEAVY, Condition, Thresholds, check_condition, thresholds
 from .embedding import PlaneGraph
 from .errors import EmbeddingError
 from .graph import Graph
@@ -50,8 +56,7 @@ HYP_DEG3_FACE_PROFILE = "deg3-face-profile"
 HYP_NO_CONSECUTIVE_DEG3 = "no-consecutive-deg3"
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     rule: str
     source: Element
     target: Element
@@ -70,14 +75,12 @@ class ChargeLedger:
         return ChargeLedger(dict(self.charges), list(self.transfers))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     hypothesis: str
     detail: str
 
 
-@dataclass(frozen=True)
-class NegativeElement:
+class NegativeElement(NamedTuple):
     element: Element
     charge: Fraction
     violated: tuple[Violation, ...]
@@ -205,11 +208,12 @@ def conservation_check(before: ChargeLedger, after: ChargeLedger) -> bool:
 # -- the audit ---------------------------------------------------------------------
 
 
-def _face_profile_deg3(p: PlaneGraph, v: int) -> Violation | None:
+def _face_profile_deg3(p: PlaneGraph, g: Graph, v: int) -> Violation | None:
     """A 3-vertex on two 3-faces must also touch a 5+ face."""
+    if len(p.triangles_at[v]) < 2:
+        return None
     faces = [p.faces[i].degree for i in p.faces_at(v)]
-    three = sum(1 for d in faces if d == 3)
-    if three >= 2 and not any(d >= 5 for d in faces):
+    if not any(d >= 5 for d in faces):
         return Violation(
             HYP_DEG3_FACE_PROFILE,
             f"3-vertex {v} has incident face degrees {sorted(faces)}: two "
@@ -232,69 +236,112 @@ def _face_no_consecutive_deg3(p: PlaneGraph, g: Graph, fi: int) -> Violation | N
     return None
 
 
-def _condition_violations(g, plane, kappa, cond, vertices) -> list[Violation]:
-    found = check_condition(g, plane, kappa, cond, vertices=vertices)
-    return [Violation(cond.value, w.detail) for w in found]
+_PROFILE_CHECKS = {
+    HYP_DEG3_FACE_PROFILE: _face_profile_deg3,
+    HYP_NO_CONSECUTIVE_DEG3: _face_no_consecutive_deg3,
+}
+
+# One rung of an element's blame ladder: a hypothesis checked at some
+# vertices (or, for a face's profile, at its index). The hypothesis is a
+# Condition, or the name of an audit-only profile check.
+Rung = tuple[Condition | str, tuple[int, ...]]
+
+
+def _ladder(p: PlaneGraph, g: Graph, t: Thresholds, elem: Element) -> list[Rung]:
+    """The local hypotheses of one element's degree class, in the order
+    they are reported.
+
+    The hypothesis sets mirror the per-class nonnegativity argument: if
+    none of them is violated, the element's final charge is >= 0.
+    Crossing vertices and 3-/4-faces need no hypotheses at all.
+    """
+    kind, idx = elem
+    if kind == "f":
+        return [(HYP_NO_CONSECUTIVE_DEG3, (idx,))] if p.faces[idx].degree >= 5 else []
+    v = idx
+    if p.is_crossing(v):
+        return []
+    d = g.degree(v)
+    at = (v,)
+    if d < 2:
+        return [(Condition.MIN_DEGREE_2CONNECTED, at)]
+    if d == 2:
+        return [(Condition.DEG2_BIG_NEIGHBORS, at), (Condition.DEG2_FACE_SIZES, at)]
+    if d == 3:
+        return [
+            (Condition.DEG3_BIG_NEIGHBORS, at),
+            (Condition.TRIANGLE_FACE_BUDGET, at),
+            (HYP_DEG3_FACE_PROFILE, at),
+        ]
+    deg = g.degrees
+    deg2_neighbors = tuple(u for u in g.adj[v] if deg[u] == 2)
+    rungs: list[Rung] = []
+    if d < HEAVY:
+        if d == 4:
+            rungs.append((Condition.DEG4_NEIGHBOR_PROFILE, at))
+        elif d == 5:
+            rungs.append((Condition.DEG5_NEIGHBOR_PROFILE, at))
+        rungs.append((Condition.TRIANGLE_FACE_BUDGET, at))
+        if deg2_neighbors:
+            rungs.append((Condition.DEG2_BIG_NEIGHBORS, deg2_neighbors))
+        return rungs
+    # heavy
+    rungs.append((Condition.TRIANGLE_FACE_BUDGET, at))
+    if deg2_neighbors:
+        rungs.append((Condition.HEAVY_DEG2_SUPPORT, at))
+    elif d == t.tight:
+        rungs.append((Condition.TIGHT_VERTEX_SMALL_NEIGHBOR, at))
+    elif t.high <= d < t.huge:
+        rungs.append((Condition.TWO_DEG4_NEIGHBORS, at))
+    return rungs
+
+
+def _blame(p: PlaneGraph, g: Graph, kappa: int, elems: list[Element]) -> list[list[Violation]]:
+    """The violated hypotheses of each element, in ladder order.
+
+    Each hypothesis is checked once, at the union of the places that the
+    elements' ladders ask it about. A scoped condition check returns the
+    concatenation of its single-vertex results in vertex order, so each
+    vertex gets the witnesses a check scoped to it alone would return.
+    """
+    t = thresholds(g, kappa)
+    ladders = [_ladder(p, g, t, e) for e in elems]
+    scopes: defaultdict[Condition | str, set[int]] = defaultdict(set)
+    for rungs in ladders:
+        for hyp, at in rungs:
+            scopes[hyp].update(at)
+    found: dict[Condition | str, dict[int, list[Violation]]] = {}
+    for hyp, scope in scopes.items():
+        at_vertex: dict[int, list[Violation]] = {}
+        if isinstance(hyp, Condition):
+            name = hyp.value
+            for w in check_condition(g, p, kappa, hyp, vertices=scope):
+                at_vertex.setdefault(w.vertices[0], []).append(Violation(name, w.detail))
+        else:
+            profile = _PROFILE_CHECKS[hyp]
+            for x in scope:
+                violation = profile(p, g, x)
+                if violation:
+                    at_vertex[x] = [violation]
+        found[hyp] = at_vertex
+    out = []
+    for rungs in ladders:
+        violated: list[Violation] = []
+        for hyp, at in rungs:
+            at_vertex = found[hyp]
+            for x in at:
+                violated.extend(at_vertex.get(x, ()))
+        out.append(violated)
+    return out
 
 
 def element_hypothesis_failures(
     p: PlaneGraph, g: Graph, kappa: int, elem: Element
 ) -> list[Violation]:
-    """Violated local hypotheses for one element's degree class.
-
-    The hypothesis sets mirror the per-class nonnegativity argument: if
-    the returned list is empty, the element's final charge is >= 0.
-    Crossing vertices and 3-/4-faces need no hypotheses at all.
-    """
-    kind, idx = elem
-    out: list[Violation] = []
-    if kind == "f":
-        if p.faces[idx].degree >= 5:
-            v = _face_no_consecutive_deg3(p, g, idx)
-            if v:
-                out.append(v)
-        return out
-
-    v = idx
-    if p.is_crossing(v):
-        return []
-    d = g.degree(v)
-    deg = g.degrees
-    deg2_neighbors = [u for u in g.adj[v] if deg[u] == 2]
-
-    def cond(c: Condition, at=None) -> None:
-        out.extend(_condition_violations(g, p, kappa, c, (v,) if at is None else at))
-
-    if d < 2:
-        cond(Condition.MIN_DEGREE_2CONNECTED)
-    elif d == 2:
-        cond(Condition.DEG2_BIG_NEIGHBORS)
-        cond(Condition.DEG2_FACE_SIZES)
-    elif d == 3:
-        cond(Condition.DEG3_BIG_NEIGHBORS)
-        cond(Condition.TRIANGLE_FACE_BUDGET)
-        prof = _face_profile_deg3(p, v)
-        if prof:
-            out.append(prof)
-    elif 4 <= d < HEAVY:
-        if d == 4:
-            cond(Condition.DEG4_NEIGHBOR_PROFILE)
-        elif d == 5:
-            cond(Condition.DEG5_NEIGHBOR_PROFILE)
-        cond(Condition.TRIANGLE_FACE_BUDGET)
-        if deg2_neighbors:
-            cond(Condition.DEG2_BIG_NEIGHBORS, at=tuple(deg2_neighbors))
-    else:  # heavy
-        cond(Condition.TRIANGLE_FACE_BUDGET)
-        if deg2_neighbors:
-            cond(Condition.HEAVY_DEG2_SUPPORT)
-        else:
-            t = thresholds(g, kappa)
-            if d == t.tight:
-                cond(Condition.TIGHT_VERTEX_SMALL_NEIGHBOR)
-            elif t.high <= d < t.huge:
-                cond(Condition.TWO_DEG4_NEIGHBORS)
-    return out
+    """Violated local hypotheses for one element's degree class: the
+    audit's blame for that element alone. If the returned list is empty,
+    the element's final charge is >= 0."""
+    return _blame(p, g, kappa, [elem])[0]
 
 
 def audit_final_charges(
@@ -303,9 +350,9 @@ def audit_final_charges(
     """Per-element final-charge audit after the rules were applied.
 
     Every negative element is reported together with the violated local
-    hypotheses of its class; for a connected drawing the total is -8, so
-    the negative list is never empty on valid input. The report holds the
-    ledger's twelfths as exact ``Fraction`` values.
+    hypotheses of its class, blamed in one batch; for a connected drawing
+    the total is -8, so the negative list is never empty on valid input.
+    The report holds the ledger's twelfths as exact ``Fraction`` values.
     """
     firings: dict[str, int] = {}
     for t in ledger.transfers:
@@ -314,11 +361,11 @@ def audit_final_charges(
     # one Fraction per distinct charge, shared by the elements holding it
     value = {q: Fraction(q, SCALE) for q in set(ledger.charges.values())}
     charges = {elem: value[q] for elem, q in ledger.charges.items()}
-    negative: list[NegativeElement] = []
-    for elem in sorted(ledger.charges):
-        if ledger.charges[elem] < 0:
-            violated = tuple(element_hypothesis_failures(p, g, kappa, elem))
-            negative.append(NegativeElement(elem, charges[elem], violated))
+    elems = sorted(elem for elem, q in ledger.charges.items() if q < 0)
+    negative = [
+        NegativeElement(elem, charges[elem], tuple(violated))
+        for elem, violated in zip(elems, _blame(p, g, kappa, elems))
+    ]
     return DischargeReport(
         total=Fraction(total, SCALE),
         conserved=total == -8 * SCALE,

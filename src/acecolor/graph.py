@@ -4,8 +4,8 @@ Vertices are 0..n-1 and edges are stored canonically as (min, max) pairs,
 so every iteration over a graph is deterministic. Graphs are immutable
 after construction; removing an edge produces a new graph. Because of
 that, the degree of every vertex and the max degree are computed once,
-when the graph is built, and the cut vertices on the first call that
-asks for them.
+when the graph is built, and the connected components, the cut vertices
+and the vertices of each degree on the first call that asks for them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,16 @@ def canonical_edge(u: int, v: int) -> Edge:
 
 
 class Graph:
-    __slots__ = ("n", "edges", "adj", "degrees", "delta", "_cut_vertices")
+    __slots__ = (
+        "n",
+        "edges",
+        "adj",
+        "degrees",
+        "delta",
+        "_components",
+        "_cut_vertices",
+        "_degree_classes",
+    )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -51,7 +60,9 @@ class Graph:
         self.degrees: tuple[int, ...] = tuple(map(len, adj))
         # the max degree, 0 without vertices; max_degree() refuses that case
         self.delta: int = max(self.degrees, default=0)
+        self._components: tuple[tuple[int, ...], ...] | None = None
         self._cut_vertices: tuple[int, ...] | None = None
+        self._degree_classes: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def m(self) -> int:
@@ -118,8 +129,22 @@ class Graph:
         return True, None
 
     def connected_components(self) -> list[list[int]]:
+        """The components as sorted vertex lists, ordered by their least
+        vertex; the search runs once per graph, each call gets new lists."""
+        if self._components is None:
+            self._components = self._find_components()
+        return [list(c) for c in self._components]
+
+    def is_connected(self) -> bool:
+        if self.n <= 1:
+            return True
+        if self._components is None:
+            self._components = self._find_components()
+        return len(self._components) == 1
+
+    def _find_components(self) -> tuple[tuple[int, ...], ...]:
         seen = [False] * self.n
-        comps: list[list[int]] = []
+        comps: list[tuple[int, ...]] = []
         for s in range(self.n):
             if seen[s]:
                 continue
@@ -133,13 +158,18 @@ class Graph:
                     if not seen[y]:
                         seen[y] = True
                         stack.append(y)
-            comps.append(sorted(comp))
-        return comps
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
 
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return len(self.connected_components()) == 1
+    def degree_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Entry d holds the vertices of degree d, sorted, for d = 0..delta;
+        the index is built once per graph."""
+        if self._degree_classes is None:
+            classes: list[list[int]] = [[] for _ in range(self.delta + 1)]
+            for v, d in enumerate(self.degrees):
+                classes[d].append(v)
+            self._degree_classes = tuple(map(tuple, classes))
+        return self._degree_classes
 
     def articulation_points(self) -> list[int]:
         """Cut vertices, sorted; the DFS runs once per graph."""
@@ -149,6 +179,7 @@ class Graph:
 
     def _find_cut_vertices(self) -> tuple[int, ...]:
         """The standard DFS low-point computation."""
+        adj = self.adj
         disc = [-1] * self.n
         low = [0] * self.n
         points: set[int] = set()
@@ -156,27 +187,28 @@ class Graph:
         for root in range(self.n):
             if disc[root] != -1:
                 continue
-            # iterative DFS; stack holds (vertex, parent, neighbor index)
-            stack = [(root, -1, 0)]
+            # iterative DFS; the stack holds (vertex, parent, neighbors left)
+            stack = [(root, -1, iter(adj[root]))]
             disc[root] = low[root] = timer
             timer += 1
             root_children = 0
             while stack:
-                v, parent, i = stack.pop()
-                if i < len(self.adj[v]):
-                    stack.append((v, parent, i + 1))
-                    w = self.adj[v][i]
+                v, parent, rest = stack[-1]
+                for w in rest:
                     if disc[w] == -1:
                         disc[w] = low[w] = timer
                         timer += 1
                         if v == root:
                             root_children += 1
-                        stack.append((w, v, 0))
-                    elif w != parent:
-                        low[v] = min(low[v], disc[w])
+                        stack.append((w, v, iter(adj[w])))
+                        break
+                    if w != parent and disc[w] < low[v]:
+                        low[v] = disc[w]
                 else:
+                    stack.pop()
                     if parent != -1:
-                        low[parent] = min(low[parent], low[v])
+                        if low[v] < low[parent]:
+                            low[parent] = low[v]
                         if parent != root and low[v] >= disc[parent]:
                             points.add(parent)
             if root_children >= 2:

@@ -13,11 +13,13 @@ from acecolor.conditions import (
     find_reducible_configuration,
     recheck_witness,
 )
+from acecolor.discharging import discharge
 from acecolor.embedding import degree_two_face_violations, planarize
 from acecolor.errors import SizeRefusal
 from acecolor.generate import FAMILIES, generate_instance, grid_builder
 from acecolor.graph import Graph
 
+from fixtures import pendant_cycle_fixture
 from graphlib import complete, cube, cycle, grid, path, star, triangle_free_tiny
 
 
@@ -296,6 +298,36 @@ def test_scoped_face_conditions_match_full_scope(d, data):
         assert scoped == [w for w in full if w.vertices[0] in scope]
 
 
+@st.composite
+def union_drawings(draw):
+    """face_drawings, or now and then a 4-cycle with a pendant vertex,
+    whose cut vertex precedes its 1-vertex."""
+    if draw(st.integers(0, 9)) == 0:
+        return pendant_cycle_fixture()
+    return draw(face_drawings())
+
+
+@settings(max_examples=80, deadline=None)
+@given(union_drawings(), st.data())
+def test_scoped_check_is_the_concatenation_of_single_vertex_checks(d, data):
+    # the audit blames a batch of elements with one check per condition,
+    # scoped to the union of their vertices, and hands each vertex its own
+    # witnesses: that is sound because a check scoped to S returns the
+    # single-vertex results over sorted(S), one after another
+    p = planarize(d)
+    g = d.base
+    kappa = g.max_degree() + data.draw(st.integers(0, 6))
+    for scope in (data.draw(st.sets(st.integers(0, g.n - 1))), set(range(g.n))):
+        for cond in CONDITION_ORDER:
+            singles = [
+                w for v in sorted(scope) for w in check_condition(g, p, kappa, cond, vertices=(v,))
+            ]
+            assert check_condition(g, p, kappa, cond, vertices=scope) == singles, cond
+            # a scope with repeats, in any order, is the same scope
+            again = sorted(scope, reverse=True) * 2
+            assert check_condition(g, p, kappa, cond, vertices=again) == singles, cond
+
+
 def test_two_vertex_on_three_face_is_found_in_scope():
     # a subdivision vertex next to a crossing lies on a 3-face; its own
     # scope finds it, and a scope without it does not
@@ -328,3 +360,19 @@ def test_audit_runs_one_cut_vertex_search_per_drawing(monkeypatch):
         check_condition(g, p, kappa_for(g), cond)
     assert find_reducible_configuration(g, p, kappa_for(g)) is not None
     assert len(calls) == 1
+
+
+def test_audit_runs_one_component_search_per_graph(monkeypatch):
+    # planarizing, discharging, the full-scope checks and the
+    # reducible-witness search share each graph's kept components: one
+    # search on the plane graph and one on the base graph
+    d = generate_instance("subdivided-quadrangulation", 3)
+    calls = []
+    find = Graph._find_components
+    monkeypatch.setattr(Graph, "_find_components", lambda g: calls.append(g) or find(g))
+    g, p = d.base, planarize(d)
+    discharge(p, g)
+    for cond in CONDITION_ORDER:
+        check_condition(g, p, kappa_for(g), cond)
+    assert find_reducible_configuration(g, p, kappa_for(g)) is not None
+    assert len(calls) == 2 and calls[0] is p.graph and calls[1] is g

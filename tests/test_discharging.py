@@ -7,6 +7,7 @@ from acecolor.discharging import (
     SCALE,
     ChargeLedger,
     Transfer,
+    Violation,
     apply_rules,
     compute_transfers,
     conservation_check,
@@ -273,3 +274,121 @@ def test_pendant_vertex_is_blamed_on_min_degree():
     assert [v.hypothesis for v in negative[("v", 4)].violated] == ["min-degree-2connected"]
     assert element_hypothesis_failures(p, g, kappa, ("v", 4)) == list(negative[("v", 4)].violated)
     assert all(ne.violated for ne in rep.negative_elements)
+
+
+# -- the batched blame against a per-element copy of the ladder --------------------
+
+
+def _old_face_profile_deg3(p, v):
+    faces = [p.faces[i].degree for i in p.faces_at(v)]
+    three = sum(1 for d in faces if d == 3)
+    if three >= 2 and not any(d >= 5 for d in faces):
+        return Violation(
+            "deg3-face-profile",
+            f"3-vertex {v} has incident face degrees {sorted(faces)}: two "
+            "3-faces but no 5+ face",
+        )
+    return None
+
+
+def _old_face_no_consecutive_deg3(p, g, fi):
+    walk = p.faces[fi].vertices
+    d = len(walk)
+    for i in range(d):
+        a, b = walk[i], walk[(i + 1) % d]
+        if a < p.n_real and b < p.n_real and g.degree(a) == 3 and g.degree(b) == 3:
+            return Violation(
+                "no-consecutive-deg3",
+                f"face {fi} has consecutive 3-vertices {a}, {b} on its boundary",
+            )
+    return None
+
+
+def _per_element_blame(p, g, kappa, elem):
+    """The blame ladder of one element, one scoped check_condition call
+    per rung: the audit's blame before it was batched."""
+    kind, idx = elem
+    out = []
+    if kind == "f":
+        if p.faces[idx].degree >= 5:
+            v = _old_face_no_consecutive_deg3(p, g, idx)
+            if v:
+                out.append(v)
+        return out
+    v = idx
+    if p.is_crossing(v):
+        return []
+    d = g.degree(v)
+    deg2_neighbors = [u for u in g.adj[v] if g.degree(u) == 2]
+
+    def cond(c, at=None):
+        found = check_condition(g, p, kappa, c, vertices=(v,) if at is None else at)
+        out.extend(Violation(c.value, w.detail) for w in found)
+
+    if d < 2:
+        cond(Condition.MIN_DEGREE_2CONNECTED)
+    elif d == 2:
+        cond(Condition.DEG2_BIG_NEIGHBORS)
+        cond(Condition.DEG2_FACE_SIZES)
+    elif d == 3:
+        cond(Condition.DEG3_BIG_NEIGHBORS)
+        cond(Condition.TRIANGLE_FACE_BUDGET)
+        prof = _old_face_profile_deg3(p, v)
+        if prof:
+            out.append(prof)
+    elif 4 <= d < HEAVY:
+        if d == 4:
+            cond(Condition.DEG4_NEIGHBOR_PROFILE)
+        elif d == 5:
+            cond(Condition.DEG5_NEIGHBOR_PROFILE)
+        cond(Condition.TRIANGLE_FACE_BUDGET)
+        if deg2_neighbors:
+            cond(Condition.DEG2_BIG_NEIGHBORS, at=tuple(deg2_neighbors))
+    else:
+        cond(Condition.TRIANGLE_FACE_BUDGET)
+        if deg2_neighbors:
+            cond(Condition.HEAVY_DEG2_SUPPORT)
+        else:
+            t = thresholds(g, kappa)
+            if d == t.tight:
+                cond(Condition.TIGHT_VERTEX_SMALL_NEIGHBOR)
+            elif t.high <= d < t.huge:
+                cond(Condition.TWO_DEG4_NEIGHBORS)
+    return out
+
+
+def test_batched_blame_matches_the_per_element_ladder():
+    # every negative element gets the violations the per-element ladder
+    # gives it, at every slack: the unblamed elements of small slacks
+    # included, whose count this test does not pin
+    drawings = [d for _, d in generate_corpus(CorpusSpec(count=210, seed=1000))]
+    fixtures = [five_vertex_fixture(), heavy_four_vertex_fixture(), pendant_cycle_fixture()]
+    blamed = 0
+    for i, d in enumerate(drawings + fixtures):
+        p = planarize(d)
+        g = d.base
+        for slack in range(17):
+            kappa = g.max_degree() + slack
+            rep = discharge(p, g, kappa)
+            for ne in rep.negative_elements:
+                assert ne.violated == tuple(_per_element_blame(p, g, kappa, ne.element)), (
+                    i, slack, ne.element,
+                )
+                blamed += bool(ne.violated)
+            if i >= len(drawings):  # the one-element entry point, on every element
+                for elem in rep.charges:
+                    assert element_hypothesis_failures(p, g, kappa, elem) == (
+                        _per_element_blame(p, g, kappa, elem)
+                    ), (i, slack, elem)
+    assert blamed
+
+
+def test_one_element_blame_errors():
+    p = planarize(grid_builder(3, 3).to_drawing())
+    g = p.base
+    kappa = g.max_degree() + 16
+    with pytest.raises(ValueError, match="outside"):
+        element_hypothesis_failures(p, g, kappa, ("v", -1))
+    with pytest.raises(IndexError):
+        element_hypothesis_failures(p, g, kappa, ("f", len(p.faces)))
+    assert element_hypothesis_failures(p, g, kappa, ("v", p.graph.n)) == []

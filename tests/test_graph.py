@@ -218,3 +218,39 @@ def test_kept_articulation_points_equal_a_fresh_dfs(n, data):
         if len(h.connected_components()) > comps - (g.degree(v) == 0):
             brute.append(v)
     assert kept == brute
+
+
+def _components_by_search(g):
+    """Components by repeated closure from the least unvisited vertex."""
+    left, comps = set(range(g.n)), []
+    while left:
+        comp, frontier = set(), {min(left)}
+        while frontier:
+            comp |= frontier
+            frontier = {u for v in frontier for u in g.adj[v]} - comp
+        left -= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 12), st.data())
+def test_kept_components_equal_a_fresh_search(n, data):
+    pairs = list(combinations(range(n), 2))
+    g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    if data.draw(st.booleans()):
+        g.is_connected()  # either query may run the search first
+    first = g.connected_components()
+    first[0:0] = [[-1]]  # the caller's lists are its own
+    if first[1:]:
+        first[1].append(-1)
+    kept = g.connected_components()
+    assert kept == _components_by_search(g) == Graph(n, g.edges).connected_components()
+    assert g.is_connected() == (len(kept) <= 1)
+
+
+def test_degree_classes():
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    assert g.degree_classes() == ((5,), (1, 2, 4), (3,), (0,))
+    assert g.degree_classes() is g.degree_classes()
+    assert Graph(0, []).degree_classes() == ((),)
