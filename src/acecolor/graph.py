@@ -113,11 +113,6 @@ class Graph:
             raise ValueError(f"edge {e} not in graph")
         return Graph(self.n, [f for f in self.edges if f != e])
 
-    def count_neighbors_with_degree_at_least(self, v: int, d: int) -> int:
-        self.check_vertex(v)
-        deg = self.degrees
-        return sum(1 for u in self.adj[v] if deg[u] >= d)
-
     def is_triangle_free(self) -> tuple[bool, tuple[int, int, int] | None]:
         """Return (True, None) or (False, witness triangle)."""
         adj_sets = [set(a) for a in self.adj]

@@ -2,27 +2,25 @@
 
 ``acyclic_lower_bound`` is the one lower bound both solvers use: the max
 degree Δ, or Δ+1 when a forest-count argument proves Δ colors too few.
-The exact solver is a backtracking search (see ``acecolor.kernel``) meant
-for desk-scale instances, run bottom-up from that bound. The heuristic
-first runs the same search on the peeling-derived order under a node
-budget of ``NODES_PER_EDGE`` per edge; its first descent is the greedy
-coloring, so where greedy needs no help the two agree. Only when the
-budget is spent does the greedy pass run with local repairs: recoloring
-a single incident edge, exchanging the colors of two edges at a shared
-vertex, or uncoloring a sibling edge to free the stuck one. Every repair
-is gated by ``valid_colors``, one edge assignment at a time, and a move
-budget keeps failure detectable. It gives up at once on a palette the
-lower bound rules out or the search refutes. Callers verify the returned
-coloring once.
+Both run one backtracking search (see ``acecolor.kernel``). The exact
+solver, meant for desk-scale instances, runs it to the end on the
+peeling-derived order, bottom-up from that bound. The heuristic runs it
+under a node budget of ``NODES_PER_EDGE`` per edge: first on the peeling
+order, whose first descent is the greedy coloring, so where greedy needs
+no help the two agree; then, only if that budget is spent, on
+breadth-first edge orders from up to ``RESTARTS`` + 1 seeded roots. It
+gives up at once on a palette the lower bound rules out or a search
+refutes. Callers verify the returned coloring once.
+
+The two repair moves (``repair_recolor_single``, ``repair_exchange_pair``)
+are public primitives gated by ``valid_colors``; no solver uses them.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from . import kernel
 from .coloring import EdgeColoring, verify
@@ -33,6 +31,9 @@ DEFAULT_SLACK = 16  # default palette is max degree plus this
 # takes exactly m nodes wherever greedy needs no repair; at kappa = max
 # degree it needs at most 57·m on the acceptance corpus.
 NODES_PER_EDGE = 100
+# heuristic_color's rooted searches beyond the first, once the peeling
+# order's budget is spent; the CLI color default
+RESTARTS = 15
 
 
 @dataclass(frozen=True)
@@ -41,18 +42,14 @@ class ExactResult:
     coloring: EdgeColoring
 
 
-@dataclass(frozen=True)
-class Move:
-    kind: str  # "recolor" | "exchange" | "uncolor-shift"
-    detail: tuple
-
-
 @dataclass
 class SolveOutcome:
     coloring: EdgeColoring
     colors_used: int
-    moves: list[Move] = field(default_factory=list)
-    restarts_used: int = 0
+    moves: list = field(default_factory=list)
+    """Always empty: no solver makes repair moves. It stays only because
+    the pipeline benchmark still reads it."""
+    restarts_used: int = 0  # rooted searches run after the peeling order's
 
 
 @dataclass(frozen=True)
@@ -98,6 +95,31 @@ def edge_insertion_order(g: Graph) -> list[Edge]:
         deg[u] = du
         if du:
             push(heap, (du, u))
+    return order
+
+
+def _bfs_edge_order(g: Graph, root: int) -> list[Edge]:
+    """Edges in breadth-first order from root: each vertex, in the order
+    the search reaches it, lists its edges to the vertices that have not
+    listed theirs yet. The search restarts from the lowest unreached
+    vertex, so every edge is listed once, on a disconnected graph too."""
+    adj = g.adj
+    reached = [False] * g.n
+    listed = [False] * g.n
+    order: list[Edge] = []
+    for start in (root, *range(g.n)):
+        if reached[start]:
+            continue
+        reached[start] = True
+        queue = [start]
+        for v in queue:  # grows as it is walked
+            for u in adj[v]:
+                if not listed[u]:
+                    order.append((v, u) if v < u else (u, v))
+                    if not reached[u]:
+                        reached[u] = True
+                        queue.append(u)
+            listed[v] = True
     return order
 
 
@@ -249,127 +271,47 @@ def _assign_gated(trial: EdgeColoring, moves) -> RepairOutcome:
 
 
 def heuristic_color(
-    g: Graph,
-    kappa: int,
-    move_budget: int | None = None,
-    seed: int = 0,
-    restarts: int = 3,
+    g: Graph, kappa: int, seed: int = 0, restarts: int = RESTARTS
 ) -> SolveOutcome | None:
     """Color all edges with at most kappa colors.
 
-    First the search kernel runs on the peeling order under a budget of
-    ``NODES_PER_EDGE * m`` nodes. Its coloring comes back with no moves
-    and no restarts; its refutation returns None at once. Only when the
-    budget is spent do the repair attempts run, with move_budget repair
-    moves each (default 50·m): the first uses the peeling order with
-    lowest-color tie-breaking, and each restart reshuffles the order and
-    color choices with a generator seeded by seed. Deterministic for a
-    fixed seed.
+    The search kernel runs on the peeling order under a budget of
+    ``NODES_PER_EDGE * m`` nodes. Its coloring comes back with no
+    restarts; its refutation returns None at once. Only when the budget
+    is spent does the same budgeted search run on breadth-first edge
+    orders (``_bfs_edge_order``), one per root: vertex 0 first, then the
+    first ``restarts`` of the other vertices shuffled by
+    ``random.Random(seed)``. ``restarts_used`` counts these rooted
+    searches. Deterministic for a fixed seed.
 
     Returns None when no coloring within kappa colors exists: proved by
-    ``acyclic_lower_bound`` (kappa is the max degree) or by the search,
-    both before any repair attempt. It also returns None after the
-    restart cap, never silently escalating the palette. A palette below
-    the max degree raises ValueError.
+    ``acyclic_lower_bound`` (kappa is the max degree) or by a search. It
+    also returns None when every rooted search spends its budget, never
+    silently escalating the palette. A palette below the max degree or a
+    negative ``restarts`` raises ValueError.
     """
+    if restarts < 0:
+        raise ValueError(f"restarts must be non-negative, got {restarts}")
     delta = g.delta
     if kappa < delta:
         raise ValueError(f"palette {kappa} below max degree {delta}; properness impossible")
     if kappa == delta and kappa < acyclic_lower_bound(g):
         return None
-    base_order = _coloring_order(g)
-    found = _run_kernel(g, kappa, _kernel_input(g, base_order), NODES_PER_EDGE * g.m)
-    if found is None:
+    budget = NODES_PER_EDGE * g.m
+    found = _run_kernel(g, kappa, _kernel_input(g, _coloring_order(g)), budget)
+    used = 0
+    if found is False:
+        others = list(range(1, g.n))
+        random.Random(seed).shuffle(others)  # so more restarts only add roots
+        for root in (0, *others[:restarts]):
+            used += 1
+            found = _run_kernel(g, kappa, _kernel_input(g, _bfs_edge_order(g, root)), budget)
+            if found is not False:
+                break
+    if found is None or found is False:
         return None
-    if found is not False:
-        return SolveOutcome(coloring=found, colors_used=len(set(found.colored_edges().values())))
-    budget = 50 * g.m if move_budget is None else move_budget
-    for attempt in range(restarts + 1):
-        order = list(base_order)
-        rng = random.Random(f"{seed}:{attempt}") if attempt else None
-        if rng is not None:
-            rng.shuffle(order)
-        outcome = _color_once(g, kappa, order, budget, rng)
-        if outcome is not None:
-            outcome.restarts_used = attempt
-            return outcome
-    return None
-
-
-def _color_once(
-    g: Graph,
-    kappa: int,
-    order: list[Edge],
-    budget: int,
-    rng: random.Random | None,
-) -> SolveOutcome | None:
-    col = EdgeColoring(g, kappa)
-    moves: list[Move] = []
-    queue = deque(order)
-    spent = 0
-    while queue:
-        e = queue.popleft()
-        if col.color_of(e) is not None:
-            continue
-        valid = col.valid_colors(e)
-        if valid:
-            c = min(valid) if rng is None else rng.choice(sorted(valid))
-            col.assign(e, c)
-            continue
-        repaired, col, spent = _repair_stuck(col, e, moves, queue, spent, budget)
-        if not repaired:
-            return None
-        queue.appendleft(e)
-    out_colors = len(set(col.colored_edges().values()))
-    return SolveOutcome(coloring=col, colors_used=out_colors, moves=moves)
-
-
-def _repair_stuck(col, e, moves, queue, spent, budget):
-    """Try the stuck-edge repairs in a fixed order; each attempt costs one
-    unit of budget. col must be proper and acyclic; trials made on col in
-    place are undone before the next one. Returns (ok, coloring, spent)."""
-    # 1. recolor one incident edge, trying the endpoint with more free colors first
-    ends = sorted(canonical_edge(*e), key=lambda x: (-len(col.free_colors(x)), x))
-    for w in ends:
-        for other in sorted(col.used_colors(w)):
-            f = col.edge_with_color(w, other)
-            col.uncolor(f)
-            candidates = sorted(col.valid_colors(f) - {other})
-            col.assign(f, other)
-            for c in candidates:
-                if spent >= budget:
-                    return False, col, spent
-                spent += 1
-                res = repair_recolor_single(col, f, c)
-                if res.accepted and res.coloring.valid_colors(e):
-                    moves.append(Move("recolor", (f, other, c)))
-                    return True, res.coloring, spent
-
-    # 2. exchange the colors on two edges at a shared endpoint
-    for w in ends:
-        incident = sorted(col.edge_with_color(w, c) for c in col.used_colors(w))
-        for f1, f2 in combinations(incident, 2):
-            if spent >= budget:
-                return False, col, spent
-            spent += 1
-            res = repair_exchange_pair(col, f1, f2)
-            if res.accepted and res.coloring.valid_colors(e):
-                moves.append(Move("exchange", (f1, f2)))
-                return True, res.coloring, spent
-
-    # 3. uncolor a sibling edge, color the stuck edge with the freed color,
-    #    and requeue the sibling
-    for w in ends:
-        for c in sorted(col.used_colors(w)):
-            if spent >= budget:
-                return False, col, spent
-            spent += 1
-            f = col.edge_with_color(w, c)
-            col.uncolor(f)
-            if c in col.valid_colors(e):
-                col.assign(e, c)
-                queue.append(f)
-                moves.append(Move("uncolor-shift", (f, c)))
-                return True, col, spent
-            col.assign(f, c)
-    return False, col, spent
+    return SolveOutcome(
+        coloring=found,
+        colors_used=len(set(found.colored_edges().values())),
+        restarts_used=used,
+    )

@@ -113,6 +113,16 @@ def test_kappa_zero_is_a_palette_not_the_default(c5_file, capsys):
     assert "below max degree" in capsys.readouterr().err
 
 
+def test_negative_restarts_is_an_input_error(c5_file, capsys):
+    # refused although the search would color C5 without a restart
+    assert main(["color", str(c5_file), "--restarts", "-1"]) == 2
+    assert "restarts must be non-negative" in capsys.readouterr().err
+    assert main(["color", str(c5_file), "--restarts", "0", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["status"], doc["restarts"]) == ("ok", 0)
+    assert "repairs" not in doc
+
+
 def test_exact_c5(c5_file, capsys):
     rc = main(["exact", str(c5_file)])
     assert rc == 0
@@ -282,6 +292,7 @@ def test_batch_out_creates_directory(tmp_path, drawing_file, c5_file):
         ["verify", "g.txt", "--coloring", "c.txt", "--kappa", "5"],
         ["gen", "--kappa", "5"],
         ["gen", "--format", "json"],
+        ["color", "g.txt", "--budget", "5"],
     ],
 )
 def test_options_a_subcommand_would_ignore_are_refused(argv, capsys):

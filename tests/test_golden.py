@@ -4,15 +4,9 @@ Heuristic colorer, on the tight-palette set of the pipeline benchmark,
 ``CorpusSpec(count=90, n_max=20, seed=1000)``: every instance is colored
 at kappa = max degree and, on a miss, at max degree + 1.
 
-- The repair path, with the search's node budget set to 0 so that every
-  run falls through to it: the slice below holds the instances whose
-  final colorings use recolor, exchange and uncolor-shift moves, plus
-  misses that spend the whole move budget. The hash covers each
-  coloring, its moves in order and the restarts used, so any change to
-  an accept/reject decision, the move order or the budget use shows up
-  here.
-- The default path over the whole set, where the budgeted search decides
-  every palette.
+- Over the whole set the budgeted search on the peeling order decides
+  every palette. The hash covers each coloring, its (always empty) moves
+  and the rooted searches used.
 - Over the acceptance corpus at max degree + 16 and + 1, the search's
   coloring is the greedy one wherever greedy needs no repair.
 
@@ -33,6 +27,7 @@ import json
 import random
 
 from acecolor import solver
+from acecolor.coloring import EdgeColoring
 from acecolor.conditions import CONDITION_ORDER, check_condition, find_reducible_configuration
 from acecolor.discharging import discharge
 from acecolor.embedding import format_drawing, planarize
@@ -42,15 +37,12 @@ from acecolor.solver import heuristic_color
 from fixtures import five_vertex_fixture, heavy_four_vertex_fixture
 
 SPEC = CorpusSpec(count=90, n_max=20, seed=1000)
-WITH_MOVES = (11, 22, 24, 34, 38, 39, 46, 65, 68, 74, 89)
-MISSES = (0, 8, 14, 20, 23, 26, 30, 81, 86)
-GOLDEN = "5fe9b60728ef21388e7391424b1bf6416f0e994bad85b18dba70426a6d8bc5f9"
 TIGHT_GOLDEN = "f135ca9f47984b8d1bd6fbcbe350f0912e7d0e4e01071cce0b2ab2bc35096aae"
 CORPUS = CorpusSpec(count=210, seed=1000)
 
 
-def _tight_outputs(indices):
-    for i in indices:
+def _tight_outputs():
+    for i in range(SPEC.count):
         family = SPEC.families[i % len(SPEC.families)]
         g = generate_instance(family, SPEC.seed + i, SPEC.n_min, SPEC.n_max).base
         for kappa in (g.max_degree(), g.max_degree() + 1):
@@ -60,52 +52,46 @@ def _tight_outputs(indices):
                 break
 
 
-def _hash_tight(indices) -> tuple[str, set, int]:
-    """Digest of the tight outputs, the repair kinds used and the misses."""
+def test_heuristic_golden_outputs_on_tight_set():
+    # the search on the peeling order colors or refutes every palette
+    # within its budget; the 18 misses at max degree are the 17 palettes
+    # the lower bound rules out and one the search refutes
     h = hashlib.sha256()
-    kinds = set()
     misses = 0
-    for i, kappa, out in _tight_outputs(indices):
+    for i, kappa, out in _tight_outputs():
         if out is None:
             misses += 1
             h.update(f"{i} {kappa} miss\n".encode())
             continue
-        kinds.update(m.kind for m in out.moves)
-        moves = [(m.kind, m.detail) for m in out.moves]
         colors = sorted(out.coloring.colored_edges().items())
-        h.update(f"{i} {kappa} {colors} {moves} {out.restarts_used}\n".encode())
-    return h.hexdigest(), kinds, misses
-
-
-def test_heuristic_golden_outputs_on_tight_slice(monkeypatch):
-    monkeypatch.setattr(solver, "NODES_PER_EDGE", 0)
-    digest, kinds, misses = _hash_tight(sorted(WITH_MOVES + MISSES))
-    assert kinds == {"recolor", "exchange", "uncolor-shift"}
-    assert misses == len(MISSES)
-    assert digest == GOLDEN
-
-
-def test_heuristic_golden_outputs_on_tight_set():
-    # no repairs: the search colors or refutes every palette within its
-    # budget; the 18 misses at max degree are the 17 palettes the lower
-    # bound rules out and one the search refutes
-    digest, kinds, misses = _hash_tight(range(SPEC.count))
-    assert kinds == set()
+        h.update(f"{i} {kappa} {colors} {out.moves} {out.restarts_used}\n".encode())
     assert misses == 18
-    assert digest == TIGHT_GOLDEN
+    assert h.hexdigest() == TIGHT_GOLDEN
+
+
+def _greedy_coloring(g, kappa):
+    """Each edge in coloring order takes its lowest valid color; None if
+    some edge has none."""
+    col = EdgeColoring(g, kappa)
+    for e in solver._coloring_order(g):
+        valid = col.valid_colors(e)
+        if not valid:
+            return None
+        col.assign(e, min(valid))
+    return col
 
 
 def test_search_coloring_is_greedy_coloring_where_no_repair_is_needed():
     # greedy needs no repair on any corpus drawing at these palettes
     for name, d in generate_corpus(CORPUS):
         g = d.base
-        order = solver._coloring_order(g)
         for kappa in (g.max_degree() + 16, g.max_degree() + 1):
-            greedy = solver._color_once(g, kappa, order, 50 * g.m, None)
-            assert greedy is not None and greedy.moves == [], (name, kappa)
+            greedy = _greedy_coloring(g, kappa)
+            assert greedy is not None, (name, kappa)
             out = heuristic_color(g, kappa)
-            assert (out.moves, out.restarts_used, out.colors_used) == ([], 0, greedy.colors_used)
-            assert out.coloring.colored_edges() == greedy.coloring.colored_edges(), (name, kappa)
+            colors_used = len(set(greedy.colored_edges().values()))
+            assert (out.moves, out.restarts_used, out.colors_used) == ([], 0, colors_used)
+            assert out.coloring.colored_edges() == greedy.colored_edges(), (name, kappa)
 
 
 # -- discharging and the structural conditions on the acceptance corpus ---------

@@ -155,13 +155,6 @@ def test_degree_sum_is_twice_edge_count(n, data):
     assert g.delta == max(g.degrees)
 
 
-def test_count_neighbors_with_degree_at_least():
-    s = star(5)
-    assert s.count_neighbors_with_degree_at_least(0, 1) == 5
-    assert s.count_neighbors_with_degree_at_least(0, 2) == 0
-    assert cycle(4).count_neighbors_with_degree_at_least(0, 2) == 2
-
-
 def test_parse_format_roundtrip():
     g = petersen()
     assert parse_graph(format_graph(g)) == g

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acecolor import kernel, solver
+from acecolor import kernel
 from acecolor.generate import CorpusSpec, generate_corpus
 from acecolor.graph import Graph
 from acecolor.solver import (
@@ -105,10 +105,10 @@ def test_has_acyclic_coloring_below_bound_skips_the_kernel(monkeypatch):
 
 
 def test_heuristic_returns_none_at_once_when_bound_exceeds_delta(monkeypatch):
-    def no_attempt(*args):
-        raise AssertionError("coloring attempted below the lower bound")
+    def no_search(*args):
+        raise AssertionError("search run below the lower bound")
 
-    monkeypatch.setattr(solver, "_color_once", no_attempt)
+    monkeypatch.setattr(kernel, "find_coloring", no_search)
     assert heuristic_color(cycle(4), 2) is None
     assert heuristic_color(petersen(), 3) is None
     with pytest.raises(ValueError):
@@ -117,8 +117,8 @@ def test_heuristic_returns_none_at_once_when_bound_exceeds_delta(monkeypatch):
 
 # The kappa = delta misses of the heuristic on the tight-palette set of the
 # pipeline benchmark, split by what proves them: the lower bound, or the
-# budgeted search inside heuristic_color. The repair path, run on its own,
-# also misses the former repair misses, which the search colors at delta.
+# budgeted search inside heuristic_color. The former repair misses are
+# colored at delta by that search.
 TIGHT = CorpusSpec(count=90, n_max=20, seed=1000)
 PROVED_BY_BOUND = {
     f"named-{i}"
@@ -136,18 +136,27 @@ FORMER_REPAIR_MISSES = {
 
 
 def test_split_of_delta_misses_on_tight_set(monkeypatch):
-    def no_attempt(*args):
-        raise AssertionError("repair attempt on the tight set")
+    find_coloring = kernel.find_coloring
+    calls = []
 
-    monkeypatch.setattr(solver, "_color_once", no_attempt)
+    def counted(*args):
+        calls.append(args)
+        return find_coloring(*args)
+
+    monkeypatch.setattr(kernel, "find_coloring", counted)
     misses = {}
     graphs = {name: d.base for name, d in generate_corpus(TIGHT)}
     for name, g in graphs.items():
+        calls.clear()
         out = heuristic_color(g, g.max_degree())
+        # the lower bound answers without a search; otherwise the search
+        # on the peeling order decides, and no rooted search runs
+        assert len(calls) == (0 if name in PROVED_BY_BOUND else 1), name
         if out is None:
             misses[name] = g
         else:
             assert out.moves == [] and out.restarts_used == 0
+    monkeypatch.undo()
     assert set(misses) == PROVED_BY_BOUND | REFUTED_BY_SEARCH_ONLY
     for name, g in misses.items():
         delta = g.max_degree()
@@ -165,9 +174,3 @@ def test_split_of_delta_misses_on_tight_set(monkeypatch):
         edges = list(g.edges)
         colors = [out.coloring.color_of(e) for e in edges]
         assert is_proper(g.n, edges, colors) and is_acyclic(g.n, edges, colors)
-    monkeypatch.undo()
-    monkeypatch.setattr(solver, "NODES_PER_EDGE", 0)
-    repair_misses = {
-        name for name, g in graphs.items() if heuristic_color(g, g.max_degree()) is None
-    }
-    assert repair_misses == PROVED_BY_BOUND | REFUTED_BY_SEARCH_ONLY | FORMER_REPAIR_MISSES

@@ -135,7 +135,7 @@ def test_heuristic_forest_no_repairs():
     out = heuristic_color(g, g.max_degree())
     assert out is not None
     assert verify(out.coloring).ok
-    assert out.moves == []
+    assert out.restarts_used == 0
     assert out.colors_used == g.max_degree()
 
 
@@ -143,7 +143,7 @@ def test_heuristic_c4_escapes_trap_with_valid_color():
     out = heuristic_color(cycle(4), 3)
     assert out is not None
     assert verify(out.coloring).ok
-    assert out.moves == []  # valid-color selection suffices, no repairs
+    assert out.restarts_used == 0  # the greedy descent suffices
     assert out.colors_used == 3
     # deterministic coloring: the last edge takes color 3 to dodge the
     # alternating 1,2,1,2 bichromatic square
@@ -164,7 +164,7 @@ def test_heuristic_deterministic_per_seed():
     assert (a is None) == (b is None)
     if a is not None:
         assert a.coloring == b.coloring
-        assert a.moves == b.moves
+        assert a.restarts_used == b.restarts_used
 
 
 def test_heuristic_outcome_always_verifies():
@@ -284,64 +284,106 @@ def test_repair_exchange_unblocks_stuck_edge():
     assert verify(fixed).ok
 
 
-def test_heuristic_recovers_via_repairs_at_tight_palette(monkeypatch):
-    # at palette = exact index the budgeted search colors both at once
+def test_heuristic_recovers_via_repairs_at_tight_palette():
+    # the greedy pass gets stuck on both at palette = exact index; the
+    # budgeted search backtracks out of it and colors both at once
     for g, kappa in ((prism(), 4), (complete_bipartite(4, 4), 5)):
         out = heuristic_color(g, kappa, seed=0)
         assert out is not None and verify(out.coloring).ok
         assert (out.moves, out.restarts_used, out.colors_used) == ([], 0, kappa)
-    # with no node budget the greedy pass gets stuck on these, and the
-    # repair ladder (with restarts for K4,4) rescues the run
-    monkeypatch.setattr(solver, "NODES_PER_EDGE", 0)
-    out = heuristic_color(prism(), 4, seed=0)
-    assert out is not None and verify(out.coloring).ok
-    assert len(out.moves) >= 1
-    out = heuristic_color(complete_bipartite(4, 4), 5, seed=0)
-    assert out is not None and verify(out.coloring).ok
-    assert out.colors_used == 5
+
+
+def _subdivided_grid(seed):
+    """The 20x20 grid with 100 distinct edges subdivided: n = 500, m = 860."""
+    b = grid_builder(20, 20)
+    for u, v in random.Random(seed).sample(sorted(b.edges), 100):
+        b.subdivide(u, v)
+    return b.to_drawing().base
+
+
+# Rooted searches heuristic_color(g, 4) runs on _subdivided_grid(seed), by
+# seed. The peeling order's search colors the 0 entries and spends its
+# budget on the other 24, which BFS orders then color: the acyclic index
+# of every grid is its max degree, 4.
+ROOTED_SEARCHES = {
+    0: 4, 1: 0, 2: 1, 3: 3, 4: 2, 5: 1, 6: 0, 7: 1, 8: 1, 9: 0,
+    10: 0, 11: 1, 12: 1, 13: 1, 14: 0, 15: 2, 16: 1, 17: 2, 18: 1, 19: 1,
+    20: 6, 21: 4, 22: 1, 23: 2, 24: 0, 25: 1, 26: 2, 27: 1, 28: 2, 29: 1,
+}
+
+
+def _recorded_kernel(monkeypatch, backend):
+    """Route kernel.find_coloring to backend; returns the list of
+    (max_nodes, answer) pairs it records."""
+    calls = []
+
+    def find_coloring(*args):
+        calls.append((args[5], backend.find_coloring(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(kernel, "find_coloring", find_coloring)
+    return calls
 
 
 @pytest.mark.parametrize("impl", ["python", "c"])
 def test_spent_node_budget_falls_back_in_bounded_time(monkeypatch, request, impl):
-    # a subdivided 20x20 grid (n = 500, m = 860) whose search at kappa =
-    # max degree outlasts its node budget; the repair path then runs
-    b = grid_builder(20, 20)
-    rng = random.Random(11)
-    for _ in range(100):
-        b.subdivide(*rng.choice(sorted(b.edges)))
-    g = b.to_drawing().base
-    assert (g.n, g.m, g.max_degree()) == (500, 860, 4)
-    backend = _kernel_py if impl == "python" else request.getfixturevalue("c_kernel")
-    answers = []
+    # all 30 grids on the C kernel; on the slower Python kernel the 10
+    # that need two or more rooted searches
+    if impl == "c":
+        backend, seeds = request.getfixturevalue("c_kernel"), sorted(ROOTED_SEARCHES)
+    else:
+        backend = _kernel_py
+        seeds = [s for s, used in ROOTED_SEARCHES.items() if used >= 2]
+        assert len(seeds) == 10
+    calls = _recorded_kernel(monkeypatch, backend)
+    for seed in seeds:
+        g = _subdivided_grid(seed)
+        assert (g.n, g.m, g.max_degree()) == (500, 860, 4)
+        calls.clear()
+        t0 = time.perf_counter()
+        out = heuristic_color(g, 4)
+        assert time.perf_counter() - t0 < 10, seed
+        assert out is not None and verify(out.coloring).ok, seed
+        assert out.colors_used == 4
+        used = ROOTED_SEARCHES[seed]
+        assert out.restarts_used == used, seed
+        # every search runs under the same node budget; all but the last
+        # spend it
+        assert [budget for budget, _ in calls] == [100 * g.m] * (used + 1)
+        assert [answer is False for _, answer in calls] == [True] * used + [False]
 
-    def find_coloring(*args):
-        answers.append(backend.find_coloring(*args))
-        return answers[-1]
 
-    attempts = []
-    color_once = solver._color_once
+def test_rooted_searches_stop_at_the_restart_cap(monkeypatch, c_kernel):
+    g = _subdivided_grid(20)  # colored by its 6th rooted search
+    calls = _recorded_kernel(monkeypatch, c_kernel)
+    assert heuristic_color(g, 4, restarts=4) is None
+    assert [answer for _, answer in calls] == [False] * 6  # peeling order, 5 roots
+    calls.clear()
+    # a larger cap keeps the earlier roots
+    assert heuristic_color(g, 4, restarts=5).restarts_used == 6
+    assert len(calls) == 7
+    with pytest.raises(ValueError):
+        heuristic_color(g, 4, restarts=-1)
+    with pytest.raises(ValueError):
+        heuristic_color(cycle(4), 3, restarts=-1)  # rejected before any search
+    assert len(calls) == 7
 
-    def counted_color_once(*args):
-        attempts.append(args[3])
-        return color_once(*args)
 
-    monkeypatch.setattr(kernel, "find_coloring", find_coloring)
-    monkeypatch.setattr(solver, "_color_once", counted_color_once)
-    t0 = time.perf_counter()
-    out = heuristic_color(g, 4)
-    assert time.perf_counter() - t0 < 30
-    assert answers == [False] and attempts[0] == 50 * g.m  # the default move budget
-    assert out is None or verify(out.coloring).ok
+def test_bfs_edge_order_lists_every_edge_once():
+    # two components, the root in the second; the search then restarts at 0
+    g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6), (4, 6)])
+    order = solver._bfs_edge_order(g, 5)
+    assert order == [(4, 5), (5, 6), (3, 4), (4, 6), (3, 6), (0, 1), (0, 2), (1, 2)]
+    for root in range(g.n):
+        assert sorted(solver._bfs_edge_order(g, root)) == list(g.edges)
 
 
 def test_search_refutation_above_max_degree_skips_repairs(monkeypatch):
-    def no_attempt(*args):
-        raise AssertionError("repair attempt after a refutation")
-
-    monkeypatch.setattr(solver, "_color_once", no_attempt)
     # K4 needs 5 colors; 4 is above its max degree and the lower bound
     assert solver.acyclic_lower_bound(complete(4)) == 4
+    calls = _recorded_kernel(monkeypatch, _kernel_py)
     assert heuristic_color(complete(4), 4) is None
+    assert calls == [(100 * 6, None)]  # one search, on the peeling order
 
 
 def test_repair_moves_preserve_colored_count():
