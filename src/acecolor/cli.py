@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coloring", required=True, help="coloring file")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("discharge", help="run the discharging audit")
+    p = sub.add_parser("discharge", help="run the discharging audit (palette >= max degree + 16)")
     common(p)
     p.set_defaults(func=cmd_discharge)
 

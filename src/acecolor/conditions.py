@@ -11,8 +11,11 @@ Every degree threshold that scales with the palette slack kappa -
 max_degree is declared once, in the ``Thresholds`` table; the discharging
 rules read the same table, so a rule and the condition it relies on
 cannot drift apart. ``HEAVY`` and ``DEG5_BIG`` are the two thresholds
-that do not scale. The checks assume kappa >= max_degree + 2, the regime
-in which the underlying structure results hold.
+that do not scale. ``check_condition`` evaluates a condition at any
+palette. ``find_reducible_configuration`` and the CLI ``audit`` accept
+kappa >= max_degree (``require_in_scope``): below it no proper coloring
+exists. The discharging audit, whose blame reads these conditions,
+accepts only kappa >= max_degree + 16, where its argument closes.
 
 Every check reads the degrees and the max degree the graph computed once,
 and the face checks read the per-vertex 3-faces of the plane graph, so a

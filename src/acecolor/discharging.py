@@ -7,35 +7,36 @@ and 3-faces). Rules read only the input structure, so they commute and
 conserve the total.
 
 Every amount is a multiple of 1/12, so the ledger counts charge in
-integer twelfths (``SCALE``): the arithmetic stays exact without
-rationals. The report converts to ``Fraction`` once, at its boundary.
+integer twelfths (``SCALE``); the report converts to ``Fraction`` once.
+Vertex-to-vertex rules follow adjacency in the *base* graph; crossing
+vertices neither send nor receive (they hold charge 0). Face rules count
+incidences per boundary-walk slot.
 
-Vertex-to-vertex rules follow adjacency in the *base* graph, never in the
-planarized one; crossing vertices neither send nor receive (they hold
-charge 0 throughout). Face rules count incidences per boundary-walk slot.
+The ``RULES`` table declares each rule once: its name, its amount and the
+hypotheses that bound a sender's outflow under it; ``NEEDS`` declares
+what each receiver class needs. Degree thresholds come from the table of
+``conditions`` (``Thresholds``, ``HEAVY``, ``DEG5_BIG``).
 
-The rules' degree thresholds are read from the palette-threshold table
-of ``conditions`` (``Thresholds``, ``HEAVY``, ``DEG5_BIG``), the same
-table the structural conditions read.
-
-The audit attaches to every negative element the structural hypotheses
-whose failure explains the deficit; if all attached hypotheses hold, the
-element cannot be negative (this implication is what the test suite
-checks instance by instance). The hypotheses of an element's degree
-class form its blame ladder (``_ladder``). The audit blames all negative
-elements in one batch: each condition is checked once, scoped to the
-union of the vertices the ladders ask it about, and every element takes
-the witnesses at its own vertices, in ladder order.
+The audit blames each negative element on the violated hypotheses among
+its class's need and the sender hypotheses of each rule it fired, read
+from the ledger; if all hold, the element ends non-negative. With only
+the bounds these hypotheses give (at most floor(2d/3) 3-faces at a
+d-vertex, at most one 3-neighbor at a tight sender, two neighbors of
+degree 4 or more at a high one), every sender class ends >= 0 from the
+palette max degree + 16 (``FLOOR_SLACK``, the paper's constant) on, but
+at slack 15 a high sender of degree 18 and a huge one of degree 21 can
+end at -1/2. So the audit refuses a smaller palette; the rules run at
+every palette.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .conditions import DEG5_BIG, HEAVY, Condition, Thresholds, check_condition, thresholds
+from .conditions import DEG5_BIG, HEAVY, Condition, check_condition, thresholds
 from .embedding import PlaneGraph
 from .errors import EmbeddingError
 from .graph import Graph
@@ -44,16 +45,52 @@ from .solver import DEFAULT_SLACK
 Element = tuple[str, int]  # ("v", vertex id) or ("f", face index)
 
 SCALE = 12  # ledger charges and transfer amounts are integer twelfths
-ONE = SCALE
-HALF = SCALE // 2
-THIRD = SCALE // 3
-QUARTER = SCALE // 4
-SIXTH = SCALE // 6
-THREE_HALVES = 3 * SCALE // 2
+FLOOR_SLACK = DEFAULT_SLACK  # the audit needs palette >= max degree + this
 
 # audit-only face-profile hypotheses, alongside the Condition values
 HYP_DEG3_FACE_PROFILE = "deg3-face-profile"
 HYP_NO_CONSECUTIVE_DEG3 = "no-consecutive-deg3"
+Hypothesis = Condition | str
+
+# Where a sender hypothesis is checked: at the sender, at a heavy sender, or
+# at each 2-vertex receiver of a light sender (degree 4 to HEAVY - 1; a 2-
+# or 3-vertex sender of deg2-from-neighbors fails its own need instead).
+SENDER, HEAVY_SENDER, LIGHT_RECEIVERS = "sender", "heavy sender", "light sender's receivers"
+
+
+class Rule(NamedTuple):
+    name: str
+    amount: int  # twelfths
+    bounds: tuple[tuple[Hypothesis, str], ...] = ()  # what bounds a sender's outflow, and where
+
+
+# The eight rules (amounts in twelfths), in the order the audit reports their hypotheses.
+RULES: tuple[Rule, ...] = (
+    Rule("triface-from-real", 6, (
+        (Condition.DEG2_FACE_SIZES, SENDER),
+        (Condition.TRIANGLE_FACE_BUDGET, SENDER),
+        (HYP_DEG3_FACE_PROFILE, SENDER),
+    )),
+    Rule("deg3-from-bigface", 6, ((HYP_NO_CONSECUTIVE_DEG3, SENDER),)),
+    Rule("deg2-from-neighbors", 12, (
+        (Condition.HEAVY_DEG2_SUPPORT, HEAVY_SENDER),
+        (Condition.DEG2_BIG_NEIGHBORS, LIGHT_RECEIVERS),
+    )),
+    Rule("deg3-from-tight", 18, ((Condition.TIGHT_VERTEX_SMALL_NEIGHBOR, SENDER),)),
+    Rule("deg3-from-high", 6, ((Condition.TWO_DEG4_NEIGHBORS, SENDER),)),
+    Rule("deg4-quarter", 3),
+    Rule("deg4-third", 4),
+    Rule("deg5-sixth", 2),
+)
+TRIFACE, BIGFACE, DEG2, DEG3_TIGHT, DEG3_HIGH, DEG4_QUARTER, DEG4_THIRD, DEG5_SIXTH = RULES
+_RANK = {rule.name: i for i, rule in enumerate(RULES)}
+
+# What a vertex receiver needs to end non-negative, by degree, checked at
+# itself; a vertex of degree 6 or more, a crossing or a face needs nothing.
+NEEDS: tuple[Condition, ...] = (Condition.MIN_DEGREE_2CONNECTED,) * 2 + (
+    Condition.DEG2_BIG_NEIGHBORS, Condition.DEG3_BIG_NEIGHBORS,
+    Condition.DEG4_NEIGHBOR_PROFILE, Condition.DEG5_NEIGHBOR_PROFILE,
+)
 
 
 class Transfer(NamedTuple):
@@ -95,9 +132,7 @@ class DischargeReport:
     charges: dict[Element, Fraction]
 
     def to_text(self) -> str:
-        lines = [
-            f"total={_frac(self.total)} conserved={'yes' if self.conserved else 'no'}"
-        ]
+        lines = [f"total={_frac(self.total)} conserved={'yes' if self.conserved else 'no'}"]
         for rule in sorted(self.rule_firings):
             lines.append(f"rule.{rule}={self.rule_firings[rule]}")
         lines.append(f"negative={len(self.negative_elements)}")
@@ -150,41 +185,39 @@ def compute_transfers(p: PlaneGraph, g: Graph, kappa: int | None = None) -> list
     tight, high, huge = t.tight, t.high, t.huge
     deg, adj = g.degrees, g.adj
     out: list[Transfer] = []
-
     for v, d in enumerate(deg):
         if d == 2:
             for u in adj[v]:
-                out.append(Transfer("deg2-from-neighbors", ("v", u), ("v", v), ONE))
+                out.append(Transfer(DEG2.name, ("v", u), ("v", v), DEG2.amount))
         elif d == 3:
             for u in adj[v]:
                 if deg[u] == tight:
-                    out.append(Transfer("deg3-from-tight", ("v", u), ("v", v), THREE_HALVES))
+                    out.append(Transfer(DEG3_TIGHT.name, ("v", u), ("v", v), DEG3_TIGHT.amount))
                 elif deg[u] >= high:
-                    out.append(Transfer("deg3-from-high", ("v", u), ("v", v), HALF))
+                    out.append(Transfer(DEG3_HIGH.name, ("v", u), ("v", v), DEG3_HIGH.amount))
         elif d == 4:
             degs = sorted(deg[u] for u in adj[v])
             if degs[0] >= HEAVY:
                 for u in adj[v]:
-                    out.append(Transfer("deg4-quarter", ("v", u), ("v", v), QUARTER))
+                    out.append(Transfer(DEG4_QUARTER.name, ("v", u), ("v", v), DEG4_QUARTER.amount))
             elif degs[1] >= huge:
                 for u in adj[v]:
                     if deg[u] >= huge:
-                        out.append(Transfer("deg4-third", ("v", u), ("v", v), THIRD))
+                        out.append(Transfer(DEG4_THIRD.name, ("v", u), ("v", v), DEG4_THIRD.amount))
         elif d == 5:
             for u in adj[v]:
                 if deg[u] >= DEG5_BIG:
-                    out.append(Transfer("deg5-sixth", ("v", u), ("v", v), SIXTH))
-
+                    out.append(Transfer(DEG5_SIXTH.name, ("v", u), ("v", v), DEG5_SIXTH.amount))
     n_real = p.n_real
     for i, f in enumerate(p.faces):
         if f.degree == 3:
             for v in f.vertices:
                 if v < n_real:
-                    out.append(Transfer("triface-from-real", ("v", v), ("f", i), HALF))
+                    out.append(Transfer(TRIFACE.name, ("v", v), ("f", i), TRIFACE.amount))
         elif f.degree >= 5:
             for v in f.vertices:
                 if v < n_real and deg[v] == 3:
-                    out.append(Transfer("deg3-from-bigface", ("f", i), ("v", v), HALF))
+                    out.append(Transfer(BIGFACE.name, ("f", i), ("v", v), BIGFACE.amount))
     return out
 
 
@@ -208,31 +241,31 @@ def conservation_check(before: ChargeLedger, after: ChargeLedger) -> bool:
 # -- the audit ---------------------------------------------------------------------
 
 
+def _require_floor(g: Graph, kappa: int) -> None:
+    floor = g.delta + FLOOR_SLACK
+    if kappa < floor:
+        raise ValueError(
+            f"palette {kappa} below max degree + {FLOOR_SLACK} = {floor}, the discharging "
+            "floor: below it a sender's worst-case final charge is negative")
+
+
 def _face_profile_deg3(p: PlaneGraph, g: Graph, v: int) -> Violation | None:
     """A 3-vertex on two 3-faces must also touch a 5+ face."""
-    if len(p.triangles_at[v]) < 2:
+    if g.degrees[v] != 3 or len(p.triangles_at[v]) < 2:
         return None
-    faces = [p.faces[i].degree for i in p.faces_at(v)]
-    if not any(d >= 5 for d in faces):
-        return Violation(
-            HYP_DEG3_FACE_PROFILE,
-            f"3-vertex {v} has incident face degrees {sorted(faces)}: two "
-            "3-faces but no 5+ face",
-        )
-    return None
+    faces = sorted(p.faces[i].degree for i in p.faces_at(v))
+    if faces[-1] >= 5:
+        return None
+    detail = f"3-vertex {v} has incident face degrees {faces}: two 3-faces but no 5+ face"
+    return Violation(HYP_DEG3_FACE_PROFILE, detail)
 
 
 def _face_no_consecutive_deg3(p: PlaneGraph, g: Graph, fi: int) -> Violation | None:
-    walk = p.faces[fi].vertices
-    d = len(walk)
-    n_real, deg = p.n_real, g.degrees
-    for i in range(d):
-        a, b = walk[i], walk[(i + 1) % d]
+    walk, n_real, deg = p.faces[fi].vertices, p.n_real, g.degrees
+    for a, b in zip(walk, walk[1:] + walk[:1]):
         if a < n_real and b < n_real and deg[a] == 3 and deg[b] == 3:
-            return Violation(
-                HYP_NO_CONSECUTIVE_DEG3,
-                f"face {fi} has consecutive 3-vertices {a}, {b} on its boundary",
-            )
+            detail = f"face {fi} has consecutive 3-vertices {a}, {b} on its boundary"
+            return Violation(HYP_NO_CONSECUTIVE_DEG3, detail)
     return None
 
 
@@ -241,96 +274,62 @@ _PROFILE_CHECKS = {
     HYP_NO_CONSECUTIVE_DEG3: _face_no_consecutive_deg3,
 }
 
-# One rung of an element's blame ladder: a hypothesis checked at some
-# vertices (or, for a face's profile, at its index). The hypothesis is a
-# Condition, or the name of an audit-only profile check.
-Rung = tuple[Condition | str, tuple[int, ...]]
 
-
-def _ladder(p: PlaneGraph, g: Graph, t: Thresholds, elem: Element) -> list[Rung]:
-    """The local hypotheses of one element's degree class, in the order
-    they are reported.
-
-    The hypothesis sets mirror the per-class nonnegativity argument: if
-    none of them is violated, the element's final charge is >= 0.
-    Crossing vertices and 3-/4-faces need no hypotheses at all.
-    """
-    kind, idx = elem
-    if kind == "f":
-        return [(HYP_NO_CONSECUTIVE_DEG3, (idx,))] if p.faces[idx].degree >= 5 else []
-    v = idx
-    if p.is_crossing(v):
-        return []
-    d = g.degree(v)
-    at = (v,)
-    if d < 2:
-        return [(Condition.MIN_DEGREE_2CONNECTED, at)]
-    if d == 2:
-        return [(Condition.DEG2_BIG_NEIGHBORS, at), (Condition.DEG2_FACE_SIZES, at)]
-    if d == 3:
-        return [
-            (Condition.DEG3_BIG_NEIGHBORS, at),
-            (Condition.TRIANGLE_FACE_BUDGET, at),
-            (HYP_DEG3_FACE_PROFILE, at),
-        ]
-    deg = g.degrees
-    deg2_neighbors = tuple(u for u in g.adj[v] if deg[u] == 2)
-    rungs: list[Rung] = []
-    if d < HEAVY:
-        if d == 4:
-            rungs.append((Condition.DEG4_NEIGHBOR_PROFILE, at))
-        elif d == 5:
-            rungs.append((Condition.DEG5_NEIGHBOR_PROFILE, at))
-        rungs.append((Condition.TRIANGLE_FACE_BUDGET, at))
-        if deg2_neighbors:
-            rungs.append((Condition.DEG2_BIG_NEIGHBORS, deg2_neighbors))
-        return rungs
-    # heavy
-    rungs.append((Condition.TRIANGLE_FACE_BUDGET, at))
-    if deg2_neighbors:
-        rungs.append((Condition.HEAVY_DEG2_SUPPORT, at))
-    elif d == t.tight:
-        rungs.append((Condition.TIGHT_VERTEX_SMALL_NEIGHBOR, at))
-    elif t.high <= d < t.huge:
-        rungs.append((Condition.TWO_DEG4_NEIGHBORS, at))
-    return rungs
-
-
-def _blame(p: PlaneGraph, g: Graph, kappa: int, elems: list[Element]) -> list[list[Violation]]:
-    """The violated hypotheses of each element, in ladder order.
-
-    Each hypothesis is checked once, at the union of the places that the
-    elements' ladders ask it about. A scoped condition check returns the
+def _blame(
+    p: PlaneGraph, g: Graph, kappa: int, transfers: list[Transfer], elems: list[Element]
+) -> list[list[Violation]]:
+    """The violated hypotheses of each element: its class's need, then the
+    sender hypotheses of each rule it fired, in table order, at itself and
+    then at its receivers. Each hypothesis is checked once, at the union
+    of the places the elements ask it about; a scoped check returns the
     concatenation of its single-vertex results in vertex order, so each
-    vertex gets the witnesses a check scoped to it alone would return.
-    """
-    t = thresholds(g, kappa)
-    ladders = [_ladder(p, g, t, e) for e in elems]
-    scopes: defaultdict[Condition | str, set[int]] = defaultdict(set)
-    for rungs in ladders:
-        for hyp, at in rungs:
-            scopes[hyp].update(at)
-    found: dict[Condition | str, dict[int, list[Violation]]] = {}
+    place gets the witnesses a check scoped to it alone would return."""
+    # the receivers of each rule (by table position) a negative element fired
+    negative = set(elems)
+    sent: dict[Element, dict[int, list[int]]] = {}
+    for name, source, target, _ in transfers:
+        if source in negative:
+            sent.setdefault(source, {}).setdefault(_RANK[name], []).append(target[1])
+    n_real, deg = p.n_real, g.degrees
+    asks: list[list[tuple[Hypothesis, tuple[int, ...]]]] = []
+    scopes: defaultdict[Hypothesis, set[int]] = defaultdict(set)
+    for elem in elems:
+        kind, x = elem
+        at = (x,)
+        d = deg[x] if kind == "v" and x < n_real else -1  # -1: a face or a crossing
+        places = [(NEEDS[d], at)] if 0 <= d < len(NEEDS) else []
+        fired = sorted(sent.get(elem, {}).items())
+        own = (SENDER, HEAVY_SENDER) if d >= HEAVY else (SENDER,)
+        for i, _ in fired:
+            for hyp, where in RULES[i].bounds:
+                if where in own:
+                    places.append((hyp, at))
+        if 4 <= d < HEAVY:  # a light sender: then at its 2-vertex receivers
+            for i, receivers in fired:
+                for hyp, where in RULES[i].bounds:
+                    if where is LIGHT_RECEIVERS:
+                        places.append((hyp, tuple(receivers)))
+        asks.append(places)
+        for hyp, xs in places:
+            scopes[hyp].update(xs)
+    found: dict[Hypothesis, dict[int, list[Violation]]] = {}
     for hyp, scope in scopes.items():
-        at_vertex: dict[int, list[Violation]] = {}
+        found[hyp] = at_place = {}
         if isinstance(hyp, Condition):
-            name = hyp.value
             for w in check_condition(g, p, kappa, hyp, vertices=scope):
-                at_vertex.setdefault(w.vertices[0], []).append(Violation(name, w.detail))
+                at_place.setdefault(w.vertices[0], []).append(Violation(hyp.value, w.detail))
         else:
-            profile = _PROFILE_CHECKS[hyp]
             for x in scope:
-                violation = profile(p, g, x)
+                violation = _PROFILE_CHECKS[hyp](p, g, x)
                 if violation:
-                    at_vertex[x] = [violation]
-        found[hyp] = at_vertex
+                    at_place[x] = [violation]
     out = []
-    for rungs in ladders:
+    for places in asks:
         violated: list[Violation] = []
-        for hyp, at in rungs:
-            at_vertex = found[hyp]
+        for hyp, at in places:
+            at_place = found[hyp]
             for x in at:
-                violated.extend(at_vertex.get(x, ()))
+                violated.extend(at_place.get(x, ()))
         out.append(violated)
     return out
 
@@ -338,25 +337,27 @@ def _blame(p: PlaneGraph, g: Graph, kappa: int, elems: list[Element]) -> list[li
 def element_hypothesis_failures(
     p: PlaneGraph, g: Graph, kappa: int, elem: Element
 ) -> list[Violation]:
-    """Violated local hypotheses for one element's degree class: the
-    audit's blame for that element alone. If the returned list is empty,
-    the element's final charge is >= 0."""
-    return _blame(p, g, kappa, [elem])[0]
+    """The audit's blame for one element alone; if it is empty, the
+    element's final charge is >= 0. An unknown element kind, an index
+    outside the drawing and a palette below the floor raise ValueError."""
+    kind, idx = elem
+    size = {"v": p.graph.n, "f": len(p.faces)}.get(kind)
+    if size is None or not 0 <= idx < size:
+        raise ValueError(f"element {elem!r} is not a vertex or face of the drawing")
+    _require_floor(g, kappa)
+    return _blame(p, g, kappa, compute_transfers(p, g, kappa), [elem])[0]
 
 
 def audit_final_charges(
     ledger: ChargeLedger, p: PlaneGraph, g: Graph, kappa: int
 ) -> DischargeReport:
-    """Per-element final-charge audit after the rules were applied.
-
-    Every negative element is reported together with the violated local
-    hypotheses of its class, blamed in one batch; for a connected drawing
-    the total is -8, so the negative list is never empty on valid input.
-    The report holds the ledger's twelfths as exact ``Fraction`` values.
-    """
-    firings: dict[str, int] = {}
-    for t in ledger.transfers:
-        firings[t.rule] = firings.get(t.rule, 0) + 1
+    """Per-element final-charge audit after the rules were applied: every
+    negative element (there is one, as the total of a connected drawing is
+    -8) with its violated hypotheses, blamed in one batch from the ledger's
+    transfers, and the charges as exact ``Fraction`` values. A palette
+    below the discharging floor raises ValueError."""
+    _require_floor(g, kappa)
+    firings = Counter(t.rule for t in ledger.transfers)
     total = ledger.total()
     # one Fraction per distinct charge, shared by the elements holding it
     value = {q: Fraction(q, SCALE) for q in set(ledger.charges.values())}
@@ -364,7 +365,7 @@ def audit_final_charges(
     elems = sorted(elem for elem, q in ledger.charges.items() if q < 0)
     negative = [
         NegativeElement(elem, charges[elem], tuple(violated))
-        for elem, violated in zip(elems, _blame(p, g, kappa, elems))
+        for elem, violated in zip(elems, _blame(p, g, kappa, ledger.transfers, elems))
     ]
     return DischargeReport(
         total=Fraction(total, SCALE),
@@ -376,11 +377,9 @@ def audit_final_charges(
 
 
 def discharge(p: PlaneGraph, g: Graph, kappa: int | None = None) -> DischargeReport:
-    """Full pipeline: initial charges, rules, audit. A palette below the
-    max degree raises ValueError: no coloring can use it."""
+    """Initial charges, rules, audit; a palette below the floor raises ValueError."""
     if kappa is None:
         kappa = g.delta + DEFAULT_SLACK
-    elif kappa < g.delta:
-        raise ValueError(f"palette {kappa} below max degree {g.delta}; properness impossible")
+    _require_floor(g, kappa)
     ledger = apply_rules(initial_charges(p), p, g, kappa)
     return audit_final_charges(ledger, p, g, kappa)

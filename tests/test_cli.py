@@ -233,20 +233,34 @@ def test_audit_requires_drawing(c5_file):
     assert main(["audit", str(c5_file)]) == 2
 
 
-@pytest.mark.parametrize("command", ["discharge", "audit"])
-@pytest.mark.parametrize("kappa", ["0", "1"])
+@pytest.mark.parametrize(
+    "kappa,command",
+    [
+        ("0", "audit"),
+        ("0", "discharge"),
+        ("1", "audit"),
+        ("1", "discharge"),
+        ("4", "discharge"),
+        ("19", "discharge"),
+    ],
+)
 def test_palette_below_max_degree_is_refused(drawing_file, capsys, command, kappa):
-    # the crossed 3x4 grid has max degree 4; `color` refuses such a palette too
+    # the crossed 3x4 grid has max degree 4; `color` refuses such a palette
+    # too, and `discharge` refuses one below its floor, max degree + 16
     rc = main([command, str(drawing_file), "--kappa", kappa])
     assert rc == 2
     captured = capsys.readouterr()
     assert "below max degree" in captured.err
+    if command == "discharge":
+        assert "max degree + 16 = 20" in captured.err
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["discharge", "audit"])
+@pytest.mark.parametrize("command", ["audit"])
 def test_palette_at_max_degree_is_accepted(drawing_file, command):
     assert main([command, str(drawing_file), "--kappa", "4"]) in (0, 1)
+    # `discharge` accepts its floor, max degree + 16
+    assert main(["discharge", str(drawing_file), "--kappa", "20"]) == 0
 
 
 def test_missing_file_is_input_error(tmp_path):

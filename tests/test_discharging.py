@@ -1,14 +1,20 @@
+import re
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acecolor.conditions import DEG5_BIG, HEAVY, Condition, check_condition, thresholds
 from acecolor.discharging import (
+    FLOOR_SLACK,
+    RULES,
     SCALE,
     ChargeLedger,
     Transfer,
-    Violation,
     apply_rules,
+    audit_final_charges,
     compute_transfers,
     conservation_check,
     discharge,
@@ -221,21 +227,34 @@ def test_ledger_counts_integer_twelfths():
         led = apply_rules(initial_charges(p), p, g, kappa)
         assert all(type(q) is int for q in led.charges.values())
         assert all(type(t.amount) is int and t.amount > 0 for t in led.transfers)
-        rep = discharge(p, g, kappa)
-        assert rep.charges == {e: Fraction(q, SCALE) for e, q in led.charges.items()}
-        assert rep.total == Fraction(led.total(), SCALE) == -8
-        for ne in rep.negative_elements:
-            assert ne.charge == Fraction(led.charges[ne.element], SCALE) < 0
+    rep = discharge(p, g, kappa)  # slack 16: the audit runs from its floor up only
+    assert rep.charges == {e: Fraction(q, SCALE) for e, q in led.charges.items()}
+    assert rep.total == Fraction(led.total(), SCALE) == -8
+    for ne in rep.negative_elements:
+        assert ne.charge == Fraction(led.charges[ne.element], SCALE) < 0
 
 
 def test_discharge_refuses_palette_below_max_degree():
+    # below max degree + 16 the audit's argument does not close: the rules
+    # still run from max degree up, but the pipeline, the audit and the
+    # one-element blame refuse, naming the floor
     d = generate_instance("grid-with-crossings", 3)
     p = planarize(d)
     g = d.base
-    for kappa in (0, 1, g.max_degree() - 1):
-        with pytest.raises(ValueError, match="below max degree"):
+    floor = g.max_degree() + 16
+    for kappa in (0, 1, g.max_degree() - 1, g.max_degree(), floor - 1):
+        message = f"palette {kappa} below max degree \\+ 16 = {floor}"
+        with pytest.raises(ValueError, match=message):
             discharge(p, g, kappa)
-    assert discharge(p, g, g.max_degree()).total == -8
+        if kappa < g.max_degree():
+            continue
+        led = apply_rules(initial_charges(p), p, g, kappa)
+        assert led.total() == -8 * SCALE
+        with pytest.raises(ValueError, match=message):
+            audit_final_charges(led, p, g, kappa)
+        with pytest.raises(ValueError, match=message):
+            element_hypothesis_failures(p, g, kappa, ("v", 0))
+    assert discharge(p, g, floor).total == -8
 
 
 def test_threshold_table_holds_the_paper_constants_at_default_slack():
@@ -276,119 +295,110 @@ def test_pendant_vertex_is_blamed_on_min_degree():
     assert all(ne.violated for ne in rep.negative_elements)
 
 
-# -- the batched blame against a per-element copy of the ladder --------------------
+# -- the rule table and the floor ------------------------------------------------
 
 
-def _old_face_profile_deg3(p, v):
-    faces = [p.faces[i].degree for i in p.faces_at(v)]
-    three = sum(1 for d in faces if d == 3)
-    if three >= 2 and not any(d >= 5 for d in faces):
-        return Violation(
-            "deg3-face-profile",
-            f"3-vertex {v} has incident face degrees {sorted(faces)}: two "
-            "3-faces but no 5+ face",
-        )
-    return None
+def test_transfers_read_names_and_amounts_from_the_rule_table():
+    # every firing carries its rule's amount, and each of the eight rules
+    # fires somewhere: on the corpus at slack 2 and 16, or on the fixtures
+    table = {rule.name: rule.amount for rule in RULES}
+    assert len(table) == 8
+    corpus = [d for _, d in generate_corpus(CorpusSpec(count=60, seed=1000))]
+    fixtures = [five_vertex_fixture(), heavy_four_vertex_fixture()]
+    runs = [(d, s) for d in corpus for s in (2, 16)] + [(d, s) for d in fixtures for s in range(17)]
+    fired = set()
+    for d, slack in runs:
+        p, g = planarize(d), d.base
+        for t in compute_transfers(p, g, g.max_degree() + slack):
+            assert t.amount == table[t.rule]
+            fired.add(t.rule)
+    assert fired == set(table)
 
 
-def _old_face_no_consecutive_deg3(p, g, fi):
-    walk = p.faces[fi].vertices
-    d = len(walk)
-    for i in range(d):
-        a, b = walk[i], walk[(i + 1) % d]
-        if a < p.n_real and b < p.n_real and g.degree(a) == 3 and g.degree(b) == 3:
-            return Violation(
-                "no-consecutive-deg3",
-                f"face {fi} has consecutive 3-vertices {a}, {b} on its boundary",
-            )
-    return None
+def _worst_sender_charges(slack: int) -> tuple[int, int]:
+    """The least final charge, in twelfths, of a high (not huge) and of a
+    huge sender, with only the bounds the audit checks: at most
+    floor(2d/3) 3-faces (triangle-face-budget) and, at a high sender, two
+    neighbors of degree 4 or more (two-deg4-neighbors), the other d - 2
+    being 3-vertices."""
+    g = five_vertex_fixture().base
+    t = thresholds(g, g.max_degree() + slack)
+    amount = {rule.name: rule.amount for rule in RULES}
+    face = amount["triface-from-real"]
+    to_three = amount["deg3-from-high"]
+    to_four_or_five = max(amount["deg4-quarter"], amount["deg5-sixth"])
+    to_any = max(to_three, to_four_or_five, amount["deg4-third"])
+    high = min(
+        (d - 4) * SCALE - (d - 2) * to_three - 2 * to_four_or_five - (2 * d // 3) * face
+        for d in range(t.high, t.huge)
+    )
+    huge = min(
+        (d - 4) * SCALE - d * to_any - (2 * d // 3) * face for d in range(t.huge, 3 * t.huge)
+    )
+    return high, huge
 
 
-def _per_element_blame(p, g, kappa, elem):
-    """The blame ladder of one element, one scoped check_condition call
-    per rung: the audit's blame before it was batched."""
-    kind, idx = elem
-    out = []
-    if kind == "f":
-        if p.faces[idx].degree >= 5:
-            v = _old_face_no_consecutive_deg3(p, g, idx)
-            if v:
-                out.append(v)
-        return out
-    v = idx
-    if p.is_crossing(v):
-        return []
-    d = g.degree(v)
-    deg2_neighbors = [u for u in g.adj[v] if g.degree(u) == 2]
-
-    def cond(c, at=None):
-        found = check_condition(g, p, kappa, c, vertices=(v,) if at is None else at)
-        out.extend(Violation(c.value, w.detail) for w in found)
-
-    if d < 2:
-        cond(Condition.MIN_DEGREE_2CONNECTED)
-    elif d == 2:
-        cond(Condition.DEG2_BIG_NEIGHBORS)
-        cond(Condition.DEG2_FACE_SIZES)
-    elif d == 3:
-        cond(Condition.DEG3_BIG_NEIGHBORS)
-        cond(Condition.TRIANGLE_FACE_BUDGET)
-        prof = _old_face_profile_deg3(p, v)
-        if prof:
-            out.append(prof)
-    elif 4 <= d < HEAVY:
-        if d == 4:
-            cond(Condition.DEG4_NEIGHBOR_PROFILE)
-        elif d == 5:
-            cond(Condition.DEG5_NEIGHBOR_PROFILE)
-        cond(Condition.TRIANGLE_FACE_BUDGET)
-        if deg2_neighbors:
-            cond(Condition.DEG2_BIG_NEIGHBORS, at=tuple(deg2_neighbors))
-    else:
-        cond(Condition.TRIANGLE_FACE_BUDGET)
-        if deg2_neighbors:
-            cond(Condition.HEAVY_DEG2_SUPPORT)
-        else:
-            t = thresholds(g, kappa)
-            if d == t.tight:
-                cond(Condition.TIGHT_VERTEX_SMALL_NEIGHBOR)
-            elif t.high <= d < t.huge:
-                cond(Condition.TWO_DEG4_NEIGHBORS)
-    return out
+def test_the_floor_is_where_high_and_huge_senders_close():
+    # the audit's floor is the paper's +16: a change to an amount or a
+    # threshold that moves the least closing slack fails here
+    assert FLOOR_SLACK == 16
+    assert _worst_sender_charges(15) == (-SCALE // 2, -SCALE // 2)
+    for slack in (16, 17, 18):
+        assert _worst_sender_charges(slack) == (0, 0)
+    assert all(min(_worst_sender_charges(slack)) >= 0 for slack in range(16, 40))
 
 
-def test_batched_blame_matches_the_per_element_ladder():
-    # every negative element gets the violations the per-element ladder
-    # gives it, at every slack: the unblamed elements of small slacks
-    # included, whose count this test does not pin
-    drawings = [d for _, d in generate_corpus(CorpusSpec(count=210, seed=1000))]
-    fixtures = [five_vertex_fixture(), heavy_four_vertex_fixture(), pendant_cycle_fixture()]
-    blamed = 0
-    for i, d in enumerate(drawings + fixtures):
-        p = planarize(d)
-        g = d.base
-        for slack in range(17):
-            kappa = g.max_degree() + slack
-            rep = discharge(p, g, kappa)
-            for ne in rep.negative_elements:
-                assert ne.violated == tuple(_per_element_blame(p, g, kappa, ne.element)), (
-                    i, slack, ne.element,
-                )
-                blamed += bool(ne.violated)
-            if i >= len(drawings):  # the one-element entry point, on every element
-                for elem in rep.charges:
-                    assert element_hypothesis_failures(p, g, kappa, elem) == (
-                        _per_element_blame(p, g, kappa, elem)
-                    ), (i, slack, elem)
-    assert blamed
+# -- sound blame from the floor up ------------------------------------------------
+
+
+@cache
+def _corpus_drawings():
+    return [d for _, d in generate_corpus(CorpusSpec(count=210, seed=1000))]
+
+
+@st.composite
+def _grids(draw):
+    """A grid with some distinct edges subdivided, then crossing chords
+    inserted over drawn edges where the builder allows one."""
+    b = grid_builder(draw(st.integers(2, 6)), draw(st.integers(3, 6)))
+    for u, v in draw(st.lists(st.sampled_from(sorted(b.edges)), max_size=6, unique=True)):
+        b.subdivide(u, v)
+    for a, c in draw(st.lists(st.sampled_from(sorted(b.edges)), max_size=6)):
+        if b.can_insert_crossing(a, c):
+            b.insert_crossing(a, c)
+    return b.to_drawing()
+
+
+_DRAWINGS = st.one_of(
+    st.integers(0, 209).map(lambda i: _corpus_drawings()[i]),
+    st.sampled_from([five_vertex_fixture, heavy_four_vertex_fixture, pendant_cycle_fixture]).map(
+        lambda make: make()
+    ),
+    _grids(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DRAWINGS, st.integers(16, 24))
+def test_blame_is_sound_from_the_floor_up(d, slack):
+    # no negative element is unblamed, the one-element blame agrees with
+    # the audit's, and the total is -8
+    p, g = planarize(d), d.base
+    kappa = g.max_degree() + slack
+    rep = discharge(p, g, kappa)
+    assert rep.total == -8 and rep.conserved
+    assert rep.negative_elements
+    for ne in rep.negative_elements:
+        assert ne.violated, ne.element
+        assert element_hypothesis_failures(p, g, kappa, ne.element) == list(ne.violated)
 
 
 def test_one_element_blame_errors():
     p = planarize(grid_builder(3, 3).to_drawing())
     g = p.base
     kappa = g.max_degree() + 16
-    with pytest.raises(ValueError, match="outside"):
-        element_hypothesis_failures(p, g, kappa, ("v", -1))
-    with pytest.raises(IndexError):
-        element_hypothesis_failures(p, g, kappa, ("f", len(p.faces)))
-    assert element_hypothesis_failures(p, g, kappa, ("v", p.graph.n)) == []
+    bad = [("v", -1), ("v", p.graph.n), ("v", 10**6), ("f", -1), ("f", len(p.faces)), ("q", 0)]
+    for elem in bad:
+        with pytest.raises(ValueError, match=f"element {re.escape(repr(elem))} is not"):
+            element_hypothesis_failures(p, g, kappa, elem)
+    assert element_hypothesis_failures(p, g, kappa, ("f", len(p.faces) - 1)) == []

@@ -13,9 +13,11 @@ at kappa = max degree and, on a miss, at max degree + 1.
 Discharging and the structural conditions: over the 210-drawing
 acceptance corpus, ``CorpusSpec(count=210, seed=1000)``, at the default
 palette and at max degree + 2, and over two hand-built drawings at every
-slack from 0 to 16, the hash covers each discharge report (its JSON and
-every final charge), each condition's witnesses and the reducible
-witness.
+slack from 0 to 16, the hash covers each condition's witnesses, the
+reducible witness and, from the audit's floor (max degree + 16) up, each
+discharge report (its JSON and every final charge); below the floor,
+where the audit refuses, the ledger of the rules (every firing and every
+final charge) instead.
 
 The generator: the serialized drawings of the acceptance corpus, the
 tight-palette set, and the exact and scaling inputs of the pipeline
@@ -29,7 +31,7 @@ import random
 from acecolor import solver
 from acecolor.coloring import EdgeColoring
 from acecolor.conditions import CONDITION_ORDER, check_condition, find_reducible_configuration
-from acecolor.discharging import discharge
+from acecolor.discharging import FLOOR_SLACK, apply_rules, discharge, initial_charges
 from acecolor.embedding import format_drawing, planarize
 from acecolor.generate import CorpusSpec, generate_corpus, generate_instance, grid_builder
 from acecolor.solver import heuristic_color
@@ -98,27 +100,34 @@ def test_search_coloring_is_greedy_coloring_where_no_repair_is_needed():
 
 DISCHARGE_GOLDEN = {
     16: "559c781bc842a0e867320b7026f7198d8f0aaa04bcb59986c1c047fc22531e90",
-    2: "7ddddc66c60b713e7e35ca2d3f3370ce72a810969a09dca6e4c1f0d31aef26de",
+    2: "df6082ccccde6af4e79f9b4ac2760ed6442457e90224475cf843cc9e11be8f3c",
 }
-FIXTURE_GOLDEN = "e805fa99b1a71a9ca73aa6956e96b59155c0368435265858eb900a16fed5c086"
+FIXTURE_GOLDEN = "5d771f42288918962e11cd600fa7c2eb7dab319fe86ba6508fd3086f40a444b1"
 
 
 def _hash_discharge_audit(h, name: str, d, kappa: int) -> set:
-    """Feed h the discharge report (JSON plus every final charge), each
-    condition's witness list and the reducible witness of one drawing at
-    palette kappa. Returns the rules that fired."""
+    """Feed h the discharge report (JSON plus every final charge), or below
+    the audit's floor the rules' ledger, then each condition's witness
+    list and the reducible witness of one drawing at palette kappa.
+    Returns the rules that fired."""
     g = d.base
     p = planarize(d)
-    rep = discharge(p, g, kappa)
-    charges = [(e, f"{q.numerator}/{q.denominator}") for e, q in sorted(rep.charges.items())]
-    h.update(f"{name} {kappa} {json.dumps(rep.to_json(), sort_keys=True)} {charges}\n".encode())
+    if kappa >= g.max_degree() + FLOOR_SLACK:
+        rep = discharge(p, g, kappa)
+        charges = [(e, f"{q.numerator}/{q.denominator}") for e, q in sorted(rep.charges.items())]
+        h.update(f"{name} {kappa} {json.dumps(rep.to_json(), sort_keys=True)} {charges}\n".encode())
+        fired = set(rep.rule_firings)
+    else:
+        led = apply_rules(initial_charges(p), p, g, kappa)
+        h.update(f"{name} {kappa} {led.transfers} {sorted(led.charges.items())}\n".encode())
+        fired = {t.rule for t in led.transfers}
     for cond in CONDITION_ORDER:
         found = check_condition(g, p, kappa, cond)
         h.update(f"{cond.value} {[(w.vertices, w.detail) for w in found]}\n".encode())
     w = find_reducible_configuration(g, p, kappa)
     w = None if w is None else (w.condition.value, w.vertices, w.detail)
     h.update(f"witness {w}\n".encode())
-    return set(rep.rule_firings)
+    return fired
 
 
 def _discharge_audit_digest(slack: int) -> tuple[str, set]:
