@@ -78,6 +78,9 @@ def _palette(args, g: Graph) -> int:
 
 
 def cmd_color(args) -> int:
+    if args.coloring_out and len(args.instance) > 1:
+        # one file per run: a second instance would overwrite the first
+        raise ValueError(f"--coloring-out takes one instance, got {len(args.instance)}")
     status = EXIT_OK
     for path in args.instance:
         g, _ = _load_instance(path)
@@ -251,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kappa=True):
-        p.add_argument("instance", nargs="+", help="instance file(s)")
+    def common(p, kappa=True, instances="+"):
+        p.add_argument("instance", nargs=instances, help="instance file(s)")
         if kappa:
             p.add_argument("--kappa", type=int, default=None,
                            help="palette size (default: max degree + 16)")
@@ -265,15 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=RESTARTS,
                    help="rooted searches beyond the first, run only after the search "
                         f"on the peeling order spends its node budget (default {RESTARTS})")
-    p.add_argument("--coloring-out", default=None, help="save the coloring")
+    p.add_argument("--coloring-out", default=None,
+                   help="save the coloring (one instance only)")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("exact", help="exact acyclic chromatic index (small graphs)")
     common(p)
     p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("verify", help="check a serialized coloring")
-    common(p, kappa=False)
+    p = sub.add_parser("verify", help="check a serialized coloring of one instance")
+    common(p, kappa=False, instances=1)
     p.add_argument("--coloring", required=True, help="coloring file")
     p.set_defaults(func=cmd_verify)
 

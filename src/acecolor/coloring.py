@@ -1,10 +1,15 @@
-"""Partial acyclic edge colorings and bichromatic path machinery.
+"""Partial acyclic edge colorings, their checks and their path queries.
 
 An edge coloring here is *proper* (no two edges sharing a vertex get the
 same color) and *acyclic* (the union of any two color classes contains no
 cycle, i.e. induces a linear forest). Properness is enforced on every
 assignment; acyclicity is the caller's concern, checked either
 incrementally through ``valid_colors`` or from scratch through ``verify``.
+
+The solver colors through the search kernel, so the path queries kept
+here are the ones the checks use: ``valid_colors`` (with
+``has_critical_path``, the walk that decides it), ``maximal_bichromatic_path``
+and the stuck-edge diagnostic ``extension_probe``.
 
 Colors are 1-based integers; 0 is reserved for "uncolored" in serialized
 form.
@@ -26,11 +31,6 @@ class BichromaticPath:
     colors: tuple[int, int]
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
-    maximal: bool
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,6 @@ class EdgeColoring:
             and self.kappa == other.kappa
             and self._color == other._color
         )
-
-    def __hash__(self):  # pragma: no cover - mutable, not hashable
-        raise TypeError("EdgeColoring is not hashable")
 
     def _edge(self, e: tuple[int, int]) -> Edge:
         e = canonical_edge(*e)
@@ -171,18 +168,6 @@ class EdgeColoring:
         self.graph.check_vertex(v)
         return set(self._at[v])
 
-    def free_colors(self, v: int) -> set[int]:
-        """Palette colors not present at v."""
-        self.graph.check_vertex(v)
-        at = self._at[v]
-        return {c for c in range(1, self.kappa + 1) if c not in at}
-
-    def edge_with_color(self, v: int, c: int) -> Edge | None:
-        """The edge of color c at v, or None (at most one exists)."""
-        self.graph.check_vertex(v)
-        w = self._at[v].get(c)
-        return None if w is None else canonical_edge(v, w)
-
     def free_colors_pair(self, u: int, v: int) -> set[int]:
         """Palette colors absent at both u and v."""
         self.graph.check_vertex(u)
@@ -190,21 +175,12 @@ class EdgeColoring:
         au, av = self._at[u], self._at[v]
         return {c for c in range(1, self.kappa + 1) if c not in au and c not in av}
 
-    def colors_beyond(self, u: int, v: int) -> set[int]:
-        """Colors at v other than the color of edge uv (all of them if uv
-        is uncolored). Requires uv to be an edge."""
-        e = self._edge((u, v))
-        out = set(self._at[v])
-        c = self._color.get(e)
-        if c is not None:
-            out.discard(c)
-        return out
-
     def shared_color_neighbors(self, u: int, v: int) -> set[int]:
         """Neighbors of u whose edge color also appears at v (not counting
-        the uv color itself). Not symmetric in u and v."""
-        beyond = self.colors_beyond(u, v)
-        return {self._at[u][c] for c in beyond if c in self._at[u]}
+        the uv color itself). Not symmetric in u and v; uv must be an edge."""
+        own = self._color.get(self._edge((u, v)))
+        at_u = self._at[u]
+        return {at_u[c] for c in self._at[v] if c != own and c in at_u}
 
     # -- path walks ---------------------------------------------------------
 
@@ -256,30 +232,17 @@ class EdgeColoring:
             canonical_edge(a, b) for a, b in zip(vertices, vertices[1:])
         )
         colors = (alpha, beta) if alpha < beta else (beta, alpha)
-        return BichromaticPath(colors, tuple(vertices), edges, maximal=True)
-
-    def _directed_walk_end(self, u: int, alpha: int, beta: int):
-        """End vertex and final edge color of the alternating walk leaving
-        u along its alpha-edge, or None if u has no alpha-edge."""
-        self.graph.check_vertex(u)
-        if self._at[u].get(alpha) is None:
-            return None
-        end, last = u, alpha
-        for w, c in self._arm(u, alpha, beta):
-            end, last = w, c
-        return end, last
+        return BichromaticPath(colors, tuple(vertices), edges)
 
     def has_critical_path(self, alpha: int, beta: int, u: int, v: int) -> bool:
         """True iff the maximal alternating path leaving u along alpha ends
         at v with an alpha edge. Such a path is exactly what closes a
         bichromatic cycle when uv is later colored beta."""
-        res = self._directed_walk_end(u, alpha, beta)
-        return res is not None and res == (v, alpha)
-
-    def has_alternating_path(self, alpha: int, beta: int, u: int, v: int) -> bool:
-        """True iff the walk leaving u along alpha ends at v with a beta edge."""
-        res = self._directed_walk_end(u, alpha, beta)
-        return res is not None and res == (v, beta)
+        self.graph.check_vertex(u)
+        end, last = u, None
+        for end, last in self._arm(u, alpha, beta):
+            pass
+        return end == v and last == alpha
 
     # -- extension ----------------------------------------------------------
 
@@ -321,8 +284,9 @@ def verify(coloring: EdgeColoring) -> VerifyReport:
     least 4, and each of its vertices holds both colors: a pair with fewer
     holders has no cycle. For the other pairs the alternating paths are
     walked from the holders, each vertex at most once per pair. Pairs are
-    visited in sorted order and the first cycle found is reported as its
-    edge list by ``_find_two_color_cycle``.
+    visited in sorted order; of the first pair with a cycle, the cycle
+    through the least vertex is reported as its sorted edge list. The
+    report depends only on the colors, not on the order they were assigned.
     """
     g = coloring.graph
     assigned = coloring.colored_edges()
@@ -346,20 +310,22 @@ def verify(coloring: EdgeColoring) -> VerifyReport:
                 holders.setdefault(pair, []).append(v)
     for pair in sorted(holders):
         hs = holders[pair]
-        if len(hs) >= 4 and _pair_has_cycle(at, *pair, hs):
-            cycle = _find_two_color_cycle(g.n, assigned, *pair)
-            return VerifyReport(proper=True, acyclic=False, cycle=cycle)
+        if len(hs) >= 4:
+            cycle = _pair_cycle(at, *pair, hs)
+            if cycle:
+                return VerifyReport(proper=True, acyclic=False, cycle=cycle)
     return VerifyReport(proper=True, acyclic=True)
 
 
-def _pair_has_cycle(
+def _pair_cycle(
     at: list[dict[int, int]], alpha: int, beta: int, holders: list[int]
-) -> bool:
-    """Whether the alpha/beta edges of a proper coloring (``at`` maps
-    vertex -> color -> neighbor) close a cycle through one of the holders,
-    the vertices with both colors. Each component is a path or a cycle:
-    from a holder the walk along alpha either returns to it (a cycle) or
-    ends, and then the walk along beta marks the rest of the path."""
+) -> tuple[Edge, ...] | None:
+    """The sorted edges of the alpha/beta cycle of a proper coloring
+    (``at`` maps vertex -> color -> neighbor) through the least holder on
+    one, or None. Holders, the vertices with both colors, come in
+    increasing order. Each component is a path or a cycle: from a holder
+    the walk along alpha either returns to it (a cycle) or ends, and then
+    the walk along beta marks the rest of the path."""
     seen: set[int] = set()
     for s in holders:
         if s in seen:
@@ -373,49 +339,18 @@ def _pair_has_cycle(
                 break
             x, use = nxt, alpha if use == beta else beta
         else:
-            return True
+            # walked again only once found: no cost on an acyclic coloring
+            cycle, x, use = [], s, alpha
+            while True:
+                y = at[x][use]
+                cycle.append(canonical_edge(x, y))
+                if y == s:
+                    return tuple(sorted(cycle))
+                x, use = y, alpha if use == beta else beta
         x, use = at[s][beta], alpha
         while x is not None:
             seen.add(x)
             x, use = at[x].get(use), alpha if use == beta else beta
-    return False
-
-
-def _find_two_color_cycle(
-    n: int, assigned: dict[Edge, int], alpha: int, beta: int
-) -> tuple[Edge, ...] | None:
-    adj: dict[int, list[int]] = {}
-    for (u, v), c in assigned.items():
-        if c == alpha or c == beta:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-    # within a proper coloring each vertex has <= 2 incident edges here, so
-    # each component is a path or a cycle; find a component with m == n
-    seen: set[int] = set()
-    for s in adj:
-        if s in seen:
-            continue
-        comp = []
-        stack = [s]
-        seen.add(s)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        edge_count = sum(len(adj[x]) for x in comp) // 2
-        if edge_count == len(comp):
-            cs = set(comp)
-            cycle = tuple(
-                sorted(
-                    e
-                    for e, c in assigned.items()
-                    if c in (alpha, beta) and e[0] in cs and e[1] in cs
-                )
-            )
-            return cycle
     return None
 
 

@@ -313,8 +313,10 @@ def _check_heavy_deg2_support(g: Graph, kappa: int, vertices) -> list[ConditionW
 
 
 def _check_deg2_face_sizes(g: Graph, plane: PlaneGraph, vertices) -> list[ConditionWitness]:
-    """Real 2-vertices on a 3-face (embedding.degree_two_face_violations),
-    read from the 3-faces at each 2-vertex of the scope."""
+    """Real 2-vertices on a 3-face, one witness per 3-face at each 2-vertex
+    of the scope. In a drawing with as few crossings as possible every
+    2-vertex lies only on faces of degree >= 4, so a witness signals a
+    drawing that is not crossing-minimal."""
     out = []
     for v in _of_degree(plane.base, vertices, 2):
         for fi in plane.triangles_at[v]:

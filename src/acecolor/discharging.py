@@ -231,13 +231,6 @@ def apply_rules(ledger: ChargeLedger, p: PlaneGraph, g: Graph, kappa: int | None
     return out
 
 
-def conservation_check(before: ChargeLedger, after: ChargeLedger) -> bool:
-    """Totals must agree (transfers are zero-sum) over the same elements."""
-    if set(before.charges) != set(after.charges):
-        raise ValueError("ledgers cover different element sets")
-    return before.total() == after.total()
-
-
 # -- the audit ---------------------------------------------------------------------
 
 

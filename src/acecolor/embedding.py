@@ -11,7 +11,10 @@ continues with (v, w) where w follows u in the rotation at v. Every
 directed edge lies on exactly one face walk.
 
 This module only validates drawings; constructing them (generators,
-crossing insertion) lives in ``acecolor.generate``.
+crossing insertion) lives in ``acecolor.generate``. Two facts about a
+plane graph live with their one user instead: the Euler charge total of
+-8 in ``discharging.initial_charges``, and 2-vertices on 3-faces in the
+``deg2-face-sizes`` condition of ``acecolor.conditions``.
 """
 
 from __future__ import annotations
@@ -77,17 +80,12 @@ class Drawing:
         self.crossing_pairs: tuple[CrossingPair, ...] = tuple(pairs)
         self.rotation = {v: tuple(rot) for v, rot in rotation.items()}
 
-    @property
-    def crossing_count(self) -> int:
-        return len(self.crossing_pairs)
-
 
 class PlaneGraph:
     """The plane graph of a drawing: crossings are degree-4 vertices.
 
     Vertices 0..n_real-1 are the base vertices; n_real.. are crossings.
-    ``graph`` is the planarized graph, ``segment_origin`` maps each of its
-    edges back to the base edge it belongs to. ``triangles_at[v]`` holds
+    ``graph`` is the planarized graph. ``triangles_at[v]`` holds
     the indices of the 3-faces at v, with multiplicity; it is computed
     once, with the face index, so that the face conditions cost O(deg v)
     per vertex: its length is v's 3-face count, and a 2-vertex lies on a
@@ -101,7 +99,6 @@ class PlaneGraph:
         "graph",
         "rotation",
         "faces",
-        "segment_origin",
         "triangles_at",
         "_face_index_at",
     )
@@ -113,7 +110,6 @@ class PlaneGraph:
         graph: Graph,
         rotation: tuple[tuple[int, ...], ...],
         faces: tuple[Face, ...],
-        segment_origin: dict[Edge, Edge],
     ):
         self.base = base
         self.n_real = base.n
@@ -121,7 +117,6 @@ class PlaneGraph:
         self.graph = graph
         self.rotation = rotation
         self.faces = faces
-        self.segment_origin = segment_origin
         index: list[list[int]] = [[] for _ in range(graph.n)]
         triangles: list[list[int]] = [[] for _ in range(graph.n)]
         for i, f in enumerate(faces):
@@ -142,20 +137,10 @@ class PlaneGraph:
         self.graph.check_vertex(v)
         return self._face_index_at[v]
 
-    def reconstructed_base_edges(self) -> set[Edge]:
-        """Contract every crossing vertex back: recover the base edge set."""
-        out: set[Edge] = set()
-        for e in self.graph.edges:
-            out.add(self.segment_origin[e])
-        return out
 
-
-def trace_faces(n: int, rotation: dict[int, tuple[int, ...]] | list) -> list[Face]:
-    """Orbit decomposition of directed edges under the next-edge map."""
-    if isinstance(rotation, dict):
-        rot = [tuple(rotation.get(v, ())) for v in range(n)]
-    else:
-        rot = [tuple(r) for r in rotation]
+def trace_faces(n: int, rot: list[tuple[int, ...]]) -> list[Face]:
+    """Orbit decomposition of directed edges under the next-edge map;
+    ``rot[v]`` is the rotation at vertex v, for v in 0..n-1."""
     pos = [{u: i for i, u in enumerate(r)} for r in rot]
     used: set[tuple[int, int]] = set()
     faces: list[Face] = []
@@ -193,19 +178,14 @@ def planarize(d: Drawing) -> PlaneGraph:
         crossed[e1] = n + i
         crossed[e2] = n + i
 
-    # planarized edges + origin map
+    # planarized edges: a crossed edge becomes its two halves
     segments: list[Edge] = []
-    segment_origin: dict[Edge, Edge] = {}
     for e in base.edges:
         if e in crossed:
             x = crossed[e]
-            for end in e:
-                s = canonical_edge(end, x)
-                segments.append(s)
-                segment_origin[s] = e
+            segments.extend(canonical_edge(end, x) for end in e)
         else:
             segments.append(e)
-            segment_origin[e] = e
     try:
         pgraph = Graph(n_all, segments)
     except ValueError as exc:  # two crossings of one edge already rejected
@@ -272,28 +252,7 @@ def planarize(d: Drawing) -> PlaneGraph:
         graph=pgraph,
         rotation=tuple(rot_list),
         faces=tuple(faces),
-        segment_origin=segment_origin,
     )
-
-
-def degree_charge_total(p: PlaneGraph) -> int:
-    """Sum of (deg - 4) over all vertices and faces of the plane graph;
-    equals -8 for every connected plane graph."""
-    if not p.graph.is_connected():
-        raise EmbeddingError("charge identity requires a connected drawing")
-    vertex_part = sum(d - 4 for d in p.graph.degrees)
-    face_part = sum(f.degree - 4 for f in p.faces)
-    return vertex_part + face_part
-
-
-def degree_two_face_violations(p: PlaneGraph) -> list[tuple[int, int]]:
-    """Real degree-2 vertices lying on a 3-face, as (vertex, face index).
-
-    In a drawing with as few crossings as possible every 2-vertex lies
-    only on faces of degree >= 4; violations signal a non-minimal drawing.
-    """
-    deg = p.base.degrees
-    return [(v, fi) for v in range(p.n_real) if deg[v] == 2 for fi in p.triangles_at[v]]
 
 
 def triangle_face_budget(p: PlaneGraph, v: int) -> tuple[int, int, bool]:

@@ -101,11 +101,6 @@ class Graph:
             raise ValueError("max degree of an empty graph is undefined")
         return self.delta
 
-    def min_degree(self) -> int:
-        if self.n == 0:
-            raise ValueError("min degree of an empty graph is undefined")
-        return min(self.degrees)
-
     def without_edge(self, u: int, v: int) -> "Graph":
         """New graph with edge uv removed (vertex set unchanged)."""
         e = canonical_edge(u, v)

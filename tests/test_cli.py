@@ -155,6 +155,28 @@ def test_verify_roundtrip(c5_file, tmp_path, capsys):
     assert "acyclic=True" in capsys.readouterr().out
 
 
+def test_verify_takes_exactly_one_instance(c5_file, tmp_path, capsys):
+    colpath = tmp_path / "c5.coloring"
+    assert main(["color", str(c5_file), "--coloring-out", str(colpath)]) == 0
+    capsys.readouterr()
+    for instances in ([str(c5_file), str(tmp_path / "nonexistent.txt")], [str(c5_file)] * 2, []):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *instances, "--coloring", str(colpath)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_color_refuses_coloring_out_for_several_instances(c5_file, tmp_path, capsys):
+    other = tmp_path / "c4.txt"
+    other.write_text(format_graph(cycle(4)))
+    colpath = tmp_path / "c.coloring"
+    rc = main(["color", str(c5_file), str(other), "--coloring-out", str(colpath)])
+    assert rc == 2
+    assert not colpath.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--coloring-out takes one instance, got 2" in captured.err
+
+
 def test_verify_detects_tampering(c5_file, tmp_path, capsys):
     g = cycle(5)
     # alternating 2-coloring of an even subcycle is improper on C5; build

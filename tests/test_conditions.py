@@ -14,7 +14,7 @@ from acecolor.conditions import (
     recheck_witness,
 )
 from acecolor.discharging import discharge
-from acecolor.embedding import degree_two_face_violations, planarize
+from acecolor.embedding import planarize
 from acecolor.errors import SizeRefusal
 from acecolor.generate import FAMILIES, generate_instance, grid_builder
 from acecolor.graph import Graph
@@ -277,8 +277,9 @@ def test_scoped_face_conditions_match_full_scope(d, data):
     for v in range(p.graph.n):
         assert len(p.triangles_at[v]) == recount[v]
         assert p.triangles_at[v] == tuple(i for i in p.faces_at(v) if p.faces[i].degree == 3)
-    assert degree_two_face_violations(p) == [
-        (v, i)
+    on_3_faces = check_condition(g, p, kappa_for(g), Condition.DEG2_FACE_SIZES)
+    assert [w.vertices for w in on_3_faces] == [
+        (v,)
         for v in range(p.n_real)
         if g.degree(v) == 2
         for i in p.faces_at(v)

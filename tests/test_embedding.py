@@ -2,10 +2,10 @@ import re
 
 import pytest
 
+from acecolor.conditions import Condition, check_condition
+from acecolor.discharging import SCALE, initial_charges
 from acecolor.embedding import (
     Drawing,
-    degree_charge_total,
-    degree_two_face_violations,
     format_drawing,
     _vertex_token,
     parse_drawing,
@@ -14,8 +14,7 @@ from acecolor.embedding import (
 )
 from acecolor.errors import EmbeddingError, ParseError
 from acecolor.generate import cycle_builder, grid_builder
-from acecolor.graph import Graph
-
+from acecolor.graph import Graph, canonical_edge
 
 
 def c4_drawing():
@@ -43,6 +42,16 @@ def triangle_with_tail_drawing():
     return Drawing(base, [], rotation)
 
 
+def contracted_edges(p):
+    """The base edges recovered from the planarized graph: the rotation
+    (a, b, c, d) at each crossing joins its halves into {a, c} and {b, d}."""
+    out = {e for e in p.graph.edges if not any(p.is_crossing(v) for v in e)}
+    for x in range(p.n_real, p.graph.n):
+        a, b, c, d = p.rotation[x]
+        out |= {canonical_edge(a, c), canonical_edge(b, d)}
+    return out
+
+
 def test_c4_faces():
     p = planarize(c4_drawing())
     assert len(p.faces) == 2
@@ -61,7 +70,7 @@ def test_zero_crossings_identity():
     p = planarize(d)
     assert p.graph == d.base
     assert p.rotation == tuple(tuple(d.rotation[v]) for v in range(4))
-    assert p.reconstructed_base_edges() == set(d.base.edges)
+    assert contracted_edges(p) == set(d.base.edges)
 
 
 def test_k4_crossed_planarization():
@@ -72,8 +81,8 @@ def test_k4_crossed_planarization():
     assert sorted(f.degree for f in p.faces) == [3, 3, 3, 3, 4]
     # V - E + F = 5 - 8 + 5 = 2
     assert p.graph.n - p.graph.m + len(p.faces) == 2
-    assert degree_charge_total(p) == -8
-    assert p.reconstructed_base_edges() == set(p.base.edges)
+    assert initial_charges(p).total() == -8 * SCALE
+    assert contracted_edges(p) == set(p.base.edges)
 
 
 def test_two_disjoint_crossings_not_adjacent():
@@ -106,32 +115,34 @@ def test_triangle_free_base_puts_one_crossing_on_every_3_face():
 
 
 def test_charge_identity_examples():
-    assert degree_charge_total(planarize(c4_drawing())) == -8
-    assert degree_charge_total(planarize(k4_crossed_drawing())) == -8
+    assert initial_charges(planarize(c4_drawing())).total() == -8 * SCALE
+    assert initial_charges(planarize(k4_crossed_drawing())).total() == -8 * SCALE
     b = grid_builder(3, 5)
     b.insert_crossing(6, 7)
-    assert degree_charge_total(planarize(b.to_drawing())) == -8
+    p = planarize(b.to_drawing())
+    assert initial_charges(p).total() == -8 * SCALE
+    assert contracted_edges(p) == set(p.base.edges)
 
 
 def test_charge_identity_rejects_disconnected():
     base = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     rotation = {0: [1, 2], 1: [2, 0], 2: [0, 1], 3: [4, 5], 4: [5, 3], 5: [3, 4]}
     p = planarize(Drawing(base, [], rotation))
-    with pytest.raises(EmbeddingError):
-        degree_charge_total(p)
+    with pytest.raises(EmbeddingError, match="connected"):
+        initial_charges(p)
 
 
 def test_degree_two_face_violations():
+    def on_3_faces(p):
+        found = check_condition(p.base, p, p.base.delta + 16, Condition.DEG2_FACE_SIZES)
+        return [w.vertices for w in found]
+
     # subdivided C4: all 2-vertices, both faces large
-    p = planarize(cycle_builder(8).to_drawing())
-    assert degree_two_face_violations(p) == []
+    assert on_3_faces(planarize(cycle_builder(8).to_drawing())) == []
     # a 2-vertex on a 3-face
-    p = planarize(triangle_with_tail_drawing())
-    violations = degree_two_face_violations(p)
-    assert any(v == 3 for v, _ in violations)
+    assert (3,) in on_3_faces(planarize(triangle_with_tail_drawing()))
     # crossing-free quadrangulation has no 3-faces at all
-    p = planarize(grid_builder(3, 3).to_drawing())
-    assert degree_two_face_violations(p) == []
+    assert on_3_faces(planarize(grid_builder(3, 3).to_drawing())) == []
 
 
 def test_triangle_face_budget():
@@ -198,7 +209,7 @@ def test_drawing_file_roundtrip():
     assert back.rotation == d.rotation
     assert format_drawing(back) == text
     # and the parsed drawing planarizes identically
-    assert degree_charge_total(planarize(back)) == -8
+    assert initial_charges(planarize(back)).total() == -8 * SCALE
 
 
 def test_parse_drawing_rejects_malformed():

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acecolor.embedding import degree_charge_total, format_drawing, planarize, trace_faces
+from acecolor.discharging import SCALE, initial_charges
+from acecolor.embedding import format_drawing, planarize, trace_faces
 from acecolor.errors import EmbeddingError
 from acecolor.generate import (
     FAMILIES,
@@ -21,7 +22,7 @@ def test_grid_builder_is_quadrangulation():
     p = planarize(grid_builder(3, 4).to_drawing())
     inner = [f for f in p.faces if f.degree == 4]
     assert len(inner) == len(p.faces) - 1  # all quads plus the outer face
-    assert degree_charge_total(p) == -8
+    assert initial_charges(p).total() == -8 * SCALE
 
 
 def test_attach_square_hangs_a_4_face_in_the_corner():
@@ -32,7 +33,7 @@ def test_attach_square_hangs_a_4_face_in_the_corner():
     assert p.base.degrees[4] == 6 and [p.base.degrees[w] for w in (9, 10, 11)] == [2, 2, 2]
     # the corner face grows from 4 to 8; the square bounds a new 4-face
     assert sorted(f.degree for f in p.faces) == [4] * 4 + [8, 8]
-    assert degree_charge_total(p) == -8
+    assert initial_charges(p).total() == -8 * SCALE
     # a corner that is not there changes nothing; nor may a crossing precede it
     before = format_drawing(b.to_drawing())
     with pytest.raises(ValueError):
@@ -55,7 +56,7 @@ def test_subdivide_updates_rotation():
     d = b.to_drawing()
     assert d.base.degree(w) == 2
     p = planarize(d)
-    assert degree_charge_total(p) == -8
+    assert initial_charges(p).total() == -8 * SCALE
 
 
 def test_subdivision_after_crossing_rejected():
@@ -111,8 +112,8 @@ class ReferenceInsertion:
 
     def __init__(self, b):
         self.b = b
-        rot = {v: tuple(r) for v, r in b.rotation.items()}
-        self.faces = trace_faces(b.n + len(b.pairs), rot)
+        n_all = b.n + len(b.pairs)
+        self.faces = trace_faces(n_all, [tuple(b.rotation[v]) for v in range(n_all)])
         self.face_of = {dart: i for i, f in enumerate(self.faces) for dart in f.walk}
         self.adj = {v: set() for v in range(b.n)}
         for u, v in b.edges:
@@ -230,7 +231,7 @@ def test_generate_instance_families_valid():
             assert 10 <= d.base.n <= 60
             assert d.base.is_triangle_free()[0]
             p = planarize(d)  # validation
-            assert degree_charge_total(p) == -8
+            assert initial_charges(p).total() == -8 * SCALE
 
 
 def test_generate_instance_unknown_family():
@@ -259,5 +260,5 @@ def test_crossings_present_in_crossing_family():
     seen = 0
     for seed in range(8):
         d = generate_instance("grid-with-crossings", seed)
-        seen += d.crossing_count
+        seen += len(d.crossing_pairs)
     assert seen > 0
