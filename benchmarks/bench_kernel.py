@@ -3,9 +3,11 @@
 
 Runs the same exact-search workloads through both kernel implementations
 and prints the wall times side by side. The C column appears when the
-extension is built (``python setup.py build_ext --inplace``). The last two
-workloads, K5,5 at k=6 and K8 at k=8, are refutations that take seconds
-in pure Python. Usage:
+extension is built (``python setup.py build_ext --inplace``). Each search
+runs on its backend's own ``peeling_order``, computed outside the timed
+region. The last two search workloads, K5,5 at k=6 and K8 at k=8, are
+refutations that take seconds in pure Python. Two more rows time
+``peeling_order`` itself, on the 100x100 grid and on K2,2000. Usage:
 
     python benchmarks/bench_kernel.py [--repeat N]
 """
@@ -17,7 +19,6 @@ import time
 
 from acecolor import _kernel_py
 from acecolor.graph import Graph
-from acecolor.solver import edge_insertion_order
 
 try:
     from acecolor import _kernel
@@ -64,19 +65,51 @@ def workloads():
     yield "K8 k=8 (unsat)", complete(8), 8
 
 
-def run(kernel_module, g: Graph, k: int, repeat: int) -> tuple[float, bool]:
-    eu = [e[0] for e in g.edges]
-    ev = [e[1] for e in g.edges]
-    index = {e: i for i, e in enumerate(g.edges)}
-    order = [index[e] for e in reversed(edge_insertion_order(g))]
+def grid(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges)
+
+
+def peeling_workloads():
+    """(name, graph) peeling-order calls: a large sparse graph and one
+    with two hubs."""
+    yield "peel grid 100x100", grid(100, 100)
+    yield "peel K2,2000", complete_bipartite(2, 2000)
+
+
+def best_time(call, repeat: int) -> float:
     best = float("inf")
-    found = False
     for _ in range(repeat):
         t0 = time.perf_counter()
-        res = kernel_module.find_coloring(g.n, k, eu, ev, order)
+        call()
         best = min(best, time.perf_counter() - t0)
-        found = res is not None
-    return best, found
+    return best
+
+
+def edge_arrays(g: Graph) -> tuple[list[int], list[int]]:
+    return [e[0] for e in g.edges], [e[1] for e in g.edges]
+
+
+def run(kernel_module, g: Graph, k: int, repeat: int) -> float:
+    """Best time of the search for a k-coloring on the backend's own
+    peeling order."""
+    eu, ev = edge_arrays(g)
+    order = kernel_module.peeling_order(g.n, eu, ev)
+    return best_time(lambda: kernel_module.find_coloring(g.n, k, eu, ev, order), repeat)
+
+
+def run_peeling(kernel_module, g: Graph, repeat: int) -> float:
+    eu, ev = edge_arrays(g)
+    return best_time(lambda: kernel_module.peeling_order(g.n, eu, ev), repeat)
+
+
+def report(name: str, times: list[float]) -> None:
+    """One row: the workload's best time per backend, then the speedup."""
+    row = f"{name:28s}" + "".join(f"{t * 1000:10.2f}ms" for t in times)
+    if len(times) == 2 and times[1] > 0:
+        row += f"{times[0] / times[1]:9.1f}x"
+    print(row)
 
 
 def main() -> None:
@@ -96,14 +129,9 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for name, g, k in workloads():
-        times = []
-        for _, mod in backends:
-            t, found = run(mod, g, k, args.repeat)
-            times.append(t)
-        row = f"{name:28s}" + "".join(f"{t * 1000:10.2f}ms" for t in times)
-        if len(times) == 2 and times[1] > 0:
-            row += f"{times[0] / times[1]:9.1f}x"
-        print(row)
+        report(name, [run(mod, g, k, args.repeat) for _, mod in backends])
+    for name, g in peeling_workloads():
+        report(name, [run_peeling(mod, g, args.repeat) for _, mod in backends])
 
 
 if __name__ == "__main__":

@@ -6,6 +6,10 @@
  * (or None, or False past the node budget) for every input. The
  * backtracking is a loop over an explicit per-depth ``maxc`` array, so no
  * input can exhaust the C stack.
+ *
+ * ``peeling_order`` mirrors ``_kernel_py.peeling_order``: the same order
+ * and the same input checks, from a binary heap of vertices keyed by
+ * (degree, id) and a per-vertex array of the vertex's remaining edges.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -156,12 +160,172 @@ done:
     return result;
 }
 
+/* The heap of peeling_order: vertices ordered by (deg, id), with hpos[v]
+ * the slot of vertex v in heap. Degrees only fall, so keys only move up. */
+typedef struct {
+    int *heap, *hpos;
+    const int *deg;
+    Py_ssize_t size;
+} VertexHeap;
+
+static int heap_less(const VertexHeap *h, int a, int b)
+{
+    return h->deg[a] < h->deg[b] || (h->deg[a] == h->deg[b] && a < b);
+}
+
+static void heap_place(VertexHeap *h, Py_ssize_t i, int v)
+{
+    h->heap[i] = v;
+    h->hpos[v] = (int)i;
+}
+
+static void heap_sift_up(VertexHeap *h, int v)
+{
+    Py_ssize_t i = h->hpos[v];
+    while (i > 0) {
+        int parent = h->heap[(i - 1) / 2];
+        if (!heap_less(h, v, parent))
+            break;
+        heap_place(h, i, parent);
+        i = (i - 1) / 2;
+    }
+    heap_place(h, i, v);
+}
+
+static void heap_sift_down(VertexHeap *h, Py_ssize_t i)
+{
+    int v = h->heap[i];
+    for (;;) {
+        Py_ssize_t c = 2 * i + 1;
+        if (c >= h->size)
+            break;
+        if (c + 1 < h->size && heap_less(h, h->heap[c + 1], h->heap[c]))
+            c++;
+        if (!heap_less(h, h->heap[c], v))
+            break;
+        heap_place(h, i, h->heap[c]);
+        i = c;
+    }
+    heap_place(h, i, v);
+}
+
+static PyObject *peeling_order(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *n_obj, *eu_seq, *ev_seq, *result = NULL;
+    if (!PyArg_ParseTuple(args, "OOO:peeling_order", &n_obj, &eu_seq, &ev_seq))
+        return NULL;
+    Py_ssize_t n = PyNumber_AsSsize_t(n_obj, NULL);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t m = PySequence_Size(eu_seq);
+    if (m < 0)
+        return NULL;
+    if (m >= INT_MAX / 2 || n >= INT_MAX) /* edge ends (2e + side) are stored as int */
+        return PyErr_NoMemory();
+    Py_ssize_t vsize = n > 0 ? n : 0;
+    /* one block: eu | ev | order | inc (2m) | pos (2m) | deg | start (n+1) | heap | hpos */
+    int *buf = calloc(7 * m + 4 * vsize + 1, sizeof(int));
+    if (!buf)
+        return PyErr_NoMemory();
+    int *eu = buf, *ev = buf + m, *order = buf + 2 * m, *inc = buf + 3 * m, *pos = buf + 5 * m;
+    int *deg = buf + 7 * m, *start = deg + vsize, *heap = start + vsize + 1, *hpos = heap + vsize;
+    if (read_ints(eu_seq, m, eu, n, "eu") || read_ints(ev_seq, m, ev, n, "ev"))
+        goto done;
+    for (Py_ssize_t e = 0; e < m; e++) {
+        if (eu[e] == ev[e]) {
+            PyErr_Format(PyExc_ValueError, "edge %zd is a loop at vertex %d", e, eu[e]);
+            goto done;
+        }
+        deg[eu[e]]++;
+        deg[ev[e]]++;
+    }
+    /* inc[start[v] .. start[v] + deg[v]) lists the ends 2e + side of v's
+     * remaining edges (side 0 at eu[e], 1 at ev[e]); pos[end] is its slot */
+    for (Py_ssize_t v = 0; v < vsize; v++) {
+        start[v + 1] = start[v] + deg[v];
+        hpos[v] = start[v]; /* the next free slot while filling */
+    }
+    for (int a = 0; a < 2 * m; a++) {
+        int x = a & 1 ? ev[a >> 1] : eu[a >> 1];
+        pos[a] = hpos[x]++;
+        inc[pos[a]] = a;
+    }
+    /* a repeated edge: each vertex lists its ends by edge index, so the
+     * first edge to each neighbor w is the one a repeat repeats; report
+     * the least repeating edge. heap[w] = v + 1 marks w seen from v, and
+     * hpos[w] is then the first edge from v to w. */
+    Py_ssize_t repeat = m;
+    int first = 0;
+    for (Py_ssize_t v = 0; v < vsize; v++) {
+        for (int s = start[v]; s < start[v + 1]; s++) {
+            int a = inc[s], e = a >> 1, w = a & 1 ? eu[e] : ev[e];
+            if (heap[w] != v + 1) {
+                heap[w] = (int)v + 1;
+                hpos[w] = e;
+            } else if (e < repeat) {
+                repeat = e;
+                first = hpos[w];
+            }
+        }
+    }
+    if (repeat < m) {
+        PyErr_Format(PyExc_ValueError, "edge %zd repeats edge %d", repeat, first);
+        goto done;
+    }
+    VertexHeap h = {heap, hpos, deg, 0};
+    for (Py_ssize_t v = 0; v < vsize; v++)
+        if (deg[v])
+            heap_place(&h, h.size++, (int)v);
+    for (Py_ssize_t i = h.size / 2; i-- > 0;)
+        heap_sift_down(&h, i);
+    for (Py_ssize_t j = m; j-- > 0;) {
+        while (!deg[heap[0]]) { /* vertices without edges left rise to the top */
+            heap_place(&h, 0, heap[--h.size]);
+            heap_sift_down(&h, 0);
+        }
+        int v = heap[0], u = -1, a = -1;
+        for (int s = start[v]; s < start[v] + deg[v]; s++) { /* the neighbor of least (deg, id) */
+            int b = inc[s], x = b & 1 ? eu[b >> 1] : ev[b >> 1];
+            if (u < 0 || deg[x] < deg[u] || (deg[x] == deg[u] && x < u)) {
+                u = x;
+                a = b;
+            }
+        }
+        order[j] = a >> 1;
+        /* unlink the edge's end at v and at u: the last remaining end of
+         * each moves into the freed slot */
+        int ends[2] = {a, a ^ 1}, at[2] = {v, u};
+        for (int t = 0; t < 2; t++) {
+            int last = inc[start[at[t]] + --deg[at[t]]];
+            inc[pos[ends[t]]] = last;
+            pos[last] = pos[ends[t]];
+        }
+        heap_sift_up(&h, v);
+        heap_sift_up(&h, u);
+    }
+    result = PyList_New(m);
+    for (Py_ssize_t j = 0; result && j < m; j++) {
+        PyObject *x = PyLong_FromLong(order[j]);
+        if (!x)
+            Py_CLEAR(result);
+        else
+            PyList_SET_ITEM(result, j, x);
+    }
+done:
+    free(buf);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"find_coloring", find_coloring, METH_VARARGS,
      "find_coloring(n, k, eu, ev, order, max_nodes=-1) -> list[int] | None | False\n\n"
      "Mirror of ``_kernel_py.find_coloring`` (see that module for the contract):\n"
      "the colors, None when no coloring within k colors exists, or False once\n"
      "the search has visited more than max_nodes >= 0 nodes."},
+    {"peeling_order", peeling_order, METH_VARARGS,
+     "peeling_order(n, eu, ev) -> list[int]\n\n"
+     "Mirror of ``_kernel_py.peeling_order`` (see that module for the contract):\n"
+     "the edge indices in coloring order, the reverse of min-degree peeling."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -7,16 +7,88 @@ than the largest color used on earlier edges (first-use symmetry break).
 A node is one pass of the backtracking loop: one edge tried at one depth,
 forward or back. A node budget caps how many the search may visit.
 
-The hand-written C extension in ``_kernel.c`` implements the same search,
-input checks included, and returns the same result for every input;
-``acecolor.kernel`` picks whichever is available at import time.
+``peeling_order`` computes the edge order the solvers feed the search:
+the reverse of min-degree peeling.
+
+The hand-written C extension in ``_kernel.c`` implements the same two
+functions, input checks included, and returns the same result for every
+input; ``acecolor.kernel`` picks whichever is available at import time.
 """
 
 from __future__ import annotations
 
+import heapq
 import operator
 
 BACKEND = "python"
+
+
+def _check_entries(name: str, seq, m: int, bound: int) -> None:
+    """Raise ValueError unless seq has m entries, each in [0, bound)."""
+    if len(seq) != m:
+        raise ValueError(f"{name} must have one entry per edge")
+    if m and not (0 <= min(seq) and max(seq) < bound):
+        i, x = next((i, x) for i, x in enumerate(seq) if not 0 <= x < bound)
+        raise ValueError(f"{name}[{i}] = {x} is out of range [0, {bound})")
+
+
+def peeling_order(n: int, eu: list[int], ev: list[int]) -> list[int]:
+    """Edge indices in coloring order: min-degree peeling, reversed.
+
+    Peeling repeatedly takes the vertex of least (degree, id) among those
+    with edges left and removes its edge to its neighbor of least
+    (degree, id); the last edge removed is colored first, so the lightest
+    structure is colored last. Raises ValueError unless eu and ev have
+    equal lengths, every endpoint lies in [0, n), and no edge is a loop
+    or repeats an earlier one (in either direction): the graph is simple,
+    so every (degree, id) is distinct and the order is unique.
+
+    The least vertex comes from a lazy-deletion heap of (degree, id)
+    entries: a vertex gets a new entry whenever its degree drops, and
+    entries that no longer match its degree are skipped. Each step scans
+    only the chosen vertex's remaining edges, so the order costs
+    O(m * degeneracy + m log n).
+    """
+    m = len(eu)
+    _check_entries("eu", eu, m, n)
+    _check_entries("ev", ev, m, n)
+    if any(map(operator.eq, eu, ev)):
+        i = next(i for i in range(m) if eu[i] == ev[i])
+        raise ValueError(f"edge {i} is a loop at vertex {eu[i]}")
+    # nbrs[v] maps each remaining neighbor of v to the index of their edge
+    nbrs: list[dict[int, int]] = [{} for _ in range(n)]
+    for i, u, v in zip(range(m), eu, ev):
+        at_u = nbrs[u]
+        if v in at_u:
+            raise ValueError(f"edge {i} repeats edge {at_u[v]}")
+        at_u[v] = i
+        nbrs[v][u] = i
+    deg = list(map(len, nbrs))
+    heap = [(d, v) for v, d in enumerate(deg) if d]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    order = [0] * m
+    for j in range(m - 1, -1, -1):
+        d, v = pop(heap)
+        while deg[v] != d:  # stale: v's degree dropped since this entry
+            d, v = pop(heap)
+        at_v = nbrs[v]
+        u, du = -1, n  # every degree is below n
+        for x in at_v:
+            dx = deg[x]
+            if dx < du or (dx == du and x < u):
+                u, du = x, dx
+        order[j] = at_v.pop(u)
+        del nbrs[u][v]
+        d -= 1
+        deg[v] = d
+        if d:
+            push(heap, (d, v))
+        du -= 1
+        deg[u] = du
+        if du:
+            push(heap, (du, u))
+    return order
 
 
 def find_coloring(
@@ -42,11 +114,7 @@ def find_coloring(
     max_nodes = operator.index(max_nodes)
     m = len(eu)
     for name, seq, bound in (("eu", eu, n), ("ev", ev, n), ("order", order, m)):
-        if len(seq) != m:
-            raise ValueError(f"{name} must have one entry per edge")
-        for i, x in enumerate(seq):
-            if not 0 <= x < bound:
-                raise ValueError(f"{name}[{i}] = {x} is out of range [0, {bound})")
+        _check_entries(name, seq, m, bound)
     if len(set(order)) != m:
         raise ValueError("order must be a permutation of range(m)")
     if m == 0:

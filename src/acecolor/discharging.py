@@ -348,9 +348,13 @@ def audit_final_charges(
     negative element (there is one, as the total of a connected drawing is
     -8) with its violated hypotheses, blamed in one batch from the ledger's
     transfers, and the charges as exact ``Fraction`` values. A palette
-    below the discharging floor raises ValueError."""
+    below the discharging floor, or a transfer whose rule is not in
+    ``RULES``, raises ValueError."""
     _require_floor(g, kappa)
     firings = Counter(t.rule for t in ledger.transfers)
+    unknown = firings.keys() - _RANK.keys()
+    if unknown:
+        raise ValueError(f"ledger transfer names unknown rule {min(unknown, key=str)!r}")
     total = ledger.total()
     # one Fraction per distinct charge, shared by the elements holding it
     value = {q: Fraction(q, SCALE) for q in set(ledger.charges.values())}

@@ -2,9 +2,11 @@
 
 ``acyclic_lower_bound`` is the one lower bound both solvers use: the max
 degree Δ, or Δ+1 when a forest-count argument proves Δ colors too few.
-Both run one backtracking search (see ``acecolor.kernel``). The exact
-solver, meant for desk-scale instances, runs it to the end on the
-peeling-derived order, bottom-up from that bound. The heuristic runs it
+Both run one backtracking search (see ``acecolor.kernel``) on edge
+index arrays built once per call, first on the kernel's own
+``peeling_order``: min-degree peeling, reversed. The exact solver, meant
+for desk-scale instances, runs it to the end on that order for each
+palette, bottom-up from that bound. The heuristic runs it
 under a node budget of ``NODES_PER_EDGE`` per edge: first on the peeling
 order, whose first descent is the greedy coloring, so where greedy needs
 no help the two agree; then, only if that budget is spent, on
@@ -18,7 +20,6 @@ are public primitives gated by ``valid_colors``; no solver uses them.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 
@@ -60,42 +61,13 @@ class RepairOutcome:
 
 
 def edge_insertion_order(g: Graph) -> list[Edge]:
-    """Peeling order: repeatedly remove an edge at a minimum-degree vertex
-    (ties to the lowest vertex id). The reverse of the returned sequence is
-    the coloring order, so the lightest structure is colored last.
-
-    The minimum-degree vertex comes from a lazy-deletion heap of
-    ``(deg, id)`` entries: a vertex gets a new entry whenever its degree
-    drops, and entries that no longer match its degree are skipped, so
-    the order costs O(m log n)."""
-    deg = list(g.degrees)
-    nbrs = [set(a) for a in g.adj]
-    heap = [(d, v) for v, d in enumerate(deg) if d > 0]
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
-    order: list[Edge] = []
-    for _ in range(g.m):
-        d, v = pop(heap)
-        while deg[v] != d:  # stale: v's degree dropped since this entry
-            d, v = pop(heap)
-        # the neighbor of least (degree, id)
-        u, du = -1, g.n  # every degree is below n
-        for x in nbrs[v]:
-            dx = deg[x]
-            if dx < du or (dx == du and x < u):
-                u, du = x, dx
-        order.append((v, u) if v < u else (u, v))
-        nbrs[v].discard(u)
-        nbrs[u].discard(v)
-        d -= 1
-        deg[v] = d
-        if d:
-            push(heap, (d, v))
-        du -= 1
-        deg[u] = du
-        if du:
-            push(heap, (du, u))
-    return order
+    """Peeling order: repeatedly remove the edge from the vertex of least
+    (degree, id) to its neighbor of least (degree, id). The reverse of the
+    returned sequence is the coloring order, so the lightest structure is
+    colored last. This is ``kernel.peeling_order`` read backwards as edges."""
+    eu, ev = _edge_arrays(g)
+    edges = g.edges
+    return [edges[i] for i in reversed(kernel.peeling_order(g.n, eu, ev))]
 
 
 def _bfs_edge_order(g: Graph, root: int) -> list[Edge]:
@@ -152,30 +124,20 @@ def acyclic_lower_bound(g: Graph) -> int:
     return delta + 1 if n_h > 1 and two_m_h > delta * (n_h - 1) else delta
 
 
-def _coloring_order(g: Graph) -> list[Edge]:
-    return list(reversed(edge_insertion_order(g)))
-
-
-KernelInput = tuple[list[int], list[int], list[int]]
-
-
-def _kernel_input(g: Graph, order_edges: list[Edge]) -> KernelInput:
-    """The kernel's edge arrays (endpoints by edge index) and the edge
-    order as indices."""
-    index = {e: i for i, e in enumerate(g.edges)}
-    return [u for u, _ in g.edges], [v for _, v in g.edges], [index[e] for e in order_edges]
+def _edge_arrays(g: Graph) -> tuple[list[int], list[int]]:
+    """The kernel's edge arrays: the endpoints of each edge by its index."""
+    return [u for u, _ in g.edges], [v for _, v in g.edges]
 
 
 def _run_kernel(
-    g: Graph, k: int, kernel_input: KernelInput, max_nodes: int = -1
+    g: Graph, k: int, eu: list[int], ev: list[int], order: list[int], max_nodes: int = -1
 ) -> EdgeColoring | None | bool:
-    """The kernel's answer on ``_kernel_input`` arrays as a coloring, None
-    (no coloring within k colors) or False (more than max_nodes search
-    nodes, if >= 0). Its per-edge colors become the coloring in one pass
-    through ``EdgeColoring.from_colors``, which re-checks their range and
-    properness. A coloring has palette k, so k = 0 raises ValueError even
-    when m = 0."""
-    eu, ev, order = kernel_input
+    """The kernel's answer on ``_edge_arrays`` and an order of edge
+    indices as a coloring, None (no coloring within k colors) or False
+    (more than max_nodes search nodes, if >= 0). Its per-edge colors
+    become the coloring in one pass through ``EdgeColoring.from_colors``,
+    which re-checks their range and properness. A coloring has palette k,
+    so k = 0 raises ValueError even when m = 0."""
     colors = kernel.find_coloring(g.n, k, eu, ev, order, max_nodes)
     if colors is None or colors is False:
         return colors
@@ -189,22 +151,25 @@ def has_acyclic_coloring(g: Graph, k: int) -> EdgeColoring | None:
         return EdgeColoring(g, max(k, 1))
     if k < acyclic_lower_bound(g):
         return None
-    return _run_kernel(g, k, _kernel_input(g, _coloring_order(g)))
+    eu, ev = _edge_arrays(g)
+    return _run_kernel(g, k, eu, ev, kernel.peeling_order(g.n, eu, ev))
 
 
 def exact_acyclic_index(g: Graph, upper_bound: int) -> ExactResult | None:
     """Minimum number of colors in an acyclic edge coloring, searched
     bottom-up from ``acyclic_lower_bound``. Returns None when no acyclic
     coloring with at most upper_bound colors exists (in particular
-    whenever upper_bound is below that lower bound)."""
-    if g.m == 0:
-        return ExactResult(0, EdgeColoring(g, 1))
+    whenever upper_bound is below that lower bound, which is 0 on an
+    edgeless graph)."""
     lo = acyclic_lower_bound(g)
     if upper_bound < lo:
         return None
-    kernel_input = _kernel_input(g, _coloring_order(g))  # shared by every palette
+    if g.m == 0:
+        return ExactResult(0, EdgeColoring(g, 1))
+    eu, ev = _edge_arrays(g)
+    order = kernel.peeling_order(g.n, eu, ev)  # shared by every palette
     for k in range(lo, upper_bound + 1):
-        col = _run_kernel(g, k, kernel_input)
+        col = _run_kernel(g, k, eu, ev, order)
         if col is not None:
             return ExactResult(k, col)
     return None
@@ -298,14 +263,17 @@ def heuristic_color(
     if kappa == delta and kappa < acyclic_lower_bound(g):
         return None
     budget = NODES_PER_EDGE * g.m
-    found = _run_kernel(g, kappa, _kernel_input(g, _coloring_order(g)), budget)
+    eu, ev = _edge_arrays(g)
+    found = _run_kernel(g, kappa, eu, ev, kernel.peeling_order(g.n, eu, ev), budget)
     used = 0
     if found is False:
+        index = {e: i for i, e in enumerate(g.edges)}
         others = list(range(1, g.n))
         random.Random(seed).shuffle(others)  # so more restarts only add roots
         for root in (0, *others[:restarts]):
             used += 1
-            found = _run_kernel(g, kappa, _kernel_input(g, _bfs_edge_order(g, root)), budget)
+            order = [index[e] for e in _bfs_edge_order(g, root)]
+            found = _run_kernel(g, kappa, eu, ev, order, budget)
             if found is not False:
                 break
     if found is None or found is False:

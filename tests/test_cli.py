@@ -146,6 +146,16 @@ def test_exact_unsat_bound(c5_file):
     assert main(["exact", str(c5_file), "--kappa", "2"]) == 1
 
 
+def test_exact_edgeless_graph_below_bound(tmp_path, capsys):
+    path = tmp_path / "e3.txt"
+    path.write_text("3 0\n")
+    assert main(["exact", str(path), "--kappa", "-1"]) == 1
+    out = capsys.readouterr().out
+    assert "status=unsat-below-bound" in out and "acyclic_index" not in out
+    assert main(["exact", str(path), "--kappa", "0"]) == 0
+    assert "acyclic_index=0" in capsys.readouterr().out
+
+
 def test_verify_roundtrip(c5_file, tmp_path, capsys):
     colpath = tmp_path / "c5.coloring"
     assert main(["color", str(c5_file), "--coloring-out", str(colpath)]) == 0

@@ -141,6 +141,16 @@ def test_conservation_detects_fabricated_transfer():
     assert audit_final_charges(forged, p, g, kappa).conserved is False
 
 
+def test_audit_refuses_a_transfer_of_an_unknown_rule():
+    d = grid_builder(3, 3).to_drawing()
+    p, g = planarize(d), d.base
+    kappa = g.delta + FLOOR_SLACK
+    forged = apply_rules(initial_charges(p), p, g, kappa)
+    forged.transfers.append(Transfer("forged", ("v", 1), ("v", 4), 6))
+    with pytest.raises(ValueError, match="unknown rule 'forged'"):
+        audit_final_charges(forged, p, g, kappa)
+
+
 def test_crossing_vertices_end_at_exactly_zero():
     for seed in range(6):
         d = generate_instance("grid-with-crossings", seed)

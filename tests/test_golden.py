@@ -75,7 +75,7 @@ def _greedy_coloring(g, kappa):
     """Each edge in coloring order takes its lowest valid color; None if
     some edge has none."""
     col = EdgeColoring(g, kappa)
-    for e in solver._coloring_order(g):
+    for e in reversed(solver.edge_insertion_order(g)):
         valid = col.valid_colors(e)
         if not valid:
             return None

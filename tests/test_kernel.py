@@ -211,3 +211,79 @@ def test_order_not_a_permutation_raises(backend, order, message):
 def test_selected_backend_exposed():
     assert kernel.BACKEND in ("c", "python")
     assert callable(kernel.find_coloring)
+
+
+# -- peeling order ------------------------------------------------------------
+
+
+@st.composite
+def peeling_inputs(draw):
+    """A random simple graph on up to 40 vertices, split into up to three
+    vertex classes with edges only inside a class (so several components
+    and isolated vertices are common), each edge in a random direction
+    and the edges in a random order."""
+    n = draw(st.integers(0, 40))
+    parts = draw(st.integers(1, 3))
+    pool = [(i, j) for i in range(n) for j in range(i + 1, n) if i % parts == j % parts]
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=90)) if pool else []
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)]
+    return n, [u for u, _ in edges], [v for _, v in edges]
+
+
+@settings(max_examples=300, deadline=None)
+@given(peeling_inputs())
+def test_peeling_order_backends_agree(c_kernel, args):
+    order = _kernel_py.peeling_order(*args)
+    assert c_kernel.peeling_order(*args) == order
+    assert sorted(order) == list(range(len(args[1])))
+
+
+def test_peeling_order_without_edges(backend):
+    assert backend.peeling_order(0, [], []) == []
+    assert backend.peeling_order(5, [], []) == []
+
+
+def test_peeling_order_colors_the_first_peeled_edge_last(backend):
+    # the path 0-1-2-3 given as edges 2, 0, 1: leaf 0 peels first, taking
+    # its edge (0, 1), then 1 is a leaf and takes (1, 2), then (2, 3)
+    assert backend.peeling_order(4, [2, 0, 1], [3, 1, 2]) == [0, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "n, eu, ev, message",
+    [
+        (3, [0, 1], [1], r"^ev must have one entry per edge$"),
+        (3, [0, 1], [1, 3], r"^ev\[1\] = 3 is out of range \[0, 3\)$"),
+        (3, [0, -1], [1, 2], r"^eu\[1\] = -1 is out of range \[0, 3\)$"),
+        (3, [0, 1, 2], [1, 1, 0], r"^edge 1 is a loop at vertex 1$"),
+        (3, [0, 1, 1, 0], [1, 2, 0, 2], r"^edge 2 repeats edge 0$"),
+        (3, [0, 1, 1, 2], [1, 2, 2, 2], r"^edge 3 is a loop at vertex 2$"),  # loops first
+    ],
+    ids=["length", "endpoint-high", "endpoint-negative", "loop", "repeat", "loop-before-repeat"],
+)
+def test_peeling_order_rejects_non_simple_input(backend, n, eu, ev, message):
+    with pytest.raises(ValueError, match=message):
+        backend.peeling_order(n, eu, ev)
+
+
+def _k2(b):
+    return 2 + b, [0] * b + [1] * b, [2 + j for j in range(b)] * 2
+
+
+def _grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return rows * cols, [u for u, _ in edges], [v for _, v in edges]
+
+
+@pytest.mark.parametrize("graph", [_k2(2000), _grid(100, 100)], ids=["K2,2000", "grid100x100"])
+def test_peeling_order_time_is_bounded_on_hubs_and_grids(backend, graph):
+    # each step scans the chosen vertex's remaining edges only and drops
+    # one edge from each end in O(1) plus heap updates; a step that
+    # scanned every vertex, or a hub's whole edge list, would take far
+    # longer here
+    t0 = time.perf_counter()
+    order = backend.peeling_order(*graph)
+    assert time.perf_counter() - t0 < 5
+    assert sorted(order) == list(range(len(graph[1])))

@@ -1,5 +1,6 @@
 import random
 import time
+from unittest import mock
 from itertools import combinations
 
 import pytest
@@ -57,6 +58,13 @@ def test_exact_unsat_below_bound():
 def test_exact_empty_graph():
     r = exact_acyclic_index(Graph(3, []), 5)
     assert r.min_colors == 0
+    assert exact_acyclic_index(Graph(3, []), 0).min_colors == 0
+
+
+def test_exact_empty_graph_below_bound():
+    # no palette size is below the index 0, so a negative bound has no answer
+    assert exact_acyclic_index(Graph(3, []), -1) is None
+    assert exact_acyclic_index(Graph(0, []), -1) is None
 
 
 def test_exact_matches_oracle_on_random_graphs():
@@ -122,11 +130,15 @@ def _insertion_order_by_scan(g):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 14), st.data())
-def test_edge_insertion_order_matches_full_scan(n, data):
+def test_edge_insertion_order_matches_full_scan(c_kernel, n, data):
+    # on each backend's peeling order, whichever kernel.py selected
     pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=30)) if pool else []
     g = Graph(n, edges)
-    assert edge_insertion_order(g) == _insertion_order_by_scan(g)
+    expected = _insertion_order_by_scan(g)
+    for backend in (_kernel_py, c_kernel):
+        with mock.patch.object(kernel, "peeling_order", backend.peeling_order):
+            assert edge_insertion_order(g) == expected, backend.BACKEND
 
 
 def test_heuristic_forest_no_repairs():
