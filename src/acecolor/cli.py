@@ -306,9 +306,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         # ParseError and EmbeddingError are ValueErrors; so are bad
-        # parameters like a palette below the max degree
+        # parameters like a palette below the max degree. An OSError is a
+        # missing instance or an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SizeRefusal as exc:

@@ -187,10 +187,10 @@ class EdgeColoring:
     def _arm(self, start: int, first: int, second: int):
         """Follow the alternating path from `start` along its `first`-color
         edge. Yields (vertex, color) steps; raises if the walk returns to
-        start (the coloring is not acyclic then)."""
+        start (the coloring is not acyclic then). Properness makes the two
+        colors a path or a cycle at start, so the walk ends either way."""
         cur = start
         use = first
-        steps = 0
         while True:
             nxt = self._at[cur].get(use)
             if nxt is None:
@@ -203,9 +203,6 @@ class EdgeColoring:
                     f"({first}, {second}); coloring is not acyclic"
                 )
             use = first if use == second else second
-            steps += 1
-            if steps > 2 * self.graph.m + 1:  # unreachable for proper colorings
-                raise ValueError("alternating walk did not terminate")
 
     def maximal_bichromatic_path(
         self, v: int, alpha: int, beta: int

@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
-from .embedding import Drawing, PlaneGraph, planarize, triangle_face_budget
+from .embedding import Drawing, PlaneGraph, planarize
 from .errors import SizeRefusal
 from .graph import Graph
 from .solver import has_acyclic_coloring
@@ -151,6 +151,22 @@ def _at_least(nbrs: tuple[int, ...], deg: tuple[int, ...], d: int) -> int:
     return have
 
 
+def _too_few(
+    g: Graph, cond: Condition, vertices, d: int, need: int, detail
+) -> list[ConditionWitness]:
+    """A witness of cond at each of vertices with fewer than need
+    neighbors of degree d or more; detail(v, have) words it. The lemmas
+    "a vertex of this class has need neighbors of degree >= d" all
+    check through here."""
+    deg, adj = g.degrees, g.adj
+    out = []
+    for v in vertices:
+        have = _at_least(adj[v], deg, d)
+        if have < need:
+            out.append(ConditionWitness(cond, (v,), detail(v, have)))
+    return out
+
+
 # -- individual checks ----------------------------------------------------------
 #
 # A check scoped to S returns the concatenation of its results scoped to
@@ -189,35 +205,21 @@ def _check_min_degree_2connected(g: Graph, kappa: int, vertices) -> list[Conditi
 def _check_deg2_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     big = thresholds(g, kappa).deg2_big
     deg, adj = g.degrees, g.adj
-    out = []
-    for v in _of_degree(g, vertices, 2):
-        if _at_least(adj[v], deg, big) < 2:
-            degs = [deg[u] for u in adj[v]]
-            out.append(
-                ConditionWitness(
-                    Condition.DEG2_BIG_NEIGHBORS,
-                    (v,),
-                    f"2-vertex {v} has neighbor degrees {degs}, needs two >= {big}",
-                )
-            )
-    return out
+    return _too_few(
+        g, Condition.DEG2_BIG_NEIGHBORS, _of_degree(g, vertices, 2), big, 2,
+        lambda v, have: f"2-vertex {v} has neighbor degrees "
+        f"{[deg[u] for u in adj[v]]}, needs two >= {big}",
+    )
 
 
 def _check_deg3_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     big = thresholds(g, kappa).tight
     deg, adj = g.degrees, g.adj
-    out = []
-    for v in _of_degree(g, vertices, 3):
-        if _at_least(adj[v], deg, big) < 3:
-            degs = [deg[u] for u in adj[v]]
-            out.append(
-                ConditionWitness(
-                    Condition.DEG3_BIG_NEIGHBORS,
-                    (v,),
-                    f"3-vertex {v} has neighbor degrees {degs}, needs three >= {big}",
-                )
-            )
-    return out
+    return _too_few(
+        g, Condition.DEG3_BIG_NEIGHBORS, _of_degree(g, vertices, 3), big, 3,
+        lambda v, have: f"3-vertex {v} has neighbor degrees "
+        f"{[deg[u] for u in adj[v]]}, needs three >= {big}",
+    )
 
 
 def _check_tight_vertex_small_neighbor(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
@@ -239,19 +241,10 @@ def _check_tight_vertex_small_neighbor(g: Graph, kappa: int, vertices) -> list[C
 
 
 def _check_two_deg4_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    deg, adj = g.degrees, g.adj
-    out = []
-    for v in _scope(g, vertices):
-        have = _at_least(adj[v], deg, 4)
-        if have < 2:
-            out.append(
-                ConditionWitness(
-                    Condition.TWO_DEG4_NEIGHBORS,
-                    (v,),
-                    f"vertex {v} is adjacent to only {have} vertices of degree >= 4",
-                )
-            )
-    return out
+    return _too_few(
+        g, Condition.TWO_DEG4_NEIGHBORS, _scope(g, vertices), 4, 2,
+        lambda v, have: f"vertex {v} is adjacent to only {have} vertices of degree >= 4",
+    )
 
 
 def _check_deg4_neighbor_profile(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
@@ -275,41 +268,23 @@ def _check_deg4_neighbor_profile(g: Graph, kappa: int, vertices) -> list[Conditi
 
 
 def _check_deg5_neighbor_profile(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    deg, adj = g.degrees, g.adj
-    out = []
-    for v in _of_degree(g, vertices, 5):
-        have = _at_least(adj[v], deg, DEG5_BIG)
-        if have < 3:
-            out.append(
-                ConditionWitness(
-                    Condition.DEG5_NEIGHBOR_PROFILE,
-                    (v,),
-                    f"5-vertex {v} is adjacent to only {have} vertices of degree >= {DEG5_BIG}",
-                )
-            )
-    return out
+    return _too_few(
+        g, Condition.DEG5_NEIGHBOR_PROFILE, _of_degree(g, vertices, 5), DEG5_BIG, 3,
+        lambda v, have: f"5-vertex {v} is adjacent to only {have} vertices "
+        f"of degree >= {DEG5_BIG}",
+    )
 
 
 def _check_heavy_deg2_support(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     t = thresholds(g, kappa)
     need_count, need_degree = t.slack + 1, t.tight
     deg, adj = g.degrees, g.adj
-    out = []
-    for v in _heavy(g, vertices):
-        if 2 not in [deg[u] for u in adj[v]]:
-            continue
-        have = _at_least(adj[v], deg, need_degree)
-        if have < need_count:
-            out.append(
-                ConditionWitness(
-                    Condition.HEAVY_DEG2_SUPPORT,
-                    (v,),
-                    f"vertex {v} (degree {deg[v]}, has a 2-neighbor) is "
-                    f"adjacent to {have} vertices of degree >= {need_degree}, "
-                    f"needs {need_count}",
-                )
-            )
-    return out
+    supports = [v for v in _heavy(g, vertices) if 2 in [deg[u] for u in adj[v]]]
+    return _too_few(
+        g, Condition.HEAVY_DEG2_SUPPORT, supports, need_degree, need_count,
+        lambda v, have: f"vertex {v} (degree {deg[v]}, has a 2-neighbor) is "
+        f"adjacent to {have} vertices of degree >= {need_degree}, needs {need_count}",
+    )
 
 
 def _check_deg2_face_sizes(g: Graph, plane: PlaneGraph, vertices) -> list[ConditionWitness]:
@@ -331,15 +306,19 @@ def _check_deg2_face_sizes(g: Graph, plane: PlaneGraph, vertices) -> list[Condit
 
 
 def _check_triangle_face_budget(g: Graph, plane: PlaneGraph, vertices) -> list[ConditionWitness]:
-    """Only vertices on a 3-face are visited: a count of 0 is within
-    every budget, which is never negative."""
+    """A vertex of degree d with l 2-neighbors lies on at most
+    floor(2(d - l)/3) 3-faces. Only vertices on a 3-face are visited: a
+    count of 0 is within every budget, which is never negative."""
+    deg, adj = plane.base.degrees, plane.base.adj
     triangles = plane.triangles_at
     out = []
     for v in _scope(g, vertices):
-        if not triangles[v]:
+        count = len(triangles[v])
+        if not count:
             continue
-        count, bound, ok = triangle_face_budget(plane, v)
-        if not ok:
+        twos = sum(1 for u in adj[v] if deg[u] == 2)
+        bound = (2 * (deg[v] - twos)) // 3
+        if count > bound:
             out.append(
                 ConditionWitness(
                     Condition.TRIANGLE_FACE_BUDGET,
@@ -551,10 +530,7 @@ def find_reducible_configuration(
     require_in_scope(g, kappa)
     plane = _resolve_plane(drawing)
     for cond in CONDITION_ORDER:
-        if cond in FACE_CONDITIONS:
-            found = check_condition(g, plane, kappa, cond)
-        else:
-            found = check_condition(g, None, kappa, cond)
+        found = check_condition(g, plane, kappa, cond)
         if found:
             return found[0]
     return None

@@ -11,10 +11,11 @@ continues with (v, w) where w follows u in the rotation at v. Every
 directed edge lies on exactly one face walk.
 
 This module only validates drawings; constructing them (generators,
-crossing insertion) lives in ``acecolor.generate``. Two facts about a
-plane graph live with their one user instead: the Euler charge total of
--8 in ``discharging.initial_charges``, and 2-vertices on 3-faces in the
-``deg2-face-sizes`` condition of ``acecolor.conditions``.
+crossing insertion) lives in ``acecolor.generate``. The facts read off
+a plane graph live with their one user instead: the Euler charge total
+of -8 in ``discharging.initial_charges``, and 2-vertices on 3-faces and
+the 3-face budget of a vertex in the ``deg2-face-sizes`` and
+``triangle-face-budget`` conditions of ``acecolor.conditions``.
 """
 
 from __future__ import annotations
@@ -129,9 +130,6 @@ class PlaneGraph:
         self._face_index_at = tuple(tuple(ix) for ix in index)
         self.triangles_at: tuple[tuple[int, ...], ...] = tuple(tuple(t) for t in triangles)
 
-    def is_crossing(self, v: int) -> bool:
-        return v >= self.n_real
-
     def faces_at(self, v: int) -> tuple[int, ...]:
         """Indices of faces incident with v, with multiplicity."""
         self.graph.check_vertex(v)
@@ -186,10 +184,9 @@ def planarize(d: Drawing) -> PlaneGraph:
             segments.extend(canonical_edge(end, x) for end in e)
         else:
             segments.append(e)
-    try:
-        pgraph = Graph(n_all, segments)
-    except ValueError as exc:  # two crossings of one edge already rejected
-        raise EmbeddingError(f"planarized graph malformed: {exc}") from None
+    # simple by construction: Drawing rejects an edge crossed twice and a
+    # crossing pair that shares an endpoint
+    pgraph = Graph(n_all, segments)
 
     # rotation must cover exactly the planarized vertices and edges
     missing = [v for v in range(n_all) if v not in d.rotation]
@@ -240,12 +237,6 @@ def planarize(d: Drawing) -> PlaneGraph:
                 f"V-E+F = {len(comp)}-{edge_count[ci]}+{face_count[ci]} != 2"
             )
 
-    # crossings are never adjacent (their neighbors are base vertices)
-    for i in range(len(d.crossing_pairs)):
-        for w in pgraph.neighbors(n + i):
-            if w >= n:
-                raise EmbeddingError(f"crossing vertices {n + i} and {w} adjacent")
-
     return PlaneGraph(
         base=base,
         crossing_pairs=d.crossing_pairs,
@@ -253,19 +244,6 @@ def planarize(d: Drawing) -> PlaneGraph:
         rotation=tuple(rot_list),
         faces=tuple(faces),
     )
-
-
-def triangle_face_budget(p: PlaneGraph, v: int) -> tuple[int, int, bool]:
-    """(count, bound, ok): the number of 3-faces at a real vertex v against
-    the bound floor(2(deg - deg2neighbors)/3)."""
-    if p.is_crossing(v):
-        raise ValueError(f"vertex {v} is a crossing vertex")
-    deg = p.base.degrees
-    ell = p.base.degree(v)
-    lam = sum(1 for u in p.base.adj[v] if deg[u] == 2)
-    count = len(p.triangles_at[v])
-    bound = (2 * (ell - lam)) // 3
-    return count, bound, count <= bound
 
 
 # -- drawing file format -------------------------------------------------------

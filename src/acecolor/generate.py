@@ -255,18 +255,19 @@ def _subdivide_random(builder: DrawingBuilder, rng: random.Random, count: int) -
 def _insert_random_crossings(
     builder: DrawingBuilder, rng: random.Random, count: int, cap: int = 100
 ) -> int:
-    """Insert up to `count` crossings; gives up on an edge after `cap`
-    failed candidate draws. Returns the number actually inserted."""
+    """Insert up to `count` crossings, drawing at most `cap` uncrossed
+    edges in all. Returns the number actually inserted."""
+    # an insertion crosses the drawn edge and adds its chord already
+    # crossed, so the drawn edge is the only one to leave the candidates
+    candidates = sorted(builder.edges - builder.crossed)
     inserted = 0
     attempts = 0
-    while inserted < count and attempts < cap:
-        candidates = sorted(builder.edges - builder.crossed)
-        if not candidates:
-            break
-        a, b = rng.choice(candidates)
+    while inserted < count and attempts < cap and candidates:
+        e = rng.choice(candidates)
         attempts += 1
-        if builder.can_insert_crossing(a, b):
-            builder.insert_crossing(a, b)
+        if builder.can_insert_crossing(*e):
+            builder.insert_crossing(*e)
+            candidates.remove(e)
             inserted += 1
     return inserted
 

@@ -147,10 +147,10 @@ def _run_kernel(
 def has_acyclic_coloring(g: Graph, k: int) -> EdgeColoring | None:
     """Find an acyclic edge coloring using colors 1..k, or None (at once,
     with no search, when k is below ``acyclic_lower_bound``)."""
-    if g.m == 0:
-        return EdgeColoring(g, max(k, 1))
     if k < acyclic_lower_bound(g):
         return None
+    if g.m == 0:
+        return EdgeColoring(g, max(k, 1))
     eu, ev = _edge_arrays(g)
     return _run_kernel(g, k, eu, ev, kernel.peeling_order(g.n, eu, ev))
 

@@ -299,6 +299,22 @@ def test_missing_file_is_input_error(tmp_path):
     assert main(["color", str(tmp_path / "nope.txt")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--count", "1", "--out", "{file}"],  # --out names a file
+        ["audit", "{d}", "{d}", "--out", "{file}"],  # batch --out names a file
+        ["audit", "{d}", "--out", "{file}/x.txt"],  # a file as a directory
+    ],
+)
+def test_unwritable_out_path_is_input_error(tmp_path, drawing_file, capsys, argv):
+    existing = tmp_path / "taken.txt"
+    existing.write_text("")
+    argv = [a.format(file=existing, d=drawing_file) for a in argv]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_malformed_file_is_input_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a graph\n")

@@ -210,6 +210,13 @@ def test_deletion_probe_default_palette_never_minimal():
         assert not ok, name
 
 
+def test_deletion_probe_below_every_bound_is_not_minimal():
+    # neither K2 nor its edgeless deletion colors with -1 colors
+    ok, detail = deletion_minimal_probe(Graph(2, [(0, 1)]), -1)
+    assert not ok
+    assert detail["uncolorable_deletions"] == [(0, 1)]
+
+
 def test_deletion_probe_size_refusal():
     with pytest.raises(SizeRefusal):
         deletion_minimal_probe(grid(4, 4), 10)

@@ -10,7 +10,6 @@ from acecolor.embedding import (
     _vertex_token,
     parse_drawing,
     planarize,
-    triangle_face_budget,
 )
 from acecolor.errors import EmbeddingError, ParseError
 from acecolor.generate import cycle_builder, grid_builder
@@ -45,7 +44,7 @@ def triangle_with_tail_drawing():
 def contracted_edges(p):
     """The base edges recovered from the planarized graph: the rotation
     (a, b, c, d) at each crossing joins its halves into {a, c} and {b, d}."""
-    out = {e for e in p.graph.edges if not any(p.is_crossing(v) for v in e)}
+    out = {e for e in p.graph.edges if max(e) < p.n_real}
     for x in range(p.n_real, p.graph.n):
         a, b, c, d = p.rotation[x]
         out |= {canonical_edge(a, c), canonical_edge(b, d)}
@@ -77,7 +76,7 @@ def test_k4_crossed_planarization():
     p = planarize(k4_crossed_drawing())
     assert p.graph.n == 5
     assert p.graph.degree(4) == 4
-    assert p.is_crossing(4) and not p.is_crossing(0)
+    assert p.n_real == 4  # vertex 4 is the crossing
     assert sorted(f.degree for f in p.faces) == [3, 3, 3, 3, 4]
     # V - E + F = 5 - 8 + 5 = 2
     assert p.graph.n - p.graph.m + len(p.faces) == 2
@@ -90,10 +89,10 @@ def test_two_disjoint_crossings_not_adjacent():
     b.insert_crossing(5, 6)
     b.insert_crossing(1, 2)
     p = planarize(b.to_drawing())
-    crossings = [v for v in range(p.graph.n) if p.is_crossing(v)]
+    crossings = list(range(p.n_real, p.graph.n))
     assert len(crossings) == 2
     for x in crossings:
-        assert all(not p.is_crossing(w) for w in p.graph.neighbors(x))
+        assert all(w < p.n_real for w in p.graph.neighbors(x))
 
 
 def test_face_degree_sum_is_twice_edges():
@@ -111,7 +110,7 @@ def test_triangle_free_base_puts_one_crossing_on_every_3_face():
     three = [f for f in p.faces if f.degree == 3]
     assert three
     for f in three:
-        assert sum(1 for v in f.vertices if p.is_crossing(v)) == 1
+        assert sum(1 for v in f.vertices if v >= p.n_real) == 1
 
 
 def test_charge_identity_examples():
@@ -146,18 +145,18 @@ def test_degree_two_face_violations():
 
 
 def test_triangle_face_budget():
+    def over_budget(p):
+        found = check_condition(p.base, p, p.base.delta + 16, Condition.TRIANGLE_FACE_BUDGET)
+        return [(w.vertices, w.detail) for w in found]
+
     # crossing-free triangle-free drawing: zero 3-faces
-    p = planarize(grid_builder(3, 3).to_drawing())
-    count, bound, ok = triangle_face_budget(p, 4)
-    assert count == 0 and ok
-    # boundary arithmetic: degree 3 vertex with two 2-neighbors, two 3-faces
-    p = planarize(triangle_with_tail_drawing())
-    count, bound, ok = triangle_face_budget(p, 0)
-    assert (count, bound, ok) == (2, 0, False)
-    with pytest.raises(ValueError):
-        b = grid_builder(3, 4)
-        b.insert_crossing(5, 6)
-        triangle_face_budget(planarize(b.to_drawing()), 12)  # crossing vertex
+    assert over_budget(planarize(grid_builder(3, 3).to_drawing())) == []
+    # boundary arithmetic: a 3-vertex with two 2-neighbors on two 3-faces
+    # has budget floor(2 * (3 - 2) / 3) = 0
+    assert over_budget(planarize(triangle_with_tail_drawing())) == [
+        ((0,), "vertex 0 lies on 2 3-faces, budget 0"),
+        ((1,), "vertex 1 lies on 2 3-faces, budget 0"),
+    ]
 
 
 def test_drawing_rejects_bad_crossing_pairs():

@@ -95,6 +95,13 @@ def test_has_acyclic_coloring():
     assert col is not None and verify(col).ok
 
 
+def test_has_acyclic_coloring_on_an_edgeless_graph_checks_the_bound_first():
+    # the lower bound is 0 there: a negative palette has no coloring, 0 has one
+    assert has_acyclic_coloring(Graph(3, []), -1) is None
+    col = has_acyclic_coloring(Graph(3, []), 0)
+    assert col is not None and col.is_total()
+
+
 def test_edge_insertion_order_path_colors_leaves_last():
     p = path(4)  # edges (0,1),(1,2),(2,3),(3,4)
     order = edge_insertion_order(p)
