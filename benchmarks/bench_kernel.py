@@ -7,7 +7,9 @@ extension is built (``python setup.py build_ext --inplace``). Each search
 runs on its backend's own ``peeling_order``, computed outside the timed
 region. The last two search workloads, K5,5 at k=6 and K8 at k=8, are
 refutations that take seconds in pure Python. Two more rows time
-``peeling_order`` itself, on the 100x100 grid and on K2,2000. Usage:
+``peeling_order`` itself, on the 100x100 grid and on K2,2000, and two
+time ``trace_faces``, on the plane graph of the 100x100 grid with 1000
+crossings and on K2,2000 drawn in the plane. Usage:
 
     python benchmarks/bench_kernel.py [--repeat N]
 """
@@ -15,9 +17,11 @@ refutations that take seconds in pure Python. Two more rows time
 from __future__ import annotations
 
 import argparse
+import random
 import time
 
 from acecolor import _kernel_py
+from acecolor.generate import grid_builder
 from acecolor.graph import Graph
 
 try:
@@ -78,6 +82,39 @@ def peeling_workloads():
     yield "peel K2,2000", complete_bipartite(2, 2000)
 
 
+def crossed_grid_rotation(rows: int, cols: int, crossings: int, seed: int = 0):
+    """(vertex count, rotation rows) of the plane graph of a rows x cols
+    grid with `crossings` crossing chords, tried over its edges in a
+    seeded order."""
+    b = grid_builder(rows, cols)
+    candidates = sorted(b.edges)
+    random.Random(seed).shuffle(candidates)
+    inserted = 0
+    for a, c in candidates:
+        if inserted == crossings:
+            break
+        if b.can_insert_crossing(a, c):
+            b.insert_crossing(a, c)
+            inserted += 1
+    d = b.to_drawing()
+    n_all = d.base.n + len(d.crossing_pairs)
+    return n_all, [d.rotation[v] for v in range(n_all)]
+
+
+def planar_k2_rotation(b: int):
+    """(vertex count, rotation rows) of K2,b drawn in the plane: the hubs 0
+    and 1 list the other vertices in opposite orders."""
+    leaves = tuple(range(2, b + 2))
+    return b + 2, [leaves, leaves[::-1]] + [(0, 1)] * b
+
+
+def face_workloads():
+    """(name, n, rot) face-tracing calls: a large sparse plane graph with
+    crossing vertices and one with two hubs."""
+    yield "faces grid 100x100 +1000x", *crossed_grid_rotation(100, 100, 1000)
+    yield "faces K2,2000", *planar_k2_rotation(2000)
+
+
 def best_time(call, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -132,6 +169,8 @@ def main() -> None:
         report(name, [run(mod, g, k, args.repeat) for _, mod in backends])
     for name, g in peeling_workloads():
         report(name, [run_peeling(mod, g, args.repeat) for _, mod in backends])
+    for name, n, rot in face_workloads():
+        report(name, [best_time(lambda: mod.trace_faces(n, rot), args.repeat) for _, mod in backends])
 
 
 if __name__ == "__main__":

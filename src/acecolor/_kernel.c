@@ -10,6 +10,12 @@
  * ``peeling_order`` mirrors ``_kernel_py.peeling_order``: the same order
  * and the same input checks, from a binary heap of vertices keyed by
  * (degree, id) and a per-vertex array of the vertex's remaining edges.
+ *
+ * ``trace_faces`` mirrors ``_kernel_py.trace_faces``: the same face walks in
+ * the same order, and the same input checks, over the darts stored row by
+ * row. The reverse of each dart is found in O(n + m) from the darts
+ * bucketed by their head, never by scanning another vertex's row, so a
+ * hub costs no more than its darts.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -316,6 +322,155 @@ done:
     return result;
 }
 
+static PyObject *trace_faces(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *n_obj, *rot_seq, *rows, *result = NULL, **fast = NULL, **items = NULL;
+    int *buf = NULL;
+    if (!PyArg_ParseTuple(args, "OO:trace_faces", &n_obj, &rot_seq))
+        return NULL;
+    Py_ssize_t n = PyNumber_AsSsize_t(n_obj, NULL);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    rows = PySequence_Fast(rot_seq, "rot must be a sequence of rows");
+    if (!rows)
+        return NULL;
+    if (PySequence_Fast_GET_SIZE(rows) != n) {
+        PyErr_SetString(PyExc_ValueError, "rot must have one row per vertex");
+        goto done;
+    }
+    if (n >= INT_MAX) /* vertex ids + 1 are stored as int */
+        goto nomem;
+    fast = calloc(n + 1, sizeof(PyObject *));
+    if (!fast)
+        goto nomem;
+    Py_ssize_t darts = 0;
+    for (Py_ssize_t v = 0; v < n; v++) {
+        fast[v] = PySequence_Fast(PySequence_Fast_GET_ITEM(rows, v), "each row of rot must be a sequence");
+        if (!fast[v])
+            goto done;
+        darts += PySequence_Fast_GET_SIZE(fast[v]);
+    }
+    if (darts >= INT_MAX) /* dart slots are stored as int */
+        goto nomem;
+    /* one block: start | in_start (n+1 each) | cursor | mark | at (n each) |
+     * head | tail | rev | in_slot | used (one per dart) */
+    buf = calloc(5 * n + 2 + 5 * darts, sizeof(int));
+    /* items[s]: the row entry of dart s, reused as the ends of the walks */
+    items = malloc((darts + 1) * sizeof(PyObject *));
+    if (!buf || !items)
+        goto nomem;
+    int *start = buf, *in_start = start + n + 1, *cursor = in_start + n + 1, *mark = cursor + n;
+    int *at = mark + n, *head = at + n, *tail = head + darts, *rev = tail + darts;
+    int *in_slot = rev + darts, *used = in_slot + darts;
+    /* the darts row by row: dart s = start[v] + i is (v, rot[v][i]), with
+     * tail v and head rot[v][i]; mark[w] = v + 1 and at[w] = i once row v
+     * has listed w at slot i */
+    for (Py_ssize_t v = 0; v < n; v++) {
+        Py_ssize_t len = PySequence_Fast_GET_SIZE(fast[v]);
+        PyObject **row = PySequence_Fast_ITEMS(fast[v]);
+        start[v + 1] = start[v] + (int)len;
+        for (Py_ssize_t i = 0; i < len; i++) {
+            Py_ssize_t w = PyNumber_AsSsize_t(row[i], NULL);
+            if (w == -1 && PyErr_Occurred())
+                goto done;
+            if (w < 0 || w >= n) {
+                PyErr_Format(PyExc_ValueError, "rot[%zd][%zd] = %S is out of range [0, %zd)", v, i, row[i], n);
+                goto done;
+            }
+            if (w == v) {
+                PyErr_Format(PyExc_ValueError, "rot[%zd][%zd] is a loop at vertex %zd", v, i, v);
+                goto done;
+            }
+            if (mark[w] == v + 1) {
+                PyErr_Format(PyExc_ValueError, "rot[%zd][%zd] repeats rot[%zd][%d]", v, i, v, at[w]);
+                goto done;
+            }
+            mark[w] = (int)v + 1;
+            at[w] = (int)i;
+            int s = start[v] + (int)i;
+            tail[s] = (int)v;
+            head[s] = (int)w;
+            items[s] = row[i];
+            in_start[w + 1]++;
+        }
+    }
+    /* in_slot[in_start[w] .. in_start[w + 1]) lists the darts into w, in
+     * slot order */
+    for (Py_ssize_t w = 0; w < n; w++) {
+        in_start[w + 1] += in_start[w];
+        cursor[w] = in_start[w];
+    }
+    for (int s = 0; s < darts; s++)
+        in_slot[cursor[head[s]]++] = s;
+    /* rev[s]: the slot of the reverse of dart s. For each w, mark the
+     * entries of row w (mark[x] = -(w + 1), at[x] = the slot of (w, x)),
+     * then look up the tail of each dart into w; report the least dart
+     * without a reverse. */
+    int missing = (int)darts;
+    for (Py_ssize_t w = 0; w < n; w++) {
+        for (int s = start[w]; s < start[w + 1]; s++) {
+            mark[head[s]] = -(int)w - 1;
+            at[head[s]] = s;
+        }
+        for (int j = in_start[w]; j < in_start[w + 1]; j++) {
+            int s = in_slot[j], v = tail[s];
+            if (mark[v] == -(int)w - 1)
+                rev[s] = at[v];
+            else if (s < missing)
+                missing = s;
+        }
+    }
+    if (missing < darts) {
+        PyErr_Format(PyExc_ValueError, "dart (%d, %d) has no reverse: %d is not in rot[%d]",
+                     tail[missing], head[missing], tail[missing], head[missing]);
+        goto done;
+    }
+    /* the walks: after dart s = (v, w) comes the dart that follows its
+     * reverse (w, v) in row w, cyclically; each walk starts at its first
+     * unused slot. A dart's ends are the row entries of its reverse and of
+     * itself. */
+    result = PyList_New(0);
+    for (int s0 = 0; result && s0 < darts; s0++) {
+        if (used[s0])
+            continue;
+        Py_ssize_t len = 0;
+        int s = s0;
+        do {
+            len++;
+            s = rev[s] + 1 == start[head[s] + 1] ? start[head[s]] : rev[s] + 1;
+        } while (s != s0);
+        PyObject *walk = PyTuple_New(len);
+        for (Py_ssize_t j = 0; walk && j < len; j++) {
+            used[s] = 1;
+            PyObject *dart = PyTuple_New(2);
+            if (!dart) {
+                Py_CLEAR(walk);
+                break;
+            }
+            PyTuple_SET_ITEM(dart, 0, Py_NewRef(items[rev[s]]));
+            PyTuple_SET_ITEM(dart, 1, Py_NewRef(items[s]));
+            PyTuple_SET_ITEM(walk, j, dart);
+            s = rev[s] + 1 == start[head[s] + 1] ? start[head[s]] : rev[s] + 1;
+        }
+        if (!walk || PyList_Append(result, walk) < 0)
+            Py_CLEAR(result);
+        Py_XDECREF(walk);
+    }
+    goto done;
+nomem:
+    PyErr_NoMemory();
+done:
+    free(buf);
+    free(items);
+    if (fast) {
+        for (Py_ssize_t v = 0; v < n; v++)
+            Py_XDECREF(fast[v]);
+        free(fast);
+    }
+    Py_DECREF(rows);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"find_coloring", find_coloring, METH_VARARGS,
      "find_coloring(n, k, eu, ev, order, max_nodes=-1) -> list[int] | None | False\n\n"
@@ -326,6 +481,10 @@ static PyMethodDef methods[] = {
      "peeling_order(n, eu, ev) -> list[int]\n\n"
      "Mirror of ``_kernel_py.peeling_order`` (see that module for the contract):\n"
      "the edge indices in coloring order, the reverse of min-degree peeling."},
+    {"trace_faces", trace_faces, METH_VARARGS,
+     "trace_faces(n, rot) -> list[tuple[tuple[int, int], ...]]\n\n"
+     "Mirror of ``_kernel_py.trace_faces`` (see that module for the contract):\n"
+     "the face walks of the rotation system rot, as tuples of darts (u, v)."},
     {NULL, NULL, 0, NULL},
 };
 

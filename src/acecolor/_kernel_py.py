@@ -8,9 +8,10 @@ A node is one pass of the backtracking loop: one edge tried at one depth,
 forward or back. A node budget caps how many the search may visit.
 
 ``peeling_order`` computes the edge order the solvers feed the search:
-the reverse of min-degree peeling.
+the reverse of min-degree peeling. ``trace_faces`` splits the darts of a
+rotation system into its face walks, for ``embedding.planarize``.
 
-The hand-written C extension in ``_kernel.c`` implements the same two
+The hand-written C extension in ``_kernel.c`` implements the same three
 functions, input checks included, and returns the same result for every
 input; ``acecolor.kernel`` picks whichever is available at import time.
 """
@@ -184,3 +185,67 @@ def find_coloring(
         maxc[i + 1] = c if c > maxc[i] else maxc[i]
         i += 1
     return colors if i == m else None
+
+
+def _row_problems(n: int, v: int, row):
+    """The entries of ``rot[v]`` that are out of range, loops or repeats
+    of an earlier entry, as messages in row order."""
+    first: dict[int, int] = {}
+    for i, w in enumerate(row):
+        if not 0 <= w < n:
+            yield f"rot[{v}][{i}] = {w} is out of range [0, {n})"
+        elif w == v:
+            yield f"rot[{v}][{i}] is a loop at vertex {v}"
+        elif w in first:
+            yield f"rot[{v}][{i}] repeats rot[{v}][{first[w]}]"
+        else:
+            first[w] = i
+
+
+def trace_faces(n: int, rot) -> list[tuple[tuple[int, int], ...]]:
+    """The face walks of a rotation system, as tuples of darts (u, v).
+
+    ``rot[v]`` is the cyclic order of the neighbors of vertex v. From the
+    dart (u, v) a walk continues with (v, w), where w follows u in
+    ``rot[v]``; every dart lies on exactly one walk. Darts are taken with
+    v ascending and then in ``rot[v]`` order, and each walk starts at the
+    first dart not on an earlier one.
+
+    Raises ValueError unless rot has n rows, every entry lies in [0, n),
+    no row lists its own vertex or an entry twice, and every dart (v, w)
+    has its reverse (w, v), that is, v is in ``rot[w]``. The first bad
+    entry in row order is reported; a missing reverse only when every
+    entry is good, at the first dart in row order without one.
+    """
+    if len(rot) != n:
+        raise ValueError("rot must have one row per vertex")
+    # pos[v][w] is the slot of w in rot[v]
+    pos: list[dict[int, int]] = []
+    for v, row in enumerate(rot):
+        at = {w: i for i, w in enumerate(row)}
+        if len(at) != len(row) or v in at or (row and not (0 <= min(row) and max(row) < n)):
+            raise ValueError(next(_row_problems(n, v, row)))
+        pos.append(at)
+    # seen[v][i]: the dart (v, rot[v][i]) lies on a walk traced already
+    seen = [[False] * len(row) for row in rot]
+    faces = []
+    for v, row in enumerate(rot):
+        for i, w in enumerate(row):
+            if seen[v][i]:
+                continue
+            walk = []
+            a, j, b = v, i, w
+            while not seen[a][j]:
+                seen[a][j] = True
+                walk.append((a, b))
+                k = pos[b].get(a)
+                if k is None:  # (a, b) has no reverse; report the first such dart
+                    a, b = next((a, b) for a, row in enumerate(rot) for b in row if a not in pos[b])
+                    raise ValueError(f"dart ({a}, {b}) has no reverse: {a} is not in rot[{b}]")
+                next_row = rot[b]
+                k += 1
+                if k == len(next_row):
+                    k = 0
+                a, j, b = b, k, next_row[k]
+            faces.append(tuple(walk))
+    return faces

@@ -8,7 +8,15 @@ crossing-pair order; in files they are written X0, X1, ...
 
 Face traversal convention: from the directed edge (u, v), the walk
 continues with (v, w) where w follows u in the rotation at v. Every
-directed edge lies on exactly one face walk.
+directed edge lies on exactly one face walk. The walks are traced by the
+kernel (``kernel.trace_faces``, in C when it is built), which also
+rejects a malformed rotation.
+
+``planarize`` builds the plane graph once per drawing. A drawing without
+crossings shares its immutable base graph as the planarized graph, so the
+two also share the components and cut vertices each graph keeps. The
+3-faces at each vertex are indexed when the plane graph is built; the
+index of all faces at each vertex is built on its first use.
 
 This module only validates drawings; constructing them (generators,
 crossing insertion) lives in ``acecolor.generate``. The facts read off
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import kernel
 from .errors import EmbeddingError, ParseError
 from .graph import Edge, Graph, _parse_graph_lines, canonical_edge, format_graph
 
@@ -86,11 +95,13 @@ class PlaneGraph:
     """The plane graph of a drawing: crossings are degree-4 vertices.
 
     Vertices 0..n_real-1 are the base vertices; n_real.. are crossings.
-    ``graph`` is the planarized graph. ``triangles_at[v]`` holds
-    the indices of the 3-faces at v, with multiplicity; it is computed
-    once, with the face index, so that the face conditions cost O(deg v)
-    per vertex: its length is v's 3-face count, and a 2-vertex lies on a
-    3-face iff it is non-empty.
+    ``graph`` is the planarized graph; a drawing without crossings shares
+    its base graph, which is immutable, as its planarized graph.
+    ``triangles_at[v]`` holds the indices of the 3-faces at v, with
+    multiplicity; it is computed once, from the 3-faces alone, so that the
+    face conditions cost O(deg v) per vertex: its length is v's 3-face
+    count, and a 2-vertex lies on a 3-face iff it is non-empty. The index
+    of all faces at each vertex (``faces_at``) is built on its first use.
     """
 
     __slots__ = (
@@ -118,45 +129,32 @@ class PlaneGraph:
         self.graph = graph
         self.rotation = rotation
         self.faces = faces
-        index: list[list[int]] = [[] for _ in range(graph.n)]
-        triangles: list[list[int]] = [[] for _ in range(graph.n)]
+        triangles: list[tuple[int, ...]] = [()] * graph.n
         for i, f in enumerate(faces):
-            walk = f.vertices
-            for v in walk:
-                index[v].append(i)
-            if len(walk) == 3:
-                for v in walk:
-                    triangles[v].append(i)
-        self._face_index_at = tuple(tuple(ix) for ix in index)
-        self.triangles_at: tuple[tuple[int, ...], ...] = tuple(tuple(t) for t in triangles)
+            if len(f.walk) == 3:
+                for v, _ in f.walk:
+                    triangles[v] += (i,)
+        self.triangles_at: tuple[tuple[int, ...], ...] = tuple(triangles)
+        self._face_index_at: tuple[tuple[int, ...], ...] | None = None
 
     def faces_at(self, v: int) -> tuple[int, ...]:
         """Indices of faces incident with v, with multiplicity."""
         self.graph.check_vertex(v)
+        if self._face_index_at is None:
+            index: list[list[int]] = [[] for _ in range(self.graph.n)]
+            for i, f in enumerate(self.faces):
+                for u, _ in f.walk:
+                    index[u].append(i)
+            self._face_index_at = tuple(map(tuple, index))
         return self._face_index_at[v]
 
 
 def trace_faces(n: int, rot: list[tuple[int, ...]]) -> list[Face]:
-    """Orbit decomposition of directed edges under the next-edge map;
-    ``rot[v]`` is the rotation at vertex v, for v in 0..n-1."""
-    pos = [{u: i for i, u in enumerate(r)} for r in rot]
-    used: set[tuple[int, int]] = set()
-    faces: list[Face] = []
-    for v in range(n):
-        for w in rot[v]:
-            if (v, w) in used:
-                continue
-            walk = []
-            cur = (v, w)
-            while cur not in used:
-                used.add(cur)
-                walk.append(cur)
-                a, b = cur
-                i = pos[b][a]
-                nxt = rot[b][(i + 1) % len(rot[b])]
-                cur = (b, nxt)
-            faces.append(Face(tuple(walk)))
-    return faces
+    """The face walks of the rotation system ``rot`` (``rot[v]`` is the
+    rotation at vertex v, for v in 0..n-1), traced by the kernel
+    (``kernel.trace_faces``, which states the order and the checks). A
+    malformed rotation raises the kernel's ValueError."""
+    return list(map(Face, kernel.trace_faces(n, rot)))
 
 
 def planarize(d: Drawing) -> PlaneGraph:
@@ -165,45 +163,46 @@ def planarize(d: Drawing) -> PlaneGraph:
     Checks: the rotation covers exactly the planarized vertex set and
     matches its edge set; the rotation at every crossing alternates the
     two crossed edges; face traversal satisfies Euler's formula on every
-    connected component (genus zero).
+    connected component (genus zero). A drawing without crossings keeps
+    its base graph as the planarized graph.
     """
     base = d.base
     n = base.n
     n_all = n + len(d.crossing_pairs)
 
-    crossed: dict[Edge, int] = {}
-    for i, (e1, e2) in enumerate(d.crossing_pairs):
-        crossed[e1] = n + i
-        crossed[e2] = n + i
-
-    # planarized edges: a crossed edge becomes its two halves
-    segments: list[Edge] = []
-    for e in base.edges:
-        if e in crossed:
-            x = crossed[e]
-            segments.extend(canonical_edge(end, x) for end in e)
-        else:
-            segments.append(e)
-    # simple by construction: Drawing rejects an edge crossed twice and a
-    # crossing pair that shares an endpoint
-    pgraph = Graph(n_all, segments)
+    if d.crossing_pairs:
+        crossed: dict[Edge, int] = {}
+        for i, (e1, e2) in enumerate(d.crossing_pairs):
+            crossed[e1] = n + i
+            crossed[e2] = n + i
+        # planarized edges: a crossed edge becomes its two halves
+        segments: list[Edge] = []
+        for e in base.edges:
+            if e in crossed:
+                x = crossed[e]
+                segments.extend(canonical_edge(end, x) for end in e)
+            else:
+                segments.append(e)
+        # simple by construction: Drawing rejects an edge crossed twice and a
+        # crossing pair that shares an endpoint
+        pgraph = Graph(n_all, segments)
+    else:
+        pgraph = base
 
     # rotation must cover exactly the planarized vertices and edges
-    missing = [v for v in range(n_all) if v not in d.rotation]
-    if missing:
+    rot_list = list(map(d.rotation.get, range(n_all)))
+    if None in rot_list:
+        missing = [v for v, r in enumerate(rot_list) if r is None]
         raise EmbeddingError(f"rotation missing for vertices {missing}")
-    extra = [v for v in d.rotation if not (0 <= v < n_all)]
-    if extra:
+    if len(d.rotation) != n_all:
+        extra = [v for v in d.rotation if not (0 <= v < n_all)]
         raise EmbeddingError(f"rotation given for unknown vertices {extra}")
-    rot_list: list[tuple[int, ...]] = []
-    for v in range(n_all):
-        r = tuple(d.rotation[v])
-        if sorted(r) != sorted(pgraph.neighbors(v)):
-            raise EmbeddingError(
-                f"rotation at {v} is {r}, inconsistent with planarized "
-                f"neighbors {pgraph.neighbors(v)}"
-            )
-        rot_list.append(r)
+    if list(map(tuple, map(sorted, rot_list))) != list(pgraph.adj):
+        v = next(v for v, r in enumerate(rot_list) if tuple(sorted(r)) != pgraph.adj[v])
+        raise EmbeddingError(
+            f"rotation at {v} is {rot_list[v]}, inconsistent with planarized "
+            f"neighbors {pgraph.neighbors(v)}"
+        )
 
     # crossing rotations must alternate the two original edges: opposite
     # rotation slots must be the endpoints of the same crossed edge
@@ -218,23 +217,27 @@ def planarize(d: Drawing) -> PlaneGraph:
 
     faces = trace_faces(n_all, rot_list)
 
-    # Euler's formula on every connected component (genus-zero rotation)
+    # Euler's formula on every connected component (genus-zero rotation):
+    # a component's edges are half its degree sum, and its faces are the
+    # walks that start at one of its vertices
     comps = pgraph.connected_components()
-    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
-    edge_count = [0] * len(comps)
-    for u, _v in pgraph.edges:
-        edge_count[comp_of[u]] += 1
+    comp_of = [0] * n_all
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
     face_count = [0] * len(comps)
     for f in faces:
         face_count[comp_of[f.walk[0][0]]] += 1
+    deg = pgraph.degrees
     for ci, comp in enumerate(comps):
-        if edge_count[ci] == 0:
+        edge_count = sum(map(deg.__getitem__, comp)) // 2
+        if edge_count == 0:
             continue  # isolated vertex
-        euler = len(comp) - edge_count[ci] + face_count[ci]
+        euler = len(comp) - edge_count + face_count[ci]
         if euler != 2:
             raise EmbeddingError(
                 f"rotation is not planar on component containing {comp[0]}: "
-                f"V-E+F = {len(comp)}-{edge_count[ci]}+{face_count[ci]} != 2"
+                f"V-E+F = {len(comp)}-{edge_count}+{face_count[ci]} != 2"
             )
 
     return PlaneGraph(

@@ -21,6 +21,17 @@ ValueError unless eu and ev have equal lengths, every endpoint lies in
 [0, n), and no edge is a loop or repeats an earlier one, so every
 (degree, id) is distinct and the order is unique. It costs
 O(m * degeneracy + m log n).
+
+``trace_faces(n, rot)`` returns the face walks of the rotation system
+``rot`` (``rot[v]`` lists the neighbors of v in cyclic order) as tuples of
+darts (u, v): from (u, v) a walk goes on to (v, w), where w follows u in
+``rot[v]``. Darts are taken with v ascending and then in ``rot[v]`` order,
+and each walk starts at the first dart not on an earlier one, so the
+walks and their order are unique. It raises ValueError unless rot has n
+rows, every entry lies in [0, n), no row lists its own vertex or an entry
+twice, and every dart (v, w) has its reverse (v is in ``rot[w]``); the
+message names the first bad entry in row order, or else the first dart
+without a reverse. It costs O(n + m), however the degrees are spread.
 """
 
 from __future__ import annotations
@@ -38,3 +49,4 @@ else:
 BACKEND: str = _impl.BACKEND  # "c" or "python"
 find_coloring = _impl.find_coloring
 peeling_order = _impl.peeling_order
+trace_faces = _impl.trace_faces

@@ -14,7 +14,7 @@ from acecolor.conditions import (
     recheck_witness,
 )
 from acecolor.discharging import discharge
-from acecolor.embedding import planarize
+from acecolor.embedding import format_drawing, parse_drawing, planarize
 from acecolor.errors import SizeRefusal
 from acecolor.generate import FAMILIES, generate_instance, grid_builder
 from acecolor.graph import Graph
@@ -372,15 +372,23 @@ def test_audit_runs_one_cut_vertex_search_per_drawing(monkeypatch):
 
 def test_audit_runs_one_component_search_per_graph(monkeypatch):
     # planarizing, discharging, the full-scope checks and the
-    # reducible-witness search share each graph's kept components: one
-    # search on the plane graph and one on the base graph
-    d = generate_instance("subdivided-quadrangulation", 3)
+    # reducible-witness search share each graph's kept components, so each
+    # distinct graph is searched once: an uncrossed drawing is its own
+    # plane graph, and a crossed one has a plane graph and a base graph.
+    # Each drawing is read back from its file, so its graphs are fresh.
     calls = []
     find = Graph._find_components
     monkeypatch.setattr(Graph, "_find_components", lambda g: calls.append(g) or find(g))
-    g, p = d.base, planarize(d)
-    discharge(p, g)
-    for cond in CONDITION_ORDER:
-        check_condition(g, p, kappa_for(g), cond)
-    assert find_reducible_configuration(g, p, kappa_for(g)) is not None
-    assert len(calls) == 2 and calls[0] is p.graph and calls[1] is g
+    for family, searched in (("subdivided-quadrangulation", 1), ("grid-with-crossings", 2)):
+        d = parse_drawing(format_drawing(generate_instance(family, 3)))
+        calls.clear()
+        g, p = d.base, planarize(d)
+        discharge(p, g)
+        for cond in CONDITION_ORDER:
+            check_condition(g, p, kappa_for(g), cond)
+        assert find_reducible_configuration(g, p, kappa_for(g)) is not None
+        assert len(calls) == searched, family
+        if searched == 1:
+            assert p.graph is g and calls[0] is g
+        else:
+            assert d.crossing_pairs and calls[0] is p.graph and calls[1] is g

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from acecolor.conditions import DEG5_BIG, HEAVY, Condition, check_condition, thresholds
 from acecolor.discharging import (
     FLOOR_SLACK,
+    _blame,
     RULES,
     SCALE,
     Transfer,
@@ -397,6 +398,40 @@ def test_blame_is_sound_from_the_floor_up(d, slack):
     for ne in rep.negative_elements:
         assert ne.violated, ne.element
         assert element_hypothesis_failures(p, g, kappa, ne.element) == list(ne.violated)
+
+
+def _two_vertex_on_three_face():
+    """A 3x3 grid with a 2-vertex next to a crossing: the 2-vertex sends
+    triface-from-real to its 3-face, and fails deg2-face-sizes."""
+    b = grid_builder(3, 3)
+    w = b.subdivide(0, 1)
+    b.insert_crossing(w, 1, protect_deg2=False)
+    return b.to_drawing()
+
+
+def test_one_element_blame_equals_the_blame_from_the_full_ledger():
+    # element_hypothesis_failures computes only the firings its element can
+    # send; on every element of the acceptance corpus, and of a drawing
+    # whose 3-face blame fires, its blame is the one the full ledger gives,
+    # and each scoped run is the part of the full run that its scope covers
+    face_blamed = 0
+    for d in _corpus_drawings() + [_two_vertex_on_three_face()]:
+        p, g = planarize(d), d.base
+        kappa = g.max_degree() + FLOOR_SLACK
+        full = compute_transfers(p, g, kappa)
+        elems = [("v", v) for v in range(p.graph.n)] + [("f", i) for i in range(len(p.faces))]
+        for elem in elems:
+            blame = _blame(p, g, kappa, full, [elem])[0]
+            assert element_hypothesis_failures(p, g, kappa, elem) == blame, elem
+            face_blamed += any(v.hypothesis == Condition.DEG2_FACE_SIZES.value for v in blame)
+        vertices, faces = range(0, g.n, 3), range(1, len(p.faces), 2)
+
+        def covered(t):
+            face = next((x for kind, x in (t.source, t.target) if kind == "f"), None)
+            return t.target[1] in vertices if face is None else face in faces
+
+        assert compute_transfers(p, g, kappa, vertices, faces) == list(filter(covered, full))
+    assert face_blamed
 
 
 def test_one_element_blame_errors():

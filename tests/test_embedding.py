@@ -10,6 +10,7 @@ from acecolor.embedding import (
     _vertex_token,
     parse_drawing,
     planarize,
+    trace_faces,
 )
 from acecolor.errors import EmbeddingError, ParseError
 from acecolor.generate import cycle_builder, grid_builder
@@ -67,9 +68,26 @@ def test_single_edge_degenerate_walk():
 def test_zero_crossings_identity():
     d = c4_drawing()
     p = planarize(d)
-    assert p.graph == d.base
+    assert p.graph is d.base  # shared: graphs are immutable
     assert p.rotation == tuple(tuple(d.rotation[v]) for v in range(4))
     assert contracted_edges(p) == set(d.base.edges)
+
+
+@pytest.mark.parametrize(
+    "n, rot, message",
+    [
+        (2, [(1,), ()], r"^dart \(0, 1\) has no reverse: 0 is not in rot\[1\]$"),
+        (2, [(5,), (0,)], r"^rot\[0\]\[0\] = 5 is out of range \[0, 2\)$"),
+        (1, [(0,)], r"^rot\[0\]\[0\] is a loop at vertex 0$"),
+        (3, [(1, 1), (0,), ()], r"^rot\[0\]\[1\] repeats rot\[0\]\[0\]$"),
+    ],
+    ids=["missing-reverse", "out-of-range", "loop", "repeat"],
+)
+def test_trace_faces_rejects_malformed_rotations(n, rot, message):
+    # the kernel's ValueError, not a KeyError or an IndexError from the
+    # walk, and no walks traced over a loop or a repeated neighbor
+    with pytest.raises(ValueError, match=message):
+        trace_faces(n, rot)
 
 
 def test_k4_crossed_planarization():

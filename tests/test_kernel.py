@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from acecolor import _kernel_py
 from acecolor import kernel
+from acecolor.generate import grid_builder
 
 from graphlib import complete, complete_bipartite, cycle, path, petersen, small_library
 
@@ -287,3 +288,136 @@ def test_peeling_order_time_is_bounded_on_hubs_and_grids(backend, graph):
     order = backend.peeling_order(*graph)
     assert time.perf_counter() - t0 < 5
     assert sorted(order) == list(range(len(graph[1])))
+
+
+def _public_functions(module):
+    return {name for name, obj in vars(module).items() if callable(obj) and not name.startswith("_")}
+
+
+def test_backends_expose_the_same_functions(c_kernel):
+    # a function added to one backend and not the other fails here, and
+    # acecolor.kernel re-exports each of them
+    assert _public_functions(_kernel_py) == _public_functions(c_kernel)
+    assert _public_functions(kernel) == _public_functions(_kernel_py)
+    assert {"find_coloring", "peeling_order", "trace_faces"} <= _public_functions(kernel)
+
+
+# -- face walks -----------------------------------------------------------------
+
+
+def _k2_rotation(b):
+    """K2,b drawn in the plane: the hubs 0 and 1 list the other vertices in
+    opposite orders, so there are b faces of length 4."""
+    leaves = tuple(range(2, b + 2))
+    return b + 2, [leaves, leaves[::-1]] + [(0, 1)] * b
+
+
+def _darts(rot):
+    return sorted((v, w) for v, row in enumerate(rot) for w in row)
+
+
+@st.composite
+def rotation_inputs(draw):
+    """A random simple graph on 1 to 12 vertices with each rotation row
+    shuffled, as a tuple or a list, then up to two faults: an entry
+    dropped, one out of range, a loop, a repeated entry, or a row added or
+    removed."""
+    n = draw(st.integers(1, 12))
+    pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=30)) if pool else []
+    rows = [[] for _ in range(n)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    rot = [draw(st.permutations(row)) for row in rows]
+    rot = [tuple(row) if draw(st.booleans()) else list(row) for row in rot]
+    faults = ["drop", "range", "loop", "repeat", "rows"]
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=2)):
+        if fault == "rows":
+            rot = rot + [()] if draw(st.booleans()) or not rot else rot[:-1]
+            continue
+        if not rot:
+            continue
+        v = draw(st.integers(0, len(rot) - 1))
+        row = list(rot[v])
+        i = draw(st.integers(0, len(row)))
+        if fault == "drop" and row:
+            del row[i % len(row)]
+        elif fault == "range":
+            row.insert(i, draw(st.sampled_from([-1, n, n + 3, 2**70, -(2**70)])))
+        elif fault == "loop":
+            row.insert(i, v)
+        elif fault == "repeat" and row:
+            row.insert(i, draw(st.sampled_from(row)))
+        rot[v] = row
+    return n, rot
+
+
+def _faces_or_message(backend, n, rot):
+    try:
+        return backend.trace_faces(n, rot)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_inputs())
+def test_trace_faces_backends_agree(c_kernel, args):
+    # equal walks on a good rotation, equal messages on a bad one
+    walks = _faces_or_message(_kernel_py, *args)
+    assert _faces_or_message(c_kernel, *args) == walks
+    if not isinstance(walks, str):  # every dart on exactly one walk
+        assert sorted(d for walk in walks for d in walk) == _darts(args[1])
+
+
+def test_trace_faces_order(backend):
+    # a 4-cycle: walks start at the first unused dart, in row order
+    rot = [(1, 3), (2, 0), (3, 1), (0, 2)]
+    assert backend.trace_faces(4, rot) == [
+        ((0, 1), (1, 2), (2, 3), (3, 0)),
+        ((0, 3), (3, 2), (2, 1), (1, 0)),
+    ]
+    assert backend.trace_faces(0, []) == []
+    assert backend.trace_faces(3, [(), (), ()]) == []
+    assert backend.trace_faces(2, [[1], [0]]) == [((0, 1), (1, 0))]
+
+
+@pytest.mark.parametrize(
+    "n, rot, message",
+    [
+        (2, [(1,)], r"^rot must have one row per vertex$"),
+        (-1, [], r"^rot must have one row per vertex$"),
+        (2, [(1, 2), (0,)], r"^rot\[0\]\[1\] = 2 is out of range \[0, 2\)$"),
+        (2, [(1,), (-1, 0)], r"^rot\[1\]\[0\] = -1 is out of range \[0, 2\)$"),
+        (2, [(1,), (2**70,)], rf"^rot\[1\]\[0\] = {2**70} is out of range \[0, 2\)$"),
+        (2, [(1, 0), (0,)], r"^rot\[0\]\[1\] is a loop at vertex 0$"),
+        (3, [(1, 2, 1), (0,), (0,)], r"^rot\[0\]\[2\] repeats rot\[0\]\[0\]$"),
+        (3, [(1, 2), (0,), ()], r"^dart \(0, 2\) has no reverse: 0 is not in rot\[2\]$"),
+        (3, [(1,), (0, 2), (5,)], r"^rot\[2\]\[0\] = 5 is out of range \[0, 3\)$"),  # entries first
+    ],
+    ids=["short", "negative-n", "high", "negative", "huge", "loop", "repeat", "reverse",
+         "entry-before-reverse"],
+)
+def test_trace_faces_rejects_malformed_rows(backend, n, rot, message):
+    with pytest.raises(ValueError, match=message):
+        backend.trace_faces(n, rot)
+
+
+def _grid_rotation(rows, cols):
+    b = grid_builder(rows, cols)
+    return b.n, [tuple(b.rotation[v]) for v in range(b.n)]
+
+
+@pytest.mark.parametrize(
+    "n, rot, faces",
+    [(*_k2_rotation(2000), 2000), (*_grid_rotation(100, 100), 99 * 99 + 1)],
+    ids=["K2,2000", "grid100x100"],
+)
+def test_trace_faces_is_linear_on_hubs_and_grids(backend, n, rot, faces):
+    # the reverse of each dart is found without scanning the row of its
+    # head, so a hub's 2000 darts cost no more than 2000 darts elsewhere
+    t0 = time.perf_counter()
+    walks = backend.trace_faces(n, rot)
+    assert time.perf_counter() - t0 < 5
+    assert len(walks) == faces
+    assert sum(map(len, walks)) == len(_darts(rot))
