@@ -7,9 +7,11 @@ extension is built (``python setup.py build_ext --inplace``). Each search
 runs on its backend's own ``peeling_order``, computed outside the timed
 region. The last two search workloads, K5,5 at k=6 and K8 at k=8, are
 refutations that take seconds in pure Python. Two more rows time
-``peeling_order`` itself, on the 100x100 grid and on K2,2000, and two
-time ``trace_faces``, on the plane graph of the 100x100 grid with 1000
-crossings and on K2,2000 drawn in the plane. Usage:
+``peeling_order`` itself, on the 100x100 grid and on K2,2000, two time
+``trace_faces``, on the plane graph of the 100x100 grid with 1000
+crossings and on K2,2000 drawn in the plane, and the last two time
+``read_drawing`` on the text of that crossed grid and ``index_edges`` on
+its edges, shuffled and each in a random direction. Usage:
 
     python benchmarks/bench_kernel.py [--repeat N]
 """
@@ -21,6 +23,7 @@ import random
 import time
 
 from acecolor import _kernel_py
+from acecolor.embedding import Drawing, format_drawing
 from acecolor.generate import grid_builder
 from acecolor.graph import Graph
 
@@ -82,10 +85,9 @@ def peeling_workloads():
     yield "peel K2,2000", complete_bipartite(2, 2000)
 
 
-def crossed_grid_rotation(rows: int, cols: int, crossings: int, seed: int = 0):
-    """(vertex count, rotation rows) of the plane graph of a rows x cols
-    grid with `crossings` crossing chords, tried over its edges in a
-    seeded order."""
+def crossed_grid_drawing(rows: int, cols: int, crossings: int, seed: int = 0) -> Drawing:
+    """A rows x cols grid with `crossings` crossing chords, tried over its
+    edges in a seeded order."""
     b = grid_builder(rows, cols)
     candidates = sorted(b.edges)
     random.Random(seed).shuffle(candidates)
@@ -96,7 +98,13 @@ def crossed_grid_rotation(rows: int, cols: int, crossings: int, seed: int = 0):
         if b.can_insert_crossing(a, c):
             b.insert_crossing(a, c)
             inserted += 1
-    d = b.to_drawing()
+    return b.to_drawing()
+
+
+def crossed_grid_rotation(rows: int, cols: int, crossings: int, seed: int = 0):
+    """(vertex count, rotation rows) of the plane graph of
+    ``crossed_grid_drawing``."""
+    d = crossed_grid_drawing(rows, cols, crossings, seed)
     n_all = d.base.n + len(d.crossing_pairs)
     return n_all, [d.rotation[v] for v in range(n_all)]
 
@@ -113,6 +121,20 @@ def face_workloads():
     crossing vertices and one with two hubs."""
     yield "faces grid 100x100 +1000x", *crossed_grid_rotation(100, 100, 1000)
     yield "faces K2,2000", *planar_k2_rotation(2000)
+
+
+def reader_workloads():
+    """(name, call) pairs of reader calls, each taking a kernel module: the
+    canonical text of the crossed 100x100 grid, and its edges as a reader
+    hands them to Graph, shuffled and each in a random direction."""
+    d = crossed_grid_drawing(100, 100, 1000)
+    text = format_drawing(d)
+    rng = random.Random(0)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in d.base.edges]
+    rng.shuffle(edges)
+    n = d.base.n
+    yield "read grid 100x100 +1000x", lambda mod: mod.read_drawing(text)
+    yield "index grid 100x100 +1000x", lambda mod: mod.index_edges(n, edges)
 
 
 def best_time(call, repeat: int) -> float:
@@ -171,6 +193,8 @@ def main() -> None:
         report(name, [run_peeling(mod, g, args.repeat) for _, mod in backends])
     for name, n, rot in face_workloads():
         report(name, [best_time(lambda: mod.trace_faces(n, rot), args.repeat) for _, mod in backends])
+    for name, call in reader_workloads():
+        report(name, [best_time(lambda: call(mod), args.repeat) for _, mod in backends])
 
 
 if __name__ == "__main__":

@@ -16,6 +16,16 @@
  * row. The reverse of each dart is found in O(n + m) from the darts
  * bucketed by their head, never by scanning another vertex's row, so a
  * hub costs no more than its darts.
+ *
+ * ``index_edges`` mirrors ``_kernel_py.index_edges``: the same sorted edges,
+ * rows and degrees, and the same message for the first bad entry, formatted
+ * from the entry's own objects. Repeats are found in O(n + m) from the
+ * entries sorted by (lo, hi, index) with two counting sorts.
+ *
+ * ``read_drawing`` mirrors ``_kernel_py.read_drawing``: it accepts exactly
+ * the canonical texts that the twin's pattern accepts and returns the same
+ * numbers, or None. It scans the bytes once into C numbers before it makes
+ * any Python object.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -471,6 +481,386 @@ done:
     return result;
 }
 
+/* A Python int for each vertex id below size, made on its first use and
+ * kept in cache; an id at or above size gets an int of its own. */
+static PyObject *vertex_int(PyObject **cache, Py_ssize_t size, long long v)
+{
+    if (v >= size)
+        return PyLong_FromLongLong(v);
+    if (!cache[v] && !(cache[v] = PyLong_FromLongLong(v)))
+        return NULL;
+    return Py_NewRef(cache[v]);
+}
+
+static void free_ints(PyObject **cache, Py_ssize_t size)
+{
+    for (Py_ssize_t v = 0; cache && v < size; v++)
+        Py_XDECREF(cache[v]);
+    free(cache);
+}
+
+static PyObject *int_pair(PyObject **cache, Py_ssize_t size, long long a, long long b)
+{
+    PyObject *x = vertex_int(cache, size, a), *y = x ? vertex_int(cache, size, b) : NULL;
+    PyObject *t = y ? PyTuple_New(2) : NULL;
+    if (!t) {
+        Py_XDECREF(x);
+        Py_XDECREF(y);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(t, 0, x);
+    PyTuple_SET_ITEM(t, 1, y);
+    return t;
+}
+
+/* The checks of index_edges, in the order each entry takes them. */
+enum { EDGE_OK, EDGE_NOT_PAIR, EDGE_RANGE, EDGE_LOOP, EDGE_REPEAT };
+
+/* An int's value, or -1 for one outside the Py_ssize_t range. */
+static Py_ssize_t endpoint(PyObject *x)
+{
+    Py_ssize_t v = PyLong_AsSsize_t(x);
+    if (v == -1 && PyErr_Occurred())
+        PyErr_Clear();
+    return v;
+}
+
+/* The ends of the entry e of index_edges as lo < hi, or the first check e
+ * fails short of a repeat. */
+static int edge_ends(PyObject *e, Py_ssize_t n, int *lo, int *hi)
+{
+    if (!(PyTuple_Check(e) || PyList_Check(e)) || PySequence_Fast_GET_SIZE(e) != 2
+        || !PyLong_Check(PySequence_Fast_GET_ITEM(e, 0)) || !PyLong_Check(PySequence_Fast_GET_ITEM(e, 1)))
+        return EDGE_NOT_PAIR;
+    Py_ssize_t u = endpoint(PySequence_Fast_GET_ITEM(e, 0)), v = endpoint(PySequence_Fast_GET_ITEM(e, 1));
+    if (u < 0 || u >= n || v < 0 || v >= n)
+        return EDGE_RANGE;
+    if (u == v)
+        return EDGE_LOOP;
+    *lo = (int)(u < v ? u : v);
+    *hi = (int)(u < v ? v : u);
+    return EDGE_OK;
+}
+
+/* The message of index_edges for the entry e that fails the check kind,
+ * formatted from e's own objects. */
+static void edge_error(int kind, PyObject *e, Py_ssize_t n)
+{
+    if (kind == EDGE_NOT_PAIR) {
+        PyErr_Format(PyExc_ValueError, "edge %R is not a pair of ints", e);
+        return;
+    }
+    /* held while they are formatted, in case e is a list */
+    PyObject *a = Py_NewRef(PySequence_Fast_GET_ITEM(e, 0)), *b = Py_NewRef(PySequence_Fast_GET_ITEM(e, 1));
+    if (kind == EDGE_RANGE)
+        PyErr_Format(PyExc_ValueError, "edge (%S, %S) has an endpoint outside 0..%zd", a, b, n - 1);
+    else if (kind == EDGE_LOOP)
+        PyErr_Format(PyExc_ValueError, "self-loop at vertex %S", a);
+    else if (endpoint(a) < endpoint(b))
+        PyErr_Format(PyExc_ValueError, "duplicate edge (%R, %R)", a, b);
+    else
+        PyErr_Format(PyExc_ValueError, "duplicate edge (%R, %R)", b, a);
+    Py_DECREF(a);
+    Py_DECREF(b);
+}
+
+static PyObject *index_edges(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *n_obj, *edges_obj, *seq, *result = NULL, **ints = NULL;
+    int *buf = NULL;
+    if (!PyArg_ParseTuple(args, "OO:index_edges", &n_obj, &edges_obj))
+        return NULL;
+    Py_ssize_t n = PyNumber_AsSsize_t(n_obj, NULL);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    if (n >= INT_MAX) /* vertex ids are stored as int */
+        return PyErr_NoMemory();
+    seq = PySequence_Fast(edges_obj, "edges must be iterable");
+    if (!seq)
+        return NULL;
+    Py_ssize_t m = PySequence_Fast_GET_SIZE(seq), vsize = n > 0 ? n : 0;
+    if (m >= INT_MAX / 2) /* row slots are stored as int */
+        goto nomem;
+    /* one block: lo | hi | by_hi | order (m each) | nbr (2m) | count | start (n+1 each) */
+    buf = calloc(6 * m + 2 * vsize + 2, sizeof(int));
+    ints = calloc(vsize + 1, sizeof(PyObject *));
+    if (!buf || !ints)
+        goto nomem;
+    int *lo = buf, *hi = lo + m, *by_hi = hi + m, *order = by_hi + m, *nbr = order + m;
+    int *count = nbr + 2 * m, *start = count + vsize + 1;
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    Py_ssize_t bad = m;
+    int kind = EDGE_OK;
+    for (Py_ssize_t i = 0; i < m && kind == EDGE_OK; i++)
+        if ((kind = edge_ends(items[i], n, &lo[i], &hi[i])) != EDGE_OK)
+            bad = i;
+    /* order: the entries before the first bad one by (lo, hi, index), from
+     * a counting sort by hi and then a stable one by lo */
+    for (Py_ssize_t i = 0; i < bad; i++)
+        count[hi[i] + 1]++;
+    for (Py_ssize_t v = 0; v < vsize; v++)
+        count[v + 1] += count[v];
+    for (Py_ssize_t i = 0; i < bad; i++)
+        by_hi[count[hi[i]]++] = (int)i;
+    memset(count, 0, (size_t)(vsize + 1) * sizeof(int));
+    for (Py_ssize_t i = 0; i < bad; i++)
+        count[lo[i] + 1]++;
+    for (Py_ssize_t v = 0; v < vsize; v++)
+        count[v + 1] += count[v];
+    for (Py_ssize_t j = 0; j < bad; j++)
+        order[count[lo[by_hi[j]]]++] = by_hi[j];
+    /* a repeat sorts right after an equal edge of lower index: the first
+     * bad entry is the least repeat, if it comes before bad */
+    Py_ssize_t repeat = bad;
+    for (Py_ssize_t j = 1; j < bad; j++) {
+        int a = order[j - 1], b = order[j];
+        if (lo[a] == lo[b] && hi[a] == hi[b] && b < repeat)
+            repeat = b;
+    }
+    if (repeat < bad) {
+        edge_error(EDGE_REPEAT, items[repeat], n);
+        goto done;
+    }
+    if (bad < m) {
+        edge_error(kind, items[bad], n);
+        goto done;
+    }
+    /* the neighbor rows, nbr[start[v] .. start[v + 1]): the edges taken in
+     * sorted order fill each row in ascending order */
+    memset(count, 0, (size_t)(vsize + 1) * sizeof(int));
+    for (Py_ssize_t i = 0; i < m; i++) {
+        count[lo[i]]++;
+        count[hi[i]]++;
+    }
+    for (Py_ssize_t v = 0; v < vsize; v++) {
+        start[v + 1] = start[v] + count[v];
+        count[v] = start[v]; /* the next free slot while filling */
+    }
+    for (Py_ssize_t j = 0; j < m; j++) {
+        int e = order[j];
+        nbr[count[lo[e]]++] = hi[e];
+        nbr[count[hi[e]]++] = lo[e];
+    }
+    /* (edges, adj, degrees); a part or an entry that cannot be made
+     * clears the whole */
+    result = PyTuple_New(3);
+    PyObject *edges = result ? PyTuple_New(m) : NULL;
+    if (edges)
+        PyTuple_SET_ITEM(result, 0, edges);
+    PyObject *adj = edges ? PyTuple_New(vsize) : NULL;
+    if (adj)
+        PyTuple_SET_ITEM(result, 1, adj);
+    PyObject *degrees = adj ? PyTuple_New(vsize) : NULL;
+    if (!degrees) {
+        Py_CLEAR(result);
+        goto done;
+    }
+    PyTuple_SET_ITEM(result, 2, degrees);
+    for (Py_ssize_t j = 0; j < m; j++) {
+        PyObject *t = int_pair(ints, vsize, lo[order[j]], hi[order[j]]);
+        if (!t) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        PyTuple_SET_ITEM(edges, j, t);
+    }
+    for (Py_ssize_t v = 0; v < vsize; v++) {
+        PyObject *row = PyTuple_New(start[v + 1] - start[v]), *d = PyLong_FromLong(start[v + 1] - start[v]);
+        if (row)
+            PyTuple_SET_ITEM(adj, v, row);
+        if (d)
+            PyTuple_SET_ITEM(degrees, v, d);
+        for (int s = start[v]; row && d && s < start[v + 1]; s++) {
+            PyObject *w = vertex_int(ints, vsize, nbr[s]);
+            if (!w)
+                break;
+            PyTuple_SET_ITEM(row, s - start[v], w);
+        }
+        if (PyErr_Occurred()) {
+            Py_CLEAR(result);
+            goto done;
+        }
+    }
+    goto done;
+nomem:
+    PyErr_NoMemory();
+done:
+    free(buf);
+    free_ints(ints, vsize);
+    Py_DECREF(seq);
+    return result;
+}
+
+/* read_drawing's place in the text it scans. */
+typedef struct {
+    const char *p, *end;
+} Cursor;
+
+/* Step over the character ch if it comes next. */
+static int skip(Cursor *c, char ch)
+{
+    if (c->p == c->end || *c->p != ch)
+        return 0;
+    c->p++;
+    return 1;
+}
+
+static int digit_at(const Cursor *c)
+{
+    return c->p < c->end && *c->p >= '0' && *c->p <= '9';
+}
+
+/* A canonical number: "0", or 1 to 18 digits without a leading zero; -1
+ * if none comes next. After a 0 a further digit is left in place, for
+ * the separator check that follows to refuse. */
+static long long scan_number(Cursor *c)
+{
+    if (!digit_at(c))
+        return -1;
+    long long v = *c->p++ - '0';
+    for (int digits = 1; v && digit_at(c); digits++) {
+        if (digits == 18)
+            return -1;
+        v = 10 * v + (*c->p++ - '0');
+    }
+    return v;
+}
+
+/* A rotation token: a vertex below n, or X<i> with i below k for vertex
+ * n + i; -1 if none comes next. */
+static long long scan_token(Cursor *c, long long n, long long k)
+{
+    int crossing = skip(c, 'X');
+    long long v = scan_number(c);
+    if (v < 0 || v >= (crossing ? k : n))
+        return -1;
+    return crossing ? n + v : v;
+}
+
+static PyObject *read_drawing(PyObject *Py_UNUSED(self), PyObject *text)
+{
+    if (!PyUnicode_Check(text)) {
+        PyErr_Format(PyExc_TypeError, "read_drawing expects a str, got %.100s", Py_TYPE(text)->tp_name);
+        return NULL;
+    }
+    if (!PyUnicode_IS_ASCII(text))
+        Py_RETURN_NONE;
+    Py_ssize_t len;
+    const char *s = PyUnicode_AsUTF8AndSize(text, &len);
+    if (!s)
+        return NULL;
+    /* vals: the edge ends, the crossing pairs' ends, then per rotation line
+     * its head, its length and its row. Each value takes at least two
+     * characters of the text, its digits and what ends it. */
+    long long *vals = malloc((len / 2 + 4) * sizeof(long long)), n, m, k = 0;
+    PyObject *result = NULL, **ints = NULL;
+    Py_ssize_t nv = 0, size = 0;
+    if (!vals)
+        return PyErr_NoMemory();
+    Cursor c = {s, s + len};
+    if ((n = scan_number(&c)) < 0 || !skip(&c, ' ') || (m = scan_number(&c)) < 0 || !skip(&c, '\n'))
+        goto none;
+    for (long long i = 0; i < 2 * m; i++)
+        if ((vals[nv++] = scan_number(&c)) < 0 || !skip(&c, i % 2 ? '\n' : ' '))
+            goto none;
+    for (; skip(&c, 'x'); k++) {
+        for (int j = 0; j < 4; j++)
+            if (!skip(&c, ' ') || (vals[nv++] = scan_number(&c)) < 0)
+                goto none;
+        if (!skip(&c, '\n'))
+            goto none;
+    }
+    Py_ssize_t rot_at = nv;
+    while (c.p < c.end) {
+        if (!(skip(&c, 'r') && skip(&c, 'o') && skip(&c, 't') && skip(&c, ' ')))
+            goto none;
+        Py_ssize_t line = nv;
+        if ((vals[nv++] = scan_token(&c, n, k)) < 0 || !skip(&c, ':') || !skip(&c, ' '))
+            goto none;
+        vals[nv++] = 0;
+        if (skip(&c, '\n'))
+            continue; /* an empty row */
+        do {
+            if ((vals[nv++] = scan_token(&c, n, k)) < 0)
+                goto none;
+            vals[line + 1]++;
+        } while (skip(&c, ' '));
+        if (!skip(&c, '\n'))
+            goto none;
+    }
+    /* the objects: the vertex ints are shared up to the value count, which
+     * bounds the cache by the text */
+    size = n + k < nv ? (Py_ssize_t)(n + k) : nv;
+    ints = calloc(size + 1, sizeof(PyObject *));
+    if (!ints) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    result = PyTuple_New(4);
+    PyObject *n_int = result ? PyLong_FromLongLong(n) : NULL;
+    if (n_int)
+        PyTuple_SET_ITEM(result, 0, n_int);
+    PyObject *edges = n_int ? PyList_New((Py_ssize_t)m) : NULL;
+    if (edges)
+        PyTuple_SET_ITEM(result, 1, edges);
+    PyObject *pairs = edges ? PyList_New((Py_ssize_t)k) : NULL;
+    if (pairs)
+        PyTuple_SET_ITEM(result, 2, pairs);
+    PyObject *rotation = pairs ? PyDict_New() : NULL;
+    if (!rotation)
+        goto fail;
+    PyTuple_SET_ITEM(result, 3, rotation);
+    const long long *v = vals;
+    for (Py_ssize_t i = 0; i < m; i++, v += 2) {
+        PyObject *e = int_pair(ints, size, v[0], v[1]);
+        if (!e)
+            goto fail;
+        PyList_SET_ITEM(edges, i, e);
+    }
+    for (Py_ssize_t i = 0; i < k; i++, v += 4) {
+        PyObject *p = PyTuple_New(2), *e1 = p ? int_pair(ints, size, v[0], v[1]) : NULL;
+        PyObject *e2 = e1 ? int_pair(ints, size, v[2], v[3]) : NULL;
+        if (p)
+            PyList_SET_ITEM(pairs, i, p);
+        if (e1)
+            PyTuple_SET_ITEM(p, 0, e1);
+        if (!e2)
+            goto fail;
+        PyTuple_SET_ITEM(p, 1, e2);
+    }
+    for (v = vals + rot_at; v < vals + nv; v += 2 + v[1]) {
+        PyObject *head = vertex_int(ints, size, v[0]), *row = head ? PyList_New((Py_ssize_t)v[1]) : NULL;
+        for (Py_ssize_t i = 0; row && i < v[1]; i++) {
+            PyObject *w = vertex_int(ints, size, v[2 + i]);
+            if (!w)
+                Py_CLEAR(row);
+            else
+                PyList_SET_ITEM(row, i, w);
+        }
+        int listed = row ? PyDict_Contains(rotation, head) : -1;
+        if (listed == 0 && PyDict_SetItem(rotation, head, row) < 0)
+            listed = -1;
+        Py_XDECREF(head);
+        Py_XDECREF(row);
+        if (listed < 0)
+            goto fail;
+        if (listed) { /* a head listed twice */
+            Py_CLEAR(result);
+            goto none;
+        }
+    }
+    goto done;
+fail:
+    Py_CLEAR(result);
+    goto done;
+none:
+    result = Py_NewRef(Py_None);
+done:
+    free(vals);
+    free_ints(ints, size);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"find_coloring", find_coloring, METH_VARARGS,
      "find_coloring(n, k, eu, ev, order, max_nodes=-1) -> list[int] | None | False\n\n"
@@ -485,6 +875,14 @@ static PyMethodDef methods[] = {
      "trace_faces(n, rot) -> list[tuple[tuple[int, int], ...]]\n\n"
      "Mirror of ``_kernel_py.trace_faces`` (see that module for the contract):\n"
      "the face walks of the rotation system rot, as tuples of darts (u, v)."},
+    {"index_edges", index_edges, METH_VARARGS,
+     "index_edges(n, edges) -> (edges, adj, degrees)\n\n"
+     "Mirror of ``_kernel_py.index_edges`` (see that module for the contract):\n"
+     "the sorted canonical edges, neighbor rows and degrees of a simple graph."},
+    {"read_drawing", read_drawing, METH_O,
+     "read_drawing(text) -> (n, edges, crossing_pairs, rotation) | None\n\n"
+     "Mirror of ``_kernel_py.read_drawing`` (see that module for the contract):\n"
+     "the numbers of a canonical drawing text, or None for any other text."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -10,8 +10,11 @@ forward or back. A node budget caps how many the search may visit.
 ``peeling_order`` computes the edge order the solvers feed the search:
 the reverse of min-degree peeling. ``trace_faces`` splits the darts of a
 rotation system into its face walks, for ``embedding.planarize``.
+``index_edges`` checks and indexes the edge list of every ``Graph``, and
+``read_drawing`` reads the canonical drawing text that
+``embedding.format_drawing`` writes.
 
-The hand-written C extension in ``_kernel.c`` implements the same three
+The hand-written C extension in ``_kernel.c`` implements the same five
 functions, input checks included, and returns the same result for every
 input; ``acecolor.kernel`` picks whichever is available at import time.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+import re
 
 BACKEND = "python"
 
@@ -249,3 +253,92 @@ def trace_faces(n: int, rot) -> list[tuple[tuple[int, int], ...]]:
                 a, j, b = b, k, next_row[k]
             faces.append(tuple(walk))
     return faces
+
+
+def index_edges(n: int, edges):
+    """The canonical edges sorted, the sorted neighbor rows and the
+    degrees of the simple graph on 0..n-1 with the given edges.
+
+    Each entry of ``edges`` must be a tuple or list of two ints. Raises
+    ValueError for the first bad entry in input order: one that is not
+    such a pair, then one with an endpoint outside [0, n), then a loop,
+    then a repeat of an earlier edge in either direction.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    for e in edges:
+        if not (isinstance(e, (tuple, list)) and len(e) == 2 and isinstance(e[0], int) and isinstance(e[1], int)):
+            raise ValueError(f"edge {e!r} is not a pair of ints")
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        c = (u, v) if u < v else (v, u)
+        if c in seen:
+            raise ValueError(f"duplicate edge {c}")
+        seen.add(c)
+    canon = sorted(seen)
+    for u, v in canon:
+        adj[u].append(v)
+        adj[v].append(u)
+    # each row is sorted already: x's neighbors below x come from the
+    # edges (u, x), which precede the edges (x, v), each group in order
+    return tuple(canon), tuple(map(tuple, adj)), tuple(map(len, adj))
+
+
+# the canonical drawing text: a number is "0" or up to 18 digits without a
+# leading zero, a rotation token a number or X and a number. The pattern
+# is compiled on first use (re keeps it), not when the module is imported.
+_NUM = "(?:0|[1-9][0-9]{0,17})"
+_TOK = f"X?{_NUM}"
+_CANONICAL = (
+    f"({_NUM}) ({_NUM})\n"
+    f"((?:{_NUM} {_NUM}\n)*)"
+    f"((?:x {_NUM} {_NUM} {_NUM} {_NUM}\n)*)"
+    f"((?:rot {_TOK}: (?:{_TOK}(?: {_TOK})*)?\n)*)"
+)
+
+
+def read_drawing(text: str):
+    """``(n, edges, crossing_pairs, rotation)`` from the canonical text of
+    a drawing, or None for any other text.
+
+    The canonical text is what ``embedding.format_drawing`` writes: the
+    header ``n m``, m edge lines ``u v``, crossing lines ``x a b c d`` and
+    rotation lines ``rot t: t t ...`` (``rot t: `` for an empty row), each
+    ended by a newline. Numbers are ASCII decimal, with no sign, no leading
+    zero and at most 18 digits, and tokens are separated by one space. A
+    rotation token is a vertex below n or ``X<i>`` with i below the number
+    of crossing lines, which stands for vertex n + i, and no head is listed
+    twice. Edges and crossing pairs are not checked here: ``Graph`` and
+    ``Drawing`` check them. The edges are (u, v) tuples, the pairs ((a, b),
+    (c, d)) tuples and the rotation maps each head to its row as a list.
+    """
+    match = re.fullmatch(_CANONICAL, text)
+    if match is None:
+        return None
+    n, m, edge_lines, cross_lines, rot_lines = match.groups()
+    n, m = int(n), int(m)
+    ends = list(map(int, edge_lines.split()))
+    if len(ends) != 2 * m:
+        return None
+    edges = list(zip(ends[::2], ends[1::2]))
+    xs = list(map(int, cross_lines.replace("x", "").split()))
+    pairs = [((a, b), (c, d)) for a, b, c, d in zip(xs[::4], xs[1::4], xs[2::4], xs[3::4])]
+    # (head, row) tokens of each "rot head: row" line
+    rows = [(head, row.split()) for head, row in (ln[4:].split(": ") for ln in rot_lines.splitlines())]
+    ids: dict[str, int] = {}
+    for tok in {head for head, _ in rows}.union(*(row for _, row in rows)):
+        crossing = tok[0] == "X"
+        i = int(tok[1:] if crossing else tok)
+        if i >= (len(pairs) if crossing else n):
+            return None
+        ids[tok] = n + i if crossing else i
+    rotation: dict[int, list[int]] = {}
+    for head, row in rows:
+        v = ids[head]
+        if v in rotation:
+            return None
+        rotation[v] = [ids[t] for t in row]
+    return n, edges, pairs, rotation

@@ -70,7 +70,7 @@ class Drawing:
     ):
         self.base = base
         pairs = []
-        edge_set = set(base.edges)
+        edge_set = set(base.edges) if crossing_pairs else ()
         crossed: set[Edge] = set()
         for e1, e2 in crossing_pairs:
             e1 = canonical_edge(*e1)
@@ -257,22 +257,40 @@ def _vertex_token(tok: str, n: int, n_cross: int) -> int:
         try:
             i = int(tok[1:])
         except ValueError:
-            raise ParseError(f"bad crossing token {tok!r}") from None
+            raise ParseError(f"drawing: bad crossing token {tok!r}") from None
         if not (0 <= i < n_cross):
-            raise ParseError(f"crossing {tok} out of range (have {n_cross} pairs)")
+            raise ParseError(f"drawing: crossing {tok} out of range (have {n_cross} pairs)")
         return n + i
     try:
         v = int(tok)
     except ValueError:
-        raise ParseError(f"bad vertex token {tok!r}") from None
+        raise ParseError(f"drawing: bad vertex token {tok!r}") from None
     if not (0 <= v < n):
-        raise ParseError(f"vertex {v} out of range")
+        raise ParseError(f"drawing: vertex {v} out of range 0..{n - 1}")
     return v
 
 
 def parse_drawing(text: str) -> Drawing:
     """Parse the drawing format: graph section, `x a b c d` crossing lines,
-    then `rot v: ...` rotation lines for every planarized vertex."""
+    then `rot v: ...` rotation lines for every planarized vertex.
+
+    The canonical text that ``format_drawing`` writes is read by the
+    kernel (``kernel.read_drawing``); any other text, or one whose graph
+    or drawing is rejected, goes through the reference reader
+    (``_read_drawing``), which defines the format and names the error."""
+    fast = kernel.read_drawing(text)
+    if fast is not None:
+        n, edges, pairs, rotation = fast
+        try:
+            return Drawing(Graph(n, edges), pairs, rotation)
+        except ValueError:  # EmbeddingError is one too
+            pass
+    return _read_drawing(text)
+
+
+def _read_drawing(text: str) -> Drawing:
+    """The reference reader of the drawing format: it accepts any spelling
+    of a token that ``int`` does, and any whitespace between tokens."""
     base, rest = _parse_graph_lines(text.splitlines(), where="drawing")
     pairs: list[CrossingPair] = []
     i = 0
@@ -288,22 +306,15 @@ def parse_drawing(text: str) -> Drawing:
         i += 1
     rotation: dict[int, list[int]] = {}
     n, n_cross = base.n, len(pairs)
-    # the tokens format_drawing writes; any other spelling goes through
-    # _vertex_token, which accepts or rejects it with its own message
-    ids = {str(v): v for v in range(n)}
-    ids.update((f"X{j}", n + j) for j in range(n_cross))
     for ln in rest[i:]:
         parts = ln.split()
         if parts[0] != "rot" or len(parts) < 2 or not parts[1].endswith(":"):
             raise ParseError(f"drawing: expected 'rot v: ...', got {ln!r}")
         tok = parts[1][:-1]
-        v = ids[tok] if tok in ids else _vertex_token(tok, n, n_cross)
+        v = _vertex_token(tok, n, n_cross)
         if v in rotation:
             raise ParseError(f"drawing: duplicate rotation for vertex {tok}")
-        try:
-            rotation[v] = [ids[t] for t in parts[2:]]
-        except KeyError:
-            rotation[v] = [_vertex_token(t, n, n_cross) for t in parts[2:]]
+        rotation[v] = [_vertex_token(t, n, n_cross) for t in parts[2:]]
     try:
         return Drawing(base, pairs, rotation)
     except EmbeddingError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from . import kernel
 from .errors import ParseError
 
 Edge = tuple[int, int]
@@ -37,27 +38,12 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        seen: set[Edge] = set()
-        canon: list[Edge] = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
-        self.edges: tuple[Edge, ...] = tuple(sorted(canon))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        # each list is sorted already: x's neighbors below x come from the
-        # edges (u, x), which precede the edges (x, v), each group in order
-        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
-        self.degrees: tuple[int, ...] = tuple(map(len, adj))
+        # the checks and the sorted rows come from the kernel
+        # (kernel.index_edges, which states them)
+        self.edges: tuple[Edge, ...]
+        self.adj: tuple[tuple[int, ...], ...]
+        self.degrees: tuple[int, ...]
+        self.edges, self.adj, self.degrees = kernel.index_edges(n, edges)
         # the max degree, 0 without vertices; max_degree() refuses that case
         self.delta: int = max(self.degrees, default=0)
         self._components: tuple[tuple[int, ...], ...] | None = None
@@ -218,6 +204,8 @@ def _parse_graph_lines(lines: list[str], where: str = "graph") -> tuple[Graph, l
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError(f"{where}: non-integer header {rows[0]!r}") from None
+    if m < 0:
+        raise ParseError(f"{where}: negative edge count in header {rows[0]!r}")
     if len(rows) < 1 + m:
         raise ParseError(f"{where}: expected {m} edge lines, found {len(rows) - 1}")
     edges = []
@@ -238,7 +226,25 @@ def _parse_graph_lines(lines: list[str], where: str = "graph") -> tuple[Graph, l
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the text edge-list format: `n m` then m lines `u v` (0-based)."""
+    """Parse the text edge-list format: `n m` then m lines `u v` (0-based).
+
+    The canonical text that ``format_graph`` writes is read by the kernel
+    (``kernel.read_drawing``); any other text, or one whose graph is
+    rejected, goes through the reference reader (``_read_graph``), which
+    defines the format and names the error."""
+    fast = kernel.read_drawing(text)
+    if fast is not None and not fast[2] and not fast[3]:
+        try:
+            return Graph(fast[0], fast[1])
+        except ValueError:
+            pass
+    return _read_graph(text)
+
+
+def _read_graph(text: str) -> Graph:
+    """The reference reader of the edge-list format: it accepts any
+    spelling of a number that ``int`` does, any whitespace between
+    tokens, and blank lines."""
     g, rest = _parse_graph_lines(text.splitlines())
     if rest:
         raise ParseError(f"unexpected trailing line {rest[0]!r}")

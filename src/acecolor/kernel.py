@@ -32,6 +32,28 @@ rows, every entry lies in [0, n), no row lists its own vertex or an entry
 twice, and every dart (v, w) has its reverse (v is in ``rot[w]``); the
 message names the first bad entry in row order, or else the first dart
 without a reverse. It costs O(n + m), however the degrees are spread.
+
+``index_edges(n, edges)`` returns ``(edges, adj, degrees)`` for the simple
+graph on 0..n-1 with the given edges: the canonical (min, max) edges
+sorted, the sorted neighbor row of each vertex and the degrees, all as
+tuples. It raises ValueError for the first bad entry in input order, with
+the checks in this order: an entry that is not a tuple or list of two
+ints ("edge [0] is not a pair of ints"), an endpoint outside [0, n)
+("edge (3, 0) has an endpoint outside 0..2", as given), a loop
+("self-loop at vertex 2") and a repeat of an earlier edge in either
+direction ("duplicate edge (0, 1)", canonical). A bad endpoint is written
+as the int it is, however large. It costs O(n + m).
+
+``read_drawing(text)`` returns ``(n, edges, crossing_pairs, rotation)``,
+the arguments of ``Graph`` and ``Drawing``, from the canonical text that
+``embedding.format_drawing`` writes, and None for any other text. The
+canonical text is ASCII: numbers without a sign or a leading zero and of
+at most 18 digits, one space between tokens, a newline after every line
+(the last one too), ``rot v: `` with its trailing space for an empty
+row, rotation tokens below n and ``X<i>`` tokens below the number of
+``x`` lines, and no rotation head listed twice. It checks nothing that
+``Graph`` and ``Drawing`` check; ``embedding.parse_drawing`` falls back
+to its reference reader on None or on their error. It costs O(len(text)).
 """
 
 from __future__ import annotations
@@ -50,3 +72,5 @@ BACKEND: str = _impl.BACKEND  # "c" or "python"
 find_coloring = _impl.find_coloring
 peeling_order = _impl.peeling_order
 trace_faces = _impl.trace_faces
+index_edges = _impl.index_edges
+read_drawing = _impl.read_drawing

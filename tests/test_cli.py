@@ -321,6 +321,13 @@ def test_malformed_file_is_input_error(tmp_path):
     assert main(["color", str(path)]) == 2
 
 
+def test_negative_edge_count_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "negative.txt"
+    path.write_text("3 -1\n")
+    assert main(["color", str(path)]) == 2
+    assert "graph: negative edge count in header '3 -1'" in capsys.readouterr().err
+
+
 def test_report_written_to_out_dir(c5_file, tmp_path):
     outdir = tmp_path / "reports"
     outdir.mkdir()

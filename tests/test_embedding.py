@@ -1,19 +1,23 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from acecolor import _kernel_py
 from acecolor.conditions import Condition, check_condition
 from acecolor.discharging import SCALE, initial_charges
 from acecolor.embedding import (
     Drawing,
     format_drawing,
+    _read_drawing,
     _vertex_token,
     parse_drawing,
     planarize,
     trace_faces,
 )
 from acecolor.errors import EmbeddingError, ParseError
-from acecolor.generate import cycle_builder, grid_builder
+from acecolor.generate import FAMILIES, cycle_builder, generate_instance, grid_builder
 from acecolor.graph import Graph, canonical_edge
 
 
@@ -242,8 +246,9 @@ def test_parse_drawing_rejects_malformed():
 
 
 def test_parse_drawing_accepts_every_spelling_of_a_token():
-    # the table of canonical tokens is a shortcut: signs, leading zeros
-    # and zero-padded crossing numbers still parse, in any rotation slot
+    # the kernel's reader of the canonical text is a shortcut: signs,
+    # leading zeros and zero-padded crossing numbers still parse, in any
+    # rotation slot
     b = grid_builder(4, 4)
     b.insert_crossing(5, 6)
     b.insert_crossing(7, 11)
@@ -281,3 +286,107 @@ def test_parse_drawing_rejects_a_bad_token_with_its_own_message(tok, slot):
         bad = good.replace("rot 3: 2 0 X0", f"rot 3: 2 {tok} X0")
     with pytest.raises(ParseError, match=re.escape(str(expected.value))):
         parse_drawing(bad)
+
+
+def test_parse_drawing_names_a_negative_edge_count():
+    with pytest.raises(ParseError, match=re.escape("drawing: negative edge count in header '3 -1'")):
+        parse_drawing("3 -1\nrot 0:\nrot 1:\nrot 2:\n")
+
+
+def test_parse_drawing_prefixes_a_bad_rotation_token():
+    with pytest.raises(ParseError, match=r"^drawing: vertex 5 out of range 0\.\.1$"):
+        parse_drawing("2 1\n0 1\nrot 0: 1\nrot 1: 0\nrot 5: 1\n")
+    with pytest.raises(ParseError, match=r"^drawing: crossing X1 out of range \(have 0 pairs\)$"):
+        parse_drawing("2 1\n0 1\nrot 0: X1\nrot 1: 0\n")
+
+
+def _with_isolated(d, extra):
+    """The drawing d with `extra` isolated vertices added after its base
+    vertices; the crossing vertices move up by as many."""
+    n = d.base.n
+
+    def shift(v):
+        return v + extra if v >= n else v
+
+    rotation = {shift(v): [shift(w) for w in row] for v, row in d.rotation.items()}
+    rotation.update((n + j, []) for j in range(extra))
+    return Drawing(Graph(n + extra, d.base.edges), d.crossing_pairs, rotation)
+
+
+EDIT_CHARS = "0123456789 xXrot:\n\r+-\t\u0661"
+
+
+@st.composite
+def drawing_texts(draw):
+    """The canonical text of a generated drawing, with up to 2 isolated
+    vertices added, then up to two edits: a character changed, inserted
+    or deleted, a line duplicated or dropped, CRLF line ends, or the last
+    newline dropped."""
+    family = draw(st.sampled_from(FAMILIES))
+    d = generate_instance(family, draw(st.integers(0, 10**6)), n_min=6, n_max=16)
+    text = format_drawing(_with_isolated(d, draw(st.integers(0, 2))))
+    for edit in draw(st.lists(st.sampled_from(["change", "insert", "delete", "dup", "drop", "crlf", "cut"]),
+                              max_size=2)):
+        at = draw(st.integers(0, len(text)))
+        lines = text.splitlines(keepends=True)
+        line = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if edit == "change" and text:
+            at = min(at, len(text) - 1)
+            text = text[:at] + draw(st.sampled_from(EDIT_CHARS)) + text[at + 1:]
+        elif edit == "insert":
+            text = text[:at] + draw(st.sampled_from(EDIT_CHARS)) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + 1:]
+        elif edit == "dup" and lines:
+            text = "".join(lines[:line + 1] + lines[line:])
+        elif edit == "drop" and lines:
+            text = "".join(lines[:line] + lines[line + 1:])
+        elif edit == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif edit == "cut":
+            text = text.removesuffix("\n")
+    return text
+
+
+def _drawing_or_message(read, text):
+    try:
+        d = read(text)
+    except ParseError as exc:
+        return str(exc)
+    return d.base, d.crossing_pairs, d.rotation
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawing_texts())
+def test_readers_agree_on_edited_drawing_texts(c_kernel, text):
+    # both kernels read the same numbers or refuse the text; the numbers
+    # are the reference reader's; parse_drawing ends as the reference does
+    fast = _kernel_py.read_drawing(text)
+    assert c_kernel.read_drawing(text) == fast
+    reference = _drawing_or_message(_read_drawing, text)
+    assert _drawing_or_message(parse_drawing, text) == reference
+    if fast is None:
+        return
+    n, edges, pairs, rotation = fast
+    if isinstance(reference, str):
+        # the reference refuses only what Graph or Drawing refuse
+        with pytest.raises(ValueError):
+            Drawing(Graph(n, edges), pairs, rotation)
+        return
+    base, crossing_pairs, ref_rotation = reference
+    assert n == base.n and len(edges) == base.m
+    assert sorted(canonical_edge(*e) for e in edges) == list(base.edges)
+    assert [tuple(sorted(map(lambda e: canonical_edge(*e), p))) for p in pairs] == list(crossing_pairs)
+    assert {v: tuple(row) for v, row in rotation.items()} == ref_rotation
+
+
+def test_every_generated_drawing_takes_the_kernel_reader():
+    # the canonical text of each family, isolated vertices included, reads
+    # back the same through the kernel as through the reference reader
+    for family in FAMILIES:
+        for seed in range(4):
+            d = _with_isolated(generate_instance(family, seed, n_min=6, n_max=16), seed % 3)
+            text = format_drawing(d)
+            assert _kernel_py.read_drawing(text) is not None
+            assert _drawing_or_message(parse_drawing, text) == _drawing_or_message(_read_drawing, text)
+            assert format_drawing(parse_drawing(text)) == text

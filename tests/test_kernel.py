@@ -5,7 +5,12 @@ The ``c_kernel`` and ``backend`` fixtures live in ``conftest.py``; the
 compiled tests skip only when no C compiler is found.
 """
 
+import resource
+import shlex
+import shutil
 import signal
+import subprocess
+import sysconfig
 import time
 
 import pytest
@@ -14,8 +19,10 @@ from hypothesis import strategies as st
 
 from acecolor import _kernel_py
 from acecolor import kernel
+from acecolor.embedding import format_drawing
 from acecolor.generate import grid_builder
 
+from conftest import KERNEL_C
 from graphlib import complete, complete_bipartite, cycle, path, petersen, small_library
 
 
@@ -299,7 +306,7 @@ def test_backends_expose_the_same_functions(c_kernel):
     # acecolor.kernel re-exports each of them
     assert _public_functions(_kernel_py) == _public_functions(c_kernel)
     assert _public_functions(kernel) == _public_functions(_kernel_py)
-    assert {"find_coloring", "peeling_order", "trace_faces"} <= _public_functions(kernel)
+    assert {"find_coloring", "peeling_order", "trace_faces", "index_edges", "read_drawing"} <= _public_functions(kernel)
 
 
 # -- face walks -----------------------------------------------------------------
@@ -421,3 +428,203 @@ def test_trace_faces_is_linear_on_hubs_and_grids(backend, n, rot, faces):
     assert time.perf_counter() - t0 < 5
     assert len(walks) == faces
     assert sum(map(len, walks)) == len(_darts(rot))
+
+
+# -- edge index -------------------------------------------------------------------
+
+
+def _index_edges_loop(n, edges):
+    """The loop ``Graph.__init__`` ran before the kernel took it over."""
+    seen = set()
+    canon = []
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+        canon.append(e)
+    edges = tuple(sorted(canon))
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return edges, tuple(map(tuple, adj)), tuple(map(len, adj))
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+NOT_PAIRS = [(0,), (0, 1, 2), [1], 3, "01", (0, 1.0), ("0", 1), None, (None, None)]
+
+
+@st.composite
+def edge_lists(draw):
+    """A random simple graph on up to 12 vertices, each edge a tuple or a
+    list in a random direction and the edges in a random order, then up
+    to three faults: an endpoint out of range (huge ones included), a
+    loop, a repeat in either direction, or an entry that is not a pair of
+    ints. Returns (n, edges, whether an entry is not a pair)."""
+    n = draw(st.integers(-1, 12))
+    pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=30)) if pool else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    edges = [list(e) if draw(st.booleans()) else e for e in edges]
+    simple = list(edges)
+    odd = False
+    for fault in draw(st.lists(st.sampled_from(["range", "loop", "repeat", "entry"]), max_size=3)):
+        at = draw(st.integers(0, len(edges)))
+        v = draw(st.integers(0, max(n - 1, 0)))
+        if fault == "range":
+            bad = draw(st.sampled_from([-1, n, n + 3, 2**70, -(2**70)]))
+            edges.insert(at, (bad, v) if draw(st.booleans()) else (v, bad))
+        elif fault == "loop":
+            edges.insert(at, (v, v))
+        elif fault == "repeat" and simple:
+            u, w = draw(st.sampled_from(simple))
+            edges.insert(at, (w, u) if draw(st.booleans()) else [u, w])
+        elif fault == "entry":
+            edges.insert(at, draw(st.sampled_from(NOT_PAIRS)))
+            odd = True
+    return n, edges, odd
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists())
+def test_index_edges_backends_agree_with_the_old_loop(c_kernel, args):
+    # equal indexes on good input, equal messages for the first bad entry
+    n, edges, odd = args
+    got = _outcome(_kernel_py.index_edges, n, edges)
+    assert _outcome(c_kernel.index_edges, n, edges) == got
+    if not odd:
+        assert got == _outcome(_index_edges_loop, n, edges)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (3, 0)], "edge (3, 0) has an endpoint outside 0..2"),
+        ([(0, 1), (2, 2)], "self-loop at vertex 2"),
+        ([(1, 2), (1, 0), (0, 1)], "duplicate edge (0, 1)"),
+        ([(0, 1), [2, 1], (1, 2)], "duplicate edge (1, 2)"),
+        ([(0, 1), (2**70, 0)], f"edge ({2**70}, 0) has an endpoint outside 0..2"),
+        ([(0, -(2**70))], f"edge (0, {-(2**70)}) has an endpoint outside 0..2"),
+        ([(5, 5)], "edge (5, 5) has an endpoint outside 0..2"),  # range before loop
+        ([(0, 1), (0, 1, 2)], "edge (0, 1, 2) is not a pair of ints"),
+        ([[0]], "edge [0] is not a pair of ints"),
+        ([(0, 1.0)], "edge (0, 1.0) is not a pair of ints"),
+        ([7], "edge 7 is not a pair of ints"),
+        # the first bad entry in input order, whatever it fails
+        ([(0, 1), (1, 0), (5, 5)], "duplicate edge (0, 1)"),
+        ([(0, 1), (5, 0), (1, 0)], "edge (5, 0) has an endpoint outside 0..2"),
+        ([(1, 1), (0, 7)], "self-loop at vertex 1"),
+        ([(0, 2), "x", (2, 0)], "edge 'x' is not a pair of ints"),
+    ],
+)
+def test_index_edges_reports_the_first_bad_entry(backend, edges, message):
+    with pytest.raises(ValueError) as err:
+        backend.index_edges(3, edges)
+    assert str(err.value) == message
+
+
+def test_index_edges_rows_and_degrees(backend):
+    assert backend.index_edges(0, []) == ((), (), ())
+    assert backend.index_edges(3, iter([(2, 1), [1, 0]])) == (
+        ((0, 1), (1, 2)),
+        ((1,), (0, 2), (1,)),
+        (1, 2, 1),
+    )
+
+
+# -- the canonical drawing text -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "3 0",
+        "3 0\r\n",
+        "03 0\n",
+        "+3 0\n",
+        "3  0\n",
+        "3 0 \n",
+        "3 0\n\n",
+        "2 1\n0 1\nrot 0: 1\nrot 1: 0",
+        "2 1\n0 1\nrot 00: 1\nrot 1: 0\n",
+        "2 1\n0 1\nrot 0: 01\nrot 1: 0\n",
+        "2 1\n0 1\nrot 0: 2\nrot 1: 0\n",
+        "2 1\n0 1\nrot 2: 1\nrot 1: 0\n",
+        "2 1\n0 1\nrot X0: 1\nrot 1: 0\n",
+        "2 1\n0 1\nrot 0: 1\nrot 0: 1\n",
+        "2 1\n0 1\nrot 0:\nrot 1: 0\n",
+        "2 1\n0 1\nrot 0: 1 \nrot 1: 0\n",
+        "2 1\n0 1\nrot 0:  1\nrot 1: 0\n",
+        "2 2\n0 1\nrot 0: 1\nrot 1: 0\n",
+        "2 0\n0 1\nrot 0: 1\nrot 1: 0\n",
+        "2 1\n0 1\nrot 0: 1\nx 0 1 0 1\n",
+        "4 2\n0 2\n1 3\nx 0 2 1 3\nrot X1: 0 1 2 3\n",
+        "4 2\n0 2\n1 3\nx 0 2 1 3\nrot X01: 0 1 2 3\n",
+        "1 0\nrot \u0660: \n",
+        "1000000000000000000 0\n",
+        "1 1\n0 1000000000000000000\n",
+    ],
+)
+def test_read_drawing_refuses_other_text(backend, text):
+    assert backend.read_drawing(text) is None
+
+
+def test_read_drawing_numbers(backend):
+    text = "5 2\n0 2\n3 1\nx 0 2 1 3\nrot 0: X0\nrot 4: \nrot X0: 0 1 2 3\n"
+    assert backend.read_drawing(text) == (
+        5,
+        [(0, 2), (3, 1)],
+        [((0, 2), (1, 3))],
+        {0: [5], 4: [], 5: [0, 1, 2, 3]},
+    )
+    big = "999999999999999999 1\n0 999999999999999998\n"
+    assert backend.read_drawing(big) == (10**18 - 1, [(0, 10**18 - 2)], [], {})
+    assert backend.read_drawing("0 0\n") == (0, [], [], {})
+
+
+def test_read_drawing_takes_only_a_str(backend):
+    with pytest.raises(TypeError):
+        backend.read_drawing(b"0 0\n")
+
+
+def test_c_kernel_does_not_leak(c_kernel):
+    # the max RSS after each of three rounds of the same calls, good and
+    # bad: a reference the C side failed to drop would grow it every round
+    b = grid_builder(6, 6)
+    b.insert_crossing(7, 8)
+    d = b.to_drawing()
+    text = format_drawing(d)
+    texts = [text, text + "rot 0: 1\n", text.replace("rot 3:", "rot 99:"), text[:-1]]
+    edge_inputs = [list(d.base.edges), [(0, 1), (1, 0)], [(0, 1), (1, 1)], [(0, 99)], [(0, 1), "x"]]
+    rss = []
+    for _ in range(3):
+        for _ in range(3000):
+            for t in texts:
+                c_kernel.read_drawing(t)
+            for edges in edge_inputs:
+                _outcome(c_kernel.index_edges, d.base.n, edges)
+        rss.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    assert rss[2] == rss[1], rss
+
+
+def test_c_kernel_compiles_without_warnings(tmp_path):
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler found")
+    include = sysconfig.get_paths()["include"]
+    cmd = [*cc, "-Wall", "-Wextra", "-Werror", "-O2", "-fPIC", "-I", include,
+           "-c", str(KERNEL_C), "-o", str(tmp_path / "_kernel.o")]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
