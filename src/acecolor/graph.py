@@ -226,25 +226,7 @@ def _parse_graph_lines(lines: list[str], where: str = "graph") -> tuple[Graph, l
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the text edge-list format: `n m` then m lines `u v` (0-based).
-
-    The canonical text that ``format_graph`` writes is read by the kernel
-    (``kernel.read_drawing``); any other text, or one whose graph is
-    rejected, goes through the reference reader (``_read_graph``), which
-    defines the format and names the error."""
-    fast = kernel.read_drawing(text)
-    if fast is not None and not fast[2] and not fast[3]:
-        try:
-            return Graph(fast[0], fast[1])
-        except ValueError:
-            pass
-    return _read_graph(text)
-
-
-def _read_graph(text: str) -> Graph:
-    """The reference reader of the edge-list format: it accepts any
-    spelling of a number that ``int`` does, any whitespace between
-    tokens, and blank lines."""
+    """Parse the text edge-list format: `n m` then m lines `u v` (0-based)."""
     g, rest = _parse_graph_lines(text.splitlines())
     if rest:
         raise ParseError(f"unexpected trailing line {rest[0]!r}")

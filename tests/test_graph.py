@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acecolor.errors import ParseError
-from acecolor.graph import Graph, _read_graph, format_graph, parse_graph
+from acecolor.graph import Graph, format_graph, parse_graph
 
 from graphlib import complete, cycle, petersen, star
 
@@ -252,27 +252,3 @@ def test_parse_graph_names_a_negative_edge_count():
         parse_graph("3 -1\n")
     with pytest.raises(ParseError, match=re.escape("graph: vertex count must be non-negative")):
         parse_graph("-3 0\n")
-
-
-def _graph_or_message(read, text):
-    try:
-        return read(text)
-    except ParseError as exc:
-        return str(exc)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 9), st.data())
-def test_parse_graph_ends_as_the_reference_reader(n, data):
-    # the canonical text of a random graph with up to two characters
-    # changed, inserted or deleted: the kernel's fast path and the
-    # reference reader give the same graph or the same message
-    pairs = list(combinations(range(n), 2))
-    g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
-    text = format_graph(g)
-    for _ in range(data.draw(st.integers(0, 2))):
-        at = data.draw(st.integers(0, len(text)))
-        ch = data.draw(st.sampled_from("0123456789 -+x\n\r\t"))
-        text = data.draw(st.sampled_from([text[:at] + ch + text[at + 1:], text[:at] + ch + text[at:],
-                                          text[:at] + text[at + 1:]]))
-    assert _graph_or_message(parse_graph, text) == _graph_or_message(_read_graph, text)
