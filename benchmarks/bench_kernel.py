@@ -10,8 +10,11 @@ refutations that take seconds in pure Python. Two more rows time
 ``peeling_order`` itself, on the 100x100 grid and on K2,2000, two time
 ``trace_faces``, on the plane graph of the 100x100 grid with 1000
 crossings and on K2,2000 drawn in the plane, and the last two time
-``read_drawing`` on the text of that crossed grid and ``index_edges`` on
-its edges, shuffled and each in a random direction. Usage:
+reading the text of that crossed grid into a ``Drawing`` and
+``index_edges`` on its edges, shuffled and each in a random direction.
+The text is read as ``parse_drawing`` reads it on each backend: by the C
+scanner, or by the reference reader ``embedding._read_drawing``; both
+build the ``Graph`` with the kernel ``acecolor.kernel`` selects. Usage:
 
     python benchmarks/bench_kernel.py [--repeat N]
 """
@@ -23,7 +26,7 @@ import random
 import time
 
 from acecolor import _kernel_py
-from acecolor.embedding import Drawing, format_drawing
+from acecolor.embedding import Drawing, _read_drawing, format_drawing
 from acecolor.generate import grid_builder
 from acecolor.graph import Graph
 
@@ -123,17 +126,29 @@ def face_workloads():
     yield "faces K2,2000", *planar_k2_rotation(2000)
 
 
+def read_with(mod, text: str) -> Drawing:
+    """The drawing ``parse_drawing`` reads from text on the backend mod:
+    through the C scanner, or through the reference reader, to which the
+    Python backend leaves every text."""
+    numbers = mod.read_drawing(text)
+    if numbers is None:
+        return _read_drawing(text)
+    n, edges, pairs, rotation = numbers
+    return Drawing(Graph(n, edges), pairs, rotation)
+
+
 def reader_workloads():
     """(name, call) pairs of reader calls, each taking a kernel module: the
-    canonical text of the crossed 100x100 grid, and its edges as a reader
-    hands them to Graph, shuffled and each in a random direction."""
+    canonical text of the crossed 100x100 grid read into a Drawing, and its
+    edges as a reader hands them to Graph, shuffled and each in a random
+    direction."""
     d = crossed_grid_drawing(100, 100, 1000)
     text = format_drawing(d)
     rng = random.Random(0)
     edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in d.base.edges]
     rng.shuffle(edges)
     n = d.base.n
-    yield "read grid 100x100 +1000x", lambda mod: mod.read_drawing(text)
+    yield "read grid 100x100 +1000x", lambda mod: read_with(mod, text)
     yield "index grid 100x100 +1000x", lambda mod: mod.index_edges(n, edges)
 
 

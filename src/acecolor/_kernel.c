@@ -22,10 +22,10 @@
  * from the entry's own objects. Repeats are found in O(n + m) from the
  * entries sorted by (lo, hi, index) with two counting sorts.
  *
- * ``read_drawing`` mirrors ``_kernel_py.read_drawing``: it accepts exactly
- * the canonical texts that the twin's pattern accepts and returns the same
- * numbers, or None. It scans the bytes once into C numbers before it makes
- * any Python object.
+ * ``read_drawing`` is the C kernel's own fast path (``kernel.py`` states
+ * its contract; ``_kernel_py`` returns None): it reads the canonical text
+ * that ``embedding._read_drawing`` also reads, scanning the bytes once into
+ * C numbers before it makes any Python object.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -881,7 +881,7 @@ static PyMethodDef methods[] = {
      "the sorted canonical edges, neighbor rows and degrees of a simple graph."},
     {"read_drawing", read_drawing, METH_O,
      "read_drawing(text) -> (n, edges, crossing_pairs, rotation) | None\n\n"
-     "Mirror of ``_kernel_py.read_drawing`` (see that module for the contract):\n"
+     "The C kernel's fast path (``acecolor.kernel`` states the contract):\n"
      "the numbers of a canonical drawing text, or None for any other text."},
     {NULL, NULL, 0, NULL},
 };

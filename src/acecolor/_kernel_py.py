@@ -10,20 +10,19 @@ forward or back. A node budget caps how many the search may visit.
 ``peeling_order`` computes the edge order the solvers feed the search:
 the reverse of min-degree peeling. ``trace_faces`` splits the darts of a
 rotation system into its face walks, for ``embedding.planarize``.
-``index_edges`` checks and indexes the edge list of every ``Graph``, and
-``read_drawing`` reads the canonical drawing text that
-``embedding.format_drawing`` writes.
+``index_edges`` checks and indexes the edge list of every ``Graph``.
 
-The hand-written C extension in ``_kernel.c`` implements the same five
+The hand-written C extension in ``_kernel.c`` implements the same
 functions, input checks included, and returns the same result for every
 input; ``acecolor.kernel`` picks whichever is available at import time.
+The one exception is ``read_drawing``, the C kernel's scanner of drawing
+text, which here is a stub that returns None.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
-import re
 
 BACKEND = "python"
 
@@ -262,8 +261,12 @@ def index_edges(n: int, edges):
     Each entry of ``edges`` must be a tuple or list of two ints. Raises
     ValueError for the first bad entry in input order: one that is not
     such a pair, then one with an endpoint outside [0, n), then a loop,
-    then a repeat of an earlier edge in either direction.
+    then a repeat of an earlier edge in either direction. Raises
+    MemoryError, before it allocates, for n >= 2**31 - 1: the C kernel
+    stores vertex ids as int.
     """
+    if n >= 2**31 - 1:
+        raise MemoryError
     adj: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
     for e in edges:
@@ -287,58 +290,10 @@ def index_edges(n: int, edges):
     return tuple(canon), tuple(map(tuple, adj)), tuple(map(len, adj))
 
 
-# the canonical drawing text: a number is "0" or up to 18 digits without a
-# leading zero, a rotation token a number or X and a number. The pattern
-# is compiled on first use (re keeps it), not when the module is imported.
-_NUM = "(?:0|[1-9][0-9]{0,17})"
-_TOK = f"X?{_NUM}"
-_CANONICAL = (
-    f"({_NUM}) ({_NUM})\n"
-    f"((?:{_NUM} {_NUM}\n)*)"
-    f"((?:x {_NUM} {_NUM} {_NUM} {_NUM}\n)*)"
-    f"((?:rot {_TOK}: (?:{_TOK}(?: {_TOK})*)?\n)*)"
-)
-
-
-def read_drawing(text: str):
-    """``(n, edges, crossing_pairs, rotation)`` from the canonical text of
-    a drawing, or None for any other text.
-
-    The canonical text is what ``embedding.format_drawing`` writes: the
-    header ``n m``, m edge lines ``u v``, crossing lines ``x a b c d`` and
-    rotation lines ``rot t: t t ...`` (``rot t: `` for an empty row), each
-    ended by a newline. Numbers are ASCII decimal, with no sign, no leading
-    zero and at most 18 digits, and tokens are separated by one space. A
-    rotation token is a vertex below n or ``X<i>`` with i below the number
-    of crossing lines, which stands for vertex n + i, and no head is listed
-    twice. Edges and crossing pairs are not checked here: ``Graph`` and
-    ``Drawing`` check them. The edges are (u, v) tuples, the pairs ((a, b),
-    (c, d)) tuples and the rotation maps each head to its row as a list.
-    """
-    match = re.fullmatch(_CANONICAL, text)
-    if match is None:
-        return None
-    n, m, edge_lines, cross_lines, rot_lines = match.groups()
-    n, m = int(n), int(m)
-    ends = list(map(int, edge_lines.split()))
-    if len(ends) != 2 * m:
-        return None
-    edges = list(zip(ends[::2], ends[1::2]))
-    xs = list(map(int, cross_lines.replace("x", "").split()))
-    pairs = [((a, b), (c, d)) for a, b, c, d in zip(xs[::4], xs[1::4], xs[2::4], xs[3::4])]
-    # (head, row) tokens of each "rot head: row" line
-    rows = [(head, row.split()) for head, row in (ln[4:].split(": ") for ln in rot_lines.splitlines())]
-    ids: dict[str, int] = {}
-    for tok in {head for head, _ in rows}.union(*(row for _, row in rows)):
-        crossing = tok[0] == "X"
-        i = int(tok[1:] if crossing else tok)
-        if i >= (len(pairs) if crossing else n):
-            return None
-        ids[tok] = n + i if crossing else i
-    rotation: dict[int, list[int]] = {}
-    for head, row in rows:
-        v = ids[head]
-        if v in rotation:
-            return None
-        rotation[v] = [ids[t] for t in row]
-    return n, edges, pairs, rotation
+def read_drawing(text: str) -> None:
+    """None for every str: only the C kernel has this fast path, so
+    ``embedding.parse_drawing`` reads each text with its reference reader
+    ``embedding._read_drawing``, which defines the format."""
+    if not isinstance(text, str):
+        raise TypeError(f"read_drawing expects a str, got {type(text).__name__}")
+    return None

@@ -2,7 +2,8 @@
 
 Subcommands: gen, color, exact, verify, discharge, audit. Exit codes:
 0 success, 1 invariant violation (failed coloring, broken conservation,
-missing reducible witness, failed verify), 2 input error, 3 size refusal.
+missing reducible witness, failed verify), 2 input error (an input too
+large to hold in memory included), 3 size refusal.
 """
 
 from __future__ import annotations
@@ -47,6 +48,14 @@ def _load_instance(path: str) -> tuple[Graph, Drawing | None]:
     return parse_graph(text), None
 
 
+def _write_file(target: Path, text: str) -> None:
+    """Write text to target through a temporary file and a rename, so that
+    no reader sees a half-written file."""
+    tmp = target.with_suffix(target.suffix + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, target)
+
+
 def _write_report(payload: str, args, default_name: str, multi: bool) -> None:
     if not args.out:
         sys.stdout.write(payload)
@@ -56,9 +65,7 @@ def _write_report(payload: str, args, default_name: str, multi: bool) -> None:
     if str(args.out).endswith(os.sep) or target.is_dir() or multi:
         target.mkdir(parents=True, exist_ok=True)
         target = target / default_name
-    tmp = target.with_suffix(target.suffix + ".tmp")
-    tmp.write_text(payload)
-    os.replace(tmp, target)
+    _write_file(target, payload)
 
 
 def _emit(report: dict, args, default_name: str, multi: bool = False) -> None:
@@ -116,7 +123,7 @@ def cmd_color(args) -> int:
             if not rep.ok:
                 status = EXIT_INVARIANT
             elif args.coloring_out:
-                Path(args.coloring_out).write_text(format_coloring(outcome.coloring))
+                _write_file(Path(args.coloring_out), format_coloring(outcome.coloring))
         _emit(report, args, f"{Path(path).stem}.color.txt", multi=len(args.instance) > 1)
     return status
 
@@ -239,9 +246,7 @@ def cmd_gen(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, drawing in generate_corpus(spec):
         target = outdir / f"{name}.txt"
-        tmp = target.with_suffix(".tmp")
-        tmp.write_text(format_drawing(drawing))
-        os.replace(tmp, target)
+        _write_file(target, format_drawing(drawing))
         sys.stdout.write(f"{target}\n")
     return EXIT_OK
 
@@ -306,11 +311,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # ParseError and EmbeddingError are ValueErrors; so are bad
         # parameters like a palette below the max degree. An OSError is a
-        # missing instance or an --out path that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
+        # missing instance or an --out path that cannot be written, and a
+        # MemoryError an input too large to hold, such as a vertex count
+        # beyond the kernel's int ids, refused before it is allocated
+        print(f"error: {str(exc) or 'input too large to hold in memory'}", file=sys.stderr)
         return EXIT_INPUT
     except SizeRefusal as exc:
         print(f"error: {exc}", file=sys.stderr)

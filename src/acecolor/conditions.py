@@ -4,7 +4,8 @@ A graph whose acyclic chromatic index exceeds the palette size kappa,
 while every proper subgraph colors within kappa, is *palette-minimal*
 (kappa-deletion-minimal). Such graphs are known to satisfy a list of
 local degree conditions; each enum member below is one of them, checkable
-directly on a concrete graph (plus, for the face conditions, a drawing).
+directly on a concrete graph (plus, for the face conditions, the plane
+graph that ``embedding.planarize`` builds once from its drawing).
 A witness is a binding of a condition's quantifiers at which it fails.
 
 Every degree threshold that scales with the palette slack kappa -
@@ -36,7 +37,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
-from .embedding import Drawing, PlaneGraph, planarize
+from .embedding import PlaneGraph
 from .errors import SizeRefusal
 from .graph import Graph
 from .solver import has_acyclic_coloring
@@ -424,9 +425,7 @@ def _check_deg3_tight_structure(g: Graph, kappa: int, vertices) -> list[Conditio
             others = [x for x in adj[v] if x != w]
             ok = False
             for v1, v2 in ((others[0], others[1]), (others[1], others[0])):
-                if deg[v1] != delta:
-                    continue
-                if not (delta >= deg[v2] >= t.high):
+                if deg[v1] != delta or deg[v2] < t.high:
                     continue
                 if _at_least(adj[v1], deg, tight) < kappa - deg[v2] + 1:
                     continue
@@ -469,31 +468,24 @@ _FACE_CHECKS = {
 }
 
 
-def _resolve_plane(drawing) -> PlaneGraph | None:
-    if drawing is None:
-        return None
-    if isinstance(drawing, PlaneGraph):
-        return drawing
-    if isinstance(drawing, Drawing):
-        return planarize(drawing)
-    raise TypeError(f"expected Drawing or PlaneGraph, got {type(drawing)!r}")
-
-
 def check_condition(
     g: Graph,
-    drawing,
+    plane: PlaneGraph | None,
     kappa: int,
     condition: Condition,
     vertices=None,
 ) -> list[ConditionWitness]:
     """All witnesses violating one condition; empty means it holds.
 
-    `drawing` (a Drawing or PlaneGraph) is required for the two face
-    conditions and ignored otherwise. `vertices` restricts the bindings
-    examined to a set of vertices (order and repeats do not matter); an id
-    outside 0..n-1 raises ValueError. The discharging audit passes the
-    union of the vertices its elements' blame asks about.
+    `plane`, the plane graph of g's drawing, is required for the two face
+    conditions and ignored otherwise; anything else, a Drawing included,
+    raises TypeError. `vertices` restricts the bindings examined to a set
+    of vertices (order and repeats do not matter); an id outside 0..n-1
+    raises ValueError. The discharging audit passes the union of the
+    vertices its elements' blame asks about.
     """
+    if plane is not None and not isinstance(plane, PlaneGraph):
+        raise TypeError(f"expected a PlaneGraph or None, got {type(plane).__name__}: use embedding.planarize")
     if vertices is not None:
         vertices = tuple(vertices)  # an iterator is read once, here
         for v in vertices:
@@ -501,9 +493,8 @@ def check_condition(
                 raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
         vertices = sorted(set(vertices))
     if condition in FACE_CONDITIONS:
-        plane = _resolve_plane(drawing)
         if plane is None:
-            raise ValueError(f"{condition.value} requires a drawing")
+            raise ValueError(f"{condition.value} requires the plane graph of a drawing")
         return _FACE_CHECKS[condition](g, plane, vertices)
     return _GRAPH_CHECKS[condition](g, kappa, vertices)
 
@@ -519,16 +510,16 @@ def require_in_scope(g: Graph, kappa: int) -> None:
 
 
 def find_reducible_configuration(
-    g: Graph, drawing, kappa: int
+    g: Graph, plane: PlaneGraph | None, kappa: int
 ) -> ConditionWitness | None:
-    """First witness over all conditions in CONDITION_ORDER, or None.
+    """First witness over all conditions in CONDITION_ORDER, or None;
+    `plane` is as ``check_condition`` takes it.
 
     For a triangle-free 1-planar graph with the default palette this must
     never return None; a None result flags a bug (or a counterexample to
     the underlying structure theory) and callers treat it as an error.
     """
     require_in_scope(g, kappa)
-    plane = _resolve_plane(drawing)
     for cond in CONDITION_ORDER:
         found = check_condition(g, plane, kappa, cond)
         if found:
@@ -536,10 +527,10 @@ def find_reducible_configuration(
     return None
 
 
-def recheck_witness(g: Graph, drawing, kappa: int, w: ConditionWitness) -> bool:
+def recheck_witness(g: Graph, plane: PlaneGraph | None, kappa: int, w: ConditionWitness) -> bool:
     """Re-evaluate the witness's condition restricted to its vertices and
     confirm the same violation reappears."""
-    found = check_condition(g, drawing, kappa, w.condition, vertices=w.vertices)
+    found = check_condition(g, plane, kappa, w.condition, vertices=w.vertices)
     return any(x.vertices == w.vertices for x in found)
 
 

@@ -274,10 +274,11 @@ def parse_drawing(text: str) -> Drawing:
     """Parse the drawing format: graph section, `x a b c d` crossing lines,
     then `rot v: ...` rotation lines for every planarized vertex.
 
-    The canonical text that ``format_drawing`` writes is read by the
-    kernel (``kernel.read_drawing``); any other text, or one whose graph
-    or drawing is rejected, goes through the reference reader
-    (``_read_drawing``), which defines the format and names the error."""
+    The reference reader (``_read_drawing``) defines the format and names
+    every error. The C kernel's fast path (``kernel.read_drawing``) reads
+    the canonical text that ``format_drawing`` writes; any other text, one
+    whose graph or drawing is rejected, and every text on the Python
+    kernel go through the reference reader."""
     fast = kernel.read_drawing(text)
     if fast is not None:
         n, edges, pairs, rotation = fast

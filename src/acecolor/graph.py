@@ -4,8 +4,11 @@ Vertices are 0..n-1 and edges are stored canonically as (min, max) pairs,
 so every iteration over a graph is deterministic. Graphs are immutable
 after construction; removing an edge produces a new graph. Because of
 that, the degree of every vertex and the max degree are computed once,
-when the graph is built, and the connected components, the cut vertices
-and the vertices of each degree on the first call that asks for them.
+when the graph is built, and the vertices of each degree on the first
+call that asks for them. One depth-first search, run on the first call
+that asks, finds both the connected components and the cut vertices;
+``connected_components``, ``is_connected`` and ``articulation_points``
+all read its kept result.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ class Graph:
         "adj",
         "degrees",
         "delta",
-        "_components",
-        "_cut_vertices",
+        "_connectivity",
         "_degree_classes",
     )
 
@@ -46,8 +48,8 @@ class Graph:
         self.edges, self.adj, self.degrees = kernel.index_edges(n, edges)
         # the max degree, 0 without vertices; max_degree() refuses that case
         self.delta: int = max(self.degrees, default=0)
-        self._components: tuple[tuple[int, ...], ...] | None = None
-        self._cut_vertices: tuple[int, ...] | None = None
+        # (components, cut vertices), from the one search of _searched()
+        self._connectivity: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = None
         self._degree_classes: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -106,36 +108,15 @@ class Graph:
 
     def connected_components(self) -> list[list[int]]:
         """The components as sorted vertex lists, ordered by their least
-        vertex; the search runs once per graph, each call gets new lists."""
-        if self._components is None:
-            self._components = self._find_components()
-        return [list(c) for c in self._components]
+        vertex; each call gets new lists."""
+        return [list(c) for c in self._searched()[0]]
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        if self._components is None:
-            self._components = self._find_components()
-        return len(self._components) == 1
+        return self.n <= 1 or len(self._searched()[0]) == 1
 
-    def _find_components(self) -> tuple[tuple[int, ...], ...]:
-        seen = [False] * self.n
-        comps: list[tuple[int, ...]] = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack = [s]
-            seen[s] = True
-            comp = []
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                for y in self.adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        stack.append(y)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+    def articulation_points(self) -> list[int]:
+        """Cut vertices, sorted."""
+        return list(self._searched()[1])
 
     def degree_classes(self) -> tuple[tuple[int, ...], ...]:
         """Entry d holds the vertices of degree d, sorted, for d = 0..delta;
@@ -147,17 +128,19 @@ class Graph:
             self._degree_classes = tuple(map(tuple, classes))
         return self._degree_classes
 
-    def articulation_points(self) -> list[int]:
-        """Cut vertices, sorted; the DFS runs once per graph."""
-        if self._cut_vertices is None:
-            self._cut_vertices = self._find_cut_vertices()
-        return list(self._cut_vertices)
+    def _searched(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The components and the cut vertices, searched once per graph."""
+        if self._connectivity is None:
+            self._connectivity = self._search()
+        return self._connectivity
 
-    def _find_cut_vertices(self) -> tuple[int, ...]:
-        """The standard DFS low-point computation."""
+    def _search(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The standard DFS low-point computation of the cut vertices, in
+        which each root also collects the component it reaches."""
         adj = self.adj
         disc = [-1] * self.n
         low = [0] * self.n
+        comps: list[tuple[int, ...]] = []
         points: set[int] = set()
         timer = 0
         for root in range(self.n):
@@ -168,12 +151,14 @@ class Graph:
             disc[root] = low[root] = timer
             timer += 1
             root_children = 0
+            comp = [root]
             while stack:
                 v, parent, rest = stack[-1]
                 for w in rest:
                     if disc[w] == -1:
                         disc[w] = low[w] = timer
                         timer += 1
+                        comp.append(w)
                         if v == root:
                             root_children += 1
                         stack.append((w, v, iter(adj[w])))
@@ -189,7 +174,8 @@ class Graph:
                             points.add(parent)
             if root_children >= 2:
                 points.add(root)
-        return tuple(sorted(points))
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps), tuple(sorted(points))
 
 
 def _parse_graph_lines(lines: list[str], where: str = "graph") -> tuple[Graph, list[str]]:

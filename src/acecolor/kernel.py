@@ -5,7 +5,7 @@ by ``setup.py`` when a C compiler is present); falls back to the
 pure-Python kernel when the extension is missing or when ACECOLOR_PURE is
 set in the environment. Both backends run the same algorithms and return
 the same result for every input; for a rejected input they raise
-ValueError with the same message.
+ValueError with the same message. ``read_drawing`` alone differs (below).
 
 ``find_coloring(n, k, eu, ev, order, max_nodes=-1)`` returns the per-edge
 colors, None when no acyclic coloring within k colors exists, or False
@@ -42,18 +42,21 @@ ints ("edge [0] is not a pair of ints"), an endpoint outside [0, n)
 ("edge (3, 0) has an endpoint outside 0..2", as given), a loop
 ("self-loop at vertex 2") and a repeat of an earlier edge in either
 direction ("duplicate edge (0, 1)", canonical). A bad endpoint is written
-as the int it is, however large. It costs O(n + m).
+as the int it is, however large. It raises MemoryError, before it
+allocates, for n >= 2**31 - 1, beyond the int vertex ids of the C kernel.
+It costs O(n + m).
 
-``read_drawing(text)`` returns ``(n, edges, crossing_pairs, rotation)``,
-the arguments of ``Graph`` and ``Drawing``, from the canonical text that
-``embedding.format_drawing`` writes, and None for any other text. The
-canonical text is ASCII: numbers without a sign or a leading zero and of
-at most 18 digits, one space between tokens, a newline after every line
-(the last one too), ``rot v: `` with its trailing space for an empty
-row, rotation tokens below n and ``X<i>`` tokens below the number of
-``x`` lines, and no rotation head listed twice. It checks nothing that
-``Graph`` and ``Drawing`` check; ``embedding.parse_drawing`` falls back
-to its reference reader on None or on their error. It costs O(len(text)).
+``read_drawing(text)``, a fast path of the C kernel only, returns
+``(n, edges, crossing_pairs, rotation)``, the arguments of ``Graph`` and
+``Drawing``, from the canonical text that ``embedding.format_drawing``
+writes, and None for any other text: ASCII numbers without a sign or a
+leading zero and of at most 18 digits, one space between tokens, a
+newline after every line, ``rot v: `` for an empty row, rotation tokens
+below n and ``X<i>`` tokens below the number of ``x`` lines, and no
+rotation head listed twice. It checks nothing that ``Graph`` and
+``Drawing`` check, in O(len(text)). The Python backend returns None for
+every str. ``embedding.parse_drawing`` reads with its reference reader
+``_read_drawing``, which defines the format, on None or on their error.
 """
 
 from __future__ import annotations

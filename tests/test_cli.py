@@ -1,11 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from acecolor.cli import main
 from acecolor.coloring import parse_coloring
 from acecolor.conditions import find_reducible_configuration
-from acecolor.embedding import format_drawing
+from acecolor import cli, kernel
+from acecolor.embedding import format_drawing, planarize
 from acecolor.generate import CorpusSpec, cycle_builder, generate_corpus, grid_builder
 from acecolor.graph import format_graph
 
@@ -71,6 +73,20 @@ def test_color_writes_coloring(c5_file, tmp_path, capsys):
     assert rc == 0
     col = parse_coloring(colpath.read_text(), cycle(5))
     assert col.is_total()
+
+
+def test_every_written_file_is_renamed_into_place(c5_file, tmp_path, monkeypatch):
+    # the coloring, the reports and the generated drawings are each written
+    # to a temporary file first and renamed over their target
+    renamed = []
+    replace = cli.os.replace
+    monkeypatch.setattr(cli.os, "replace", lambda a, b: renamed.append(Path(b).name) or replace(a, b))
+    assert main(["color", str(c5_file), "--coloring-out", str(tmp_path / "c5.coloring"),
+                 "--out", str(tmp_path / "c5.report")]) == 0
+    assert main(["gen", "--count", "1", "--out", str(tmp_path / "gen")]) == 0
+    assert renamed[:2] == ["c5.coloring", "c5.report"] and len(renamed) == 3
+    assert renamed[2] in {p.name for p in (tmp_path / "gen").iterdir()}
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_color_json_format(c5_file, capsys):
@@ -247,7 +263,7 @@ def test_audit_witness_is_the_one_find_reducible_configuration_picks(tmp_path, c
         kappa = d.base.delta + slack
         rc = main(["audit", str(path), "--kappa", str(kappa), "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
-        w = find_reducible_configuration(d.base, d, kappa)
+        w = find_reducible_configuration(d.base, planarize(d), kappa)
         assert rc == 0 and w is not None
         got = (doc["reducible"], doc["witness_vertices"], doc["witness_detail"])
         assert got == (w.condition.value, str(list(w.vertices)), w.detail), name
@@ -326,6 +342,15 @@ def test_negative_edge_count_is_an_input_error(tmp_path, capsys):
     path.write_text("3 -1\n")
     assert main(["color", str(path)]) == 2
     assert "graph: negative edge count in header '3 -1'" in capsys.readouterr().err
+
+
+def test_vertex_count_beyond_the_kernel_is_an_input_error(tmp_path, capsys, monkeypatch, backend):
+    # both kernels refuse 2**31 vertices before they allocate a row for each
+    monkeypatch.setattr(kernel, "index_edges", backend.index_edges)
+    path = tmp_path / "big.txt"
+    path.write_text("2147483648 0\n")
+    assert main(["color", str(path)]) == 2
+    assert capsys.readouterr().err == "error: input too large to hold in memory\n"
 
 
 def test_report_written_to_out_dir(c5_file, tmp_path):

@@ -139,7 +139,24 @@ def test_claims_require_drawing():
         check_condition(g, None, kappa_for(g), Condition.DEG2_FACE_SIZES)
     b = grid_builder(3, 3)
     d = b.to_drawing()
-    assert check_condition(d.base, d, kappa_for(d.base), Condition.DEG2_FACE_SIZES) == []
+    assert check_condition(d.base, planarize(d), kappa_for(d.base), Condition.DEG2_FACE_SIZES) == []
+
+
+def test_conditions_refuse_a_drawing():
+    # a condition takes the plane graph its caller built, never a Drawing
+    # to planarize on each call
+    d = generate_instance("grid-with-crossings", 3)
+    g, p = d.base, planarize(d)
+    w = find_reducible_configuration(g, p, kappa_for(g))
+    for call in (
+        lambda x: check_condition(g, x, kappa_for(g), Condition.DEG2_BIG_NEIGHBORS),
+        lambda x: check_condition(g, x, kappa_for(g), Condition.DEG2_FACE_SIZES),
+        lambda x: find_reducible_configuration(g, x, kappa_for(g)),
+        lambda x: recheck_witness(g, x, kappa_for(g), w),
+    ):
+        call(p)
+        with pytest.raises(TypeError, match="embedding.planarize"):
+            call(d)
 
 
 def test_condition_monotone_in_kappa():
@@ -164,7 +181,7 @@ def test_condition_monotone_in_kappa():
 def test_find_reducible_on_cube():
     b = __import__("acecolor.generate", fromlist=["cube_builder"]).cube_builder()
     d = b.to_drawing()
-    w = find_reducible_configuration(d.base, d, kappa_for(d.base))
+    w = find_reducible_configuration(d.base, planarize(d), kappa_for(d.base))
     assert w is not None
     assert w.condition is Condition.DEG3_BIG_NEIGHBORS
 
@@ -179,10 +196,10 @@ def test_find_reducible_on_sample_corpus_with_recheck():
     for fam in ("subdivided-quadrangulation", "grid-with-crossings", "named"):
         for seed in range(4):
             d = generate_instance(fam, seed)
-            g = d.base
-            w = find_reducible_configuration(g, d, kappa_for(g))
+            g, p = d.base, planarize(d)
+            w = find_reducible_configuration(g, p, kappa_for(g))
             assert w is not None, (fam, seed)
-            assert recheck_witness(g, d, kappa_for(g), w)
+            assert recheck_witness(g, p, kappa_for(g), w)
 
 
 def test_condition_order_is_fixed_and_complete():
@@ -231,11 +248,11 @@ def test_deletion_probe_isolated_vertex():
 
 def test_find_reducible_refuses_palette_below_max_degree():
     d = generate_instance("grid-with-crossings", 3)
-    g = d.base
+    g, p = d.base, planarize(d)
     for kappa in (0, g.max_degree() - 1):
         with pytest.raises(ValueError, match="below max degree"):
-            find_reducible_configuration(g, d, kappa)
-    find_reducible_configuration(g, d, g.max_degree())  # the lowest palette accepted
+            find_reducible_configuration(g, p, kappa)
+    find_reducible_configuration(g, p, g.max_degree())  # the lowest palette accepted
 
 
 @pytest.mark.parametrize(
@@ -248,14 +265,14 @@ def test_scope_outside_vertex_range_is_refused(cond):
     b = grid_builder(3, 4)
     b.insert_crossing(5, 6)
     d = b.to_drawing()
-    g = d.base
+    g, p = d.base, planarize(d)
     for bad in (-1, g.n):
         for scope in ((bad,), (0, bad)):
             with pytest.raises(ValueError, match="outside"):
-                check_condition(g, d, kappa_for(g), cond, vertices=scope)
+                check_condition(g, p, kappa_for(g), cond, vertices=scope)
     # the scope may be any iterable, an iterator included
-    full = check_condition(g, d, kappa_for(g), cond)
-    assert check_condition(g, d, kappa_for(g), cond, vertices=iter(range(g.n))) == full
+    full = check_condition(g, p, kappa_for(g), cond)
+    assert check_condition(g, p, kappa_for(g), cond, vertices=iter(range(g.n))) == full
 
 
 @st.composite
@@ -357,11 +374,11 @@ def test_two_vertex_on_three_face_is_found_in_scope():
 
 
 def test_audit_runs_one_cut_vertex_search_per_drawing(monkeypatch):
-    # the full-scope check and the reducible-witness search share the
-    # graph's kept cut vertices
+    # planarizing, the full-scope checks and the reducible-witness search
+    # share the components and cut vertices of the graph's one search
     calls = []
-    find = Graph._find_cut_vertices
-    monkeypatch.setattr(Graph, "_find_cut_vertices", lambda g: calls.append(1) or find(g))
+    find = Graph._search
+    monkeypatch.setattr(Graph, "_search", lambda g: calls.append(1) or find(g))
     d = generate_instance("subdivided-quadrangulation", 3)
     g, p = d.base, planarize(d)
     for cond in CONDITION_ORDER:
@@ -372,13 +389,14 @@ def test_audit_runs_one_cut_vertex_search_per_drawing(monkeypatch):
 
 def test_audit_runs_one_component_search_per_graph(monkeypatch):
     # planarizing, discharging, the full-scope checks and the
-    # reducible-witness search share each graph's kept components, so each
-    # distinct graph is searched once: an uncrossed drawing is its own
-    # plane graph, and a crossed one has a plane graph and a base graph.
-    # Each drawing is read back from its file, so its graphs are fresh.
+    # reducible-witness search share each graph's kept components and cut
+    # vertices, from one search, so each distinct graph is searched once:
+    # an uncrossed drawing is its own plane graph, and a crossed one has a
+    # plane graph and a base graph. Each drawing is read back from its
+    # file, so its graphs are fresh.
     calls = []
-    find = Graph._find_components
-    monkeypatch.setattr(Graph, "_find_components", lambda g: calls.append(g) or find(g))
+    find = Graph._search
+    monkeypatch.setattr(Graph, "_search", lambda g: calls.append(g) or find(g))
     for family, searched in (("subdivided-quadrangulation", 1), ("grid-with-crossings", 2)):
         d = parse_drawing(format_drawing(generate_instance(family, 3)))
         calls.clear()

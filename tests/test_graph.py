@@ -198,7 +198,7 @@ def test_kept_articulation_points_equal_a_fresh_dfs(n, data):
     first = g.articulation_points()
     first.append(-1)  # the caller's list is its own
     kept = g.articulation_points()
-    assert kept == list(g._find_cut_vertices()) == Graph(n, g.edges).articulation_points()
+    assert kept == list(g._search()[1]) == Graph(n, g.edges).articulation_points()
     # a cut vertex is one whose removal leaves more components
     comps = len(g.connected_components())
     brute = []
