@@ -771,7 +771,8 @@ static PyObject *read_drawing(PyObject *Py_UNUSED(self), PyObject *text)
             goto none;
     }
     Py_ssize_t rot_at = nv;
-    while (c.p < c.end) {
+    long long rows = 0;
+    for (; c.p < c.end; rows++) {
         if (!(skip(&c, 'r') && skip(&c, 'o') && skip(&c, 't') && skip(&c, ' ')))
             goto none;
         Py_ssize_t line = nv;
@@ -788,9 +789,11 @@ static PyObject *read_drawing(PyObject *Py_UNUSED(self), PyObject *text)
         if (!skip(&c, '\n'))
             goto none;
     }
-    /* the objects: the vertex ints are shared up to the value count, which
-     * bounds the cache by the text */
-    size = n + k < nv ? (Py_ssize_t)(n + k) : nv;
+    if (rows != n + k) /* the reference reader refuses too few; too many repeat a head */
+        goto none;
+    /* the objects: the vertex ints are shared, in a cache that the n + k
+     * rotation lines bound by the text */
+    size = (Py_ssize_t)(n + k);
     ints = calloc(size + 1, sizeof(PyObject *));
     if (!ints) {
         PyErr_NoMemory();

@@ -69,14 +69,15 @@ class EdgeColoring:
     The per-vertex index maps color -> opposite endpoint, which makes the
     used/free color queries and path walks constant time per step. The
     structure cannot represent an improper coloring; ``assign`` rejects
-    conflicts.
+    conflicts. The palette ``kappa`` is at least 1 on a graph with edges
+    and at least 0 on one without, whose acyclic index is 0.
     """
 
     __slots__ = ("graph", "kappa", "_color", "_at")
 
     def __init__(self, graph: Graph, kappa: int):
-        if kappa < 1:
-            raise ValueError(f"palette size must be >= 1, got {kappa}")
+        if kappa < min(graph.m, 1):
+            raise ValueError(f"palette size must be >= {min(graph.m, 1)}, got {kappa}")
         self.graph = graph
         self.kappa = kappa
         self._color: dict[Edge, int] = {}

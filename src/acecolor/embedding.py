@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .errors import EmbeddingError, ParseError
-from .graph import Edge, Graph, _parse_graph_lines, canonical_edge, format_graph
+from .graph import Edge, Graph, _checked_graph, _parse_graph_lines, canonical_edge, format_graph
 
 CrossingPair = tuple[Edge, Edge]
 
@@ -162,9 +162,10 @@ def planarize(d: Drawing) -> PlaneGraph:
 
     Checks: the rotation covers exactly the planarized vertex set and
     matches its edge set; the rotation at every crossing alternates the
-    two crossed edges; face traversal satisfies Euler's formula on every
-    connected component (genus zero). A drawing without crossings keeps
-    its base graph as the planarized graph.
+    two crossed edges; the face walks satisfy V - E + F + I = 2C, with I
+    the isolated vertices and C the components, which holds iff every
+    component has genus zero. A drawing without crossings keeps its base
+    graph as the planarized graph.
     """
     base = d.base
     n = base.n
@@ -217,28 +218,12 @@ def planarize(d: Drawing) -> PlaneGraph:
 
     faces = trace_faces(n_all, rot_list)
 
-    # Euler's formula on every connected component (genus-zero rotation):
-    # a component's edges are half its degree sum, and its faces are the
-    # walks that start at one of its vertices
-    comps = pgraph.connected_components()
-    comp_of = [0] * n_all
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    face_count = [0] * len(comps)
-    for f in faces:
-        face_count[comp_of[f.walk[0][0]]] += 1
-    deg = pgraph.degrees
-    for ci, comp in enumerate(comps):
-        edge_count = sum(map(deg.__getitem__, comp)) // 2
-        if edge_count == 0:
-            continue  # isolated vertex
-        euler = len(comp) - edge_count + face_count[ci]
-        if euler != 2:
-            raise EmbeddingError(
-                f"rotation is not planar on component containing {comp[0]}: "
-                f"V-E+F = {len(comp)}-{edge_count}+{face_count[ci]} != 2"
-            )
+    # Euler, now that the rotation matches the graph: V-E+F is at most 2 on
+    # a component with an edge, 2 iff it is planar, and 1 on an isolated vertex
+    v, e, f = n_all, pgraph.m, len(faces)
+    i, c = pgraph.degrees.count(0), len(pgraph.connected_components())
+    if v - e + f + i != 2 * c:
+        raise EmbeddingError(f"rotation is not planar: V-E+F+I = {v}-{e}+{f}+{i} != 2C = 2*{c}")
 
     return PlaneGraph(
         base=base,
@@ -291,23 +276,31 @@ def parse_drawing(text: str) -> Drawing:
 
 def _read_drawing(text: str) -> Drawing:
     """The reference reader of the drawing format: it accepts any spelling
-    of a token that ``int`` does, and any whitespace between tokens."""
-    base, rest = _parse_graph_lines(text.splitlines(), where="drawing")
+    of a token that ``int`` does, and any whitespace between tokens. Each
+    of the n + k planarized vertices needs a rotation line, so fewer lines
+    are refused before the graph allocates a row per vertex."""
+    n, edges, rest = _parse_graph_lines(text.splitlines(), where="drawing")
+    n_cross = 0
+    while n_cross < len(rest) and rest[n_cross].split()[0] == "x":
+        n_cross += 1
+    if n + n_cross > len(rest) - n_cross:
+        raise ParseError(
+            f"drawing: n + k = {n} + {n_cross} planarized vertices need as many "
+            f"rotation lines, found {len(rest) - n_cross}"
+        )
+    base = _checked_graph(n, edges, where="drawing")
     pairs: list[CrossingPair] = []
-    i = 0
-    while i < len(rest) and rest[i].split()[0] == "x":
-        parts = rest[i].split()
+    for ln in rest[:n_cross]:
+        parts = ln.split()
         if len(parts) != 5:
-            raise ParseError(f"drawing: bad crossing line {rest[i]!r}")
+            raise ParseError(f"drawing: bad crossing line {ln!r}")
         try:
             a, b, c, dd = (int(t) for t in parts[1:])
         except ValueError:
-            raise ParseError(f"drawing: bad crossing line {rest[i]!r}") from None
+            raise ParseError(f"drawing: bad crossing line {ln!r}") from None
         pairs.append(((a, b), (c, dd)))
-        i += 1
     rotation: dict[int, list[int]] = {}
-    n, n_cross = base.n, len(pairs)
-    for ln in rest[i:]:
+    for ln in rest[n_cross:]:
         parts = ln.split()
         if parts[0] != "rot" or len(parts) < 2 or not parts[1].endswith(":"):
             raise ParseError(f"drawing: expected 'rot v: ...', got {ln!r}")

@@ -178,8 +178,8 @@ class Graph:
         return tuple(comps), tuple(sorted(points))
 
 
-def _parse_graph_lines(lines: list[str], where: str = "graph") -> tuple[Graph, list[str]]:
-    """Parse the `n m` header and m edge lines; return (graph, remaining lines)."""
+def _parse_graph_lines(lines: list[str], where: str = "graph") -> tuple[int, list[Edge], list[str]]:
+    """Parse the `n m` header and m edge lines; return (n, edges, rest)."""
     rows = [ln for ln in lines if ln.strip()]
     if not rows:
         raise ParseError(f"{where}: empty input")
@@ -204,16 +204,21 @@ def _parse_graph_lines(lines: list[str], where: str = "graph") -> tuple[Graph, l
         except ValueError:
             raise ParseError(f"{where}: non-integer edge line {ln!r}") from None
         edges.append((u, v))
+    return n, edges, rows[1 + m :]
+
+
+def _checked_graph(n: int, edges: list[Edge], where: str = "graph") -> Graph:
+    """``Graph(n, edges)``, with its ValueError as a ParseError from ``where``."""
     try:
-        g = Graph(n, edges)
+        return Graph(n, edges)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from None
-    return g, rows[1 + m :]
 
 
 def parse_graph(text: str) -> Graph:
     """Parse the text edge-list format: `n m` then m lines `u v` (0-based)."""
-    g, rest = _parse_graph_lines(text.splitlines())
+    n, edges, rest = _parse_graph_lines(text.splitlines())
+    g = _checked_graph(n, edges)
     if rest:
         raise ParseError(f"unexpected trailing line {rest[0]!r}")
     return g

@@ -52,11 +52,12 @@ It costs O(n + m).
 writes, and None for any other text: ASCII numbers without a sign or a
 leading zero and of at most 18 digits, one space between tokens, a
 newline after every line, ``rot v: `` for an empty row, rotation tokens
-below n and ``X<i>`` tokens below the number of ``x`` lines, and no
-rotation head listed twice. It checks nothing that ``Graph`` and
-``Drawing`` check, in O(len(text)). The Python backend returns None for
-every str. ``embedding.parse_drawing`` reads with its reference reader
-``_read_drawing``, which defines the format, on None or on their error.
+below n and ``X<i>`` tokens below the number k of ``x`` lines, and n + k
+rotation lines with no head listed twice. It checks nothing that
+``Graph`` and ``Drawing`` check, in O(len(text)). The Python backend
+returns None for every str. ``embedding.parse_drawing`` reads with its
+reference reader ``_read_drawing``, which defines the format, on None or
+on their error.
 """
 
 from __future__ import annotations

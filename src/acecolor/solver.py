@@ -137,7 +137,7 @@ def _run_kernel(
     (more than max_nodes search nodes, if >= 0). Its per-edge colors
     become the coloring in one pass through ``EdgeColoring.from_colors``,
     which re-checks their range and properness. A coloring has palette k,
-    so k = 0 raises ValueError even when m = 0."""
+    which ``EdgeColoring`` refuses below 1, or below 0 when m = 0."""
     colors = kernel.find_coloring(g.n, k, eu, ev, order, max_nodes)
     if colors is None or colors is False:
         return colors
@@ -149,8 +149,6 @@ def has_acyclic_coloring(g: Graph, k: int) -> EdgeColoring | None:
     with no search, when k is below ``acyclic_lower_bound``)."""
     if k < acyclic_lower_bound(g):
         return None
-    if g.m == 0:
-        return EdgeColoring(g, max(k, 1))
     eu, ev = _edge_arrays(g)
     return _run_kernel(g, k, eu, ev, kernel.peeling_order(g.n, eu, ev))
 
@@ -164,8 +162,6 @@ def exact_acyclic_index(g: Graph, upper_bound: int) -> ExactResult | None:
     lo = acyclic_lower_bound(g)
     if upper_bound < lo:
         return None
-    if g.m == 0:
-        return ExactResult(0, EdgeColoring(g, 1))
     eu, ev = _edge_arrays(g)
     order = kernel.peeling_order(g.n, eu, ev)  # shared by every palette
     for k in range(lo, upper_bound + 1):
@@ -253,7 +249,8 @@ def heuristic_color(
     ``acyclic_lower_bound`` (kappa is the max degree) or by a search. It
     also returns None when every rooted search spends its budget, never
     silently escalating the palette. A palette below the max degree or a
-    negative ``restarts`` raises ValueError.
+    negative ``restarts`` raises ValueError; so a graph without edges takes
+    any palette from 0 up, and gets its empty coloring.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be non-negative, got {restarts}")

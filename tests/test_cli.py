@@ -1,13 +1,18 @@
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from acecolor.cli import main
 from acecolor.coloring import parse_coloring
-from acecolor.conditions import find_reducible_configuration
+from acecolor.conditions import exact_size_ok, find_reducible_configuration
 from acecolor import cli, kernel
-from acecolor.embedding import format_drawing, planarize
+from acecolor.embedding import format_drawing, parse_drawing, planarize
 from acecolor.generate import CorpusSpec, cycle_builder, generate_corpus, grid_builder
 from acecolor.graph import format_graph
 
@@ -170,6 +175,18 @@ def test_exact_edgeless_graph_below_bound(tmp_path, capsys):
     assert "status=unsat-below-bound" in out and "acyclic_index" not in out
     assert main(["exact", str(path), "--kappa", "0"]) == 0
     assert "acyclic_index=0" in capsys.readouterr().out
+
+
+def test_color_agrees_with_exact_on_an_edgeless_graph(tmp_path, capsys):
+    # a graph without edges is colored with no colors at palette 0, as exact
+    # finds its index 0 there; a negative palette is still refused
+    path = tmp_path / "e3.txt"
+    path.write_text("3 0\n")
+    assert main(["color", str(path), "--kappa", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "colors_used=0" in out and "verify=pass" in out
+    assert main(["color", str(path), "--kappa", "-1"]) == 2
+    assert "below max degree" in capsys.readouterr().err
 
 
 def test_verify_roundtrip(c5_file, tmp_path, capsys):
@@ -351,6 +368,61 @@ def test_vertex_count_beyond_the_kernel_is_an_input_error(tmp_path, capsys, monk
     path.write_text("2147483648 0\n")
     assert main(["color", str(path)]) == 2
     assert capsys.readouterr().err == "error: input too large to hold in memory\n"
+
+
+def test_drawing_header_beyond_its_rotation_lines_is_an_input_error(tmp_path, capsys):
+    # a drawing needs a rotation line per vertex, so 2**31 - 2 vertices with
+    # one line are refused before a row is allocated for each; a graph text
+    # needs no line for an isolated vertex, so its header stays open
+    path = tmp_path / "big.txt"
+    path.write_text("2147483646 0\nrot 0: \n")
+    assert main(["color", str(path)]) == 2
+    assert "2147483646 + 0 planarized vertices need as many rotation lines, found 1" in capsys.readouterr().err
+    path.write_text("100000 0\n")
+    assert main(["color", str(path)]) == 0
+
+
+CLI = ("-m", "acecolor.cli")
+
+
+def _python_run(cwd, pure, *args):
+    """Exit code, stdout without its time_ms lines, and stderr of
+    ``python *args`` in a subprocess on one kernel."""
+    env = {k: v for k, v in os.environ.items() if k != "ACECOLOR_PURE"}
+    env["PYTHONPATH"] = str(cwd.parent / "pkg")
+    if pure:
+        env["ACECOLOR_PURE"] = "1"
+    run = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=300)
+    return run.returncode, re.sub(r"(?m)^time_ms=.*\n", "", run.stdout), run.stderr
+
+
+def test_the_cli_answers_the_same_on_both_kernels(tmp_path, c_kernel):
+    # each command end to end, in a copy of the package that holds the C
+    # kernel, once with it and once with ACECOLOR_PURE=1
+    pkg = tmp_path / "pkg" / "acecolor"
+    shutil.copytree(Path(cli.__file__).parent, pkg, ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    shutil.copy(c_kernel.__file__, pkg)
+    sides = {}
+    for pure in (False, True):
+        cwd = tmp_path / ("python" if pure else "c")
+        cwd.mkdir()
+        (cwd / "bad.txt").write_text("3 1\n0 5\n")
+        runs = [
+            _python_run(cwd, pure, "-c", "from acecolor import kernel; print(kernel.BACKEND)"),
+            _python_run(cwd, pure, *CLI, "gen", "--count", "6", "--nmin", "8", "--nmax", "14",
+                        "--seed", "3", "--out", "corpus"),
+        ]
+        files = sorted(str(f.relative_to(cwd)) for f in (cwd / "corpus").glob("*.txt"))
+        small = [f for f in files if exact_size_ok(parse_drawing((cwd / f).read_text()).base)]
+        assert len(files) == 6 and small
+        runs += [_python_run(cwd, pure, *CLI, cmd, *files) for cmd in ("color", "audit", "discharge")]
+        runs += [_python_run(cwd, pure, *CLI, "exact", *small), _python_run(cwd, pure, *CLI, "color", "bad.txt")]
+        sides[pure] = runs, [(cwd / f).read_bytes() for f in files]
+    (c_runs, c_files), (py_runs, py_files) = sides[False], sides[True]
+    assert [r[1] for r in (c_runs[0], py_runs[0])] == ["c\n", "python\n"]
+    assert c_runs[1:] == py_runs[1:] and c_files == py_files
+    assert [r[0] for r in c_runs] == [0, 0, 0, 0, 0, 0, 2]
 
 
 def test_report_written_to_out_dir(c5_file, tmp_path):

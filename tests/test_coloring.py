@@ -273,6 +273,16 @@ def test_parse_coloring_rejects_malformed():
 def test_kappa_validation():
     with pytest.raises(ValueError):
         EdgeColoring(cycle(4), 0)
+    # a graph without edges has acyclic index 0, so palette 0 colors it; a
+    # graph with edges still needs a color, and no graph takes a negative
+    # palette
+    empty = Graph(3, [])
+    assert EdgeColoring(empty, 0).is_total()
+    assert parse_coloring("kappa 0\n", empty).kappa == 0
+    with pytest.raises(ValueError, match=re.escape("palette size must be >= 1, got 0")):
+        parse_coloring("kappa 0\n", cycle(4))
+    with pytest.raises(ValueError, match=re.escape("palette size must be >= 0, got -1")):
+        EdgeColoring(empty, -1)
 
 
 # -- verify against the scan of every color pair ---------------------------------

@@ -1,9 +1,11 @@
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acecolor import kernel
 from acecolor.conditions import Condition, check_condition
 from acecolor.discharging import SCALE, initial_charges
 from acecolor.embedding import (
@@ -210,6 +212,59 @@ def test_planarize_rejects_nonplanar_rotation():
         planarize(Drawing(base, [], rotation))
 
 
+def test_planarize_refuses_a_toroidal_component_beside_planar_ones():
+    # K4 on 0..3, a 4-cycle on 4..7 and the isolated vertex 8: with every
+    # K4 rotation ascending the K4 is a torus, V-E+F = 4-6+2 = 0, so the
+    # whole gives 9-10+4+1 = 4, not 2C = 6; drawn planar the K4 has 4
+    # faces and the whole 6
+    base = Graph(9, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+    beside = {4: [5, 7], 5: [6, 4], 6: [7, 5], 7: [4, 6], 8: []}
+    toroidal = {0: [1, 2, 3], 1: [0, 2, 3], 2: [0, 1, 3], 3: [0, 1, 2]}
+    with pytest.raises(EmbeddingError, match=re.escape("rotation is not planar: V-E+F+I = 9-10+4+1 != 2C = 2*3")):
+        planarize(Drawing(base, [], {**toroidal, **beside}))
+    planar = {0: [1, 3, 2], 1: [2, 3, 0], 2: [0, 3, 1], 3: [2, 0, 1]}
+    assert len(planarize(Drawing(base, [], {**planar, **beside})).faces) == 6
+
+
+def _genus_zero_per_component(g, faces):
+    """Euler's formula on each component that has an edge, with the faces
+    counted per component: the check the identity of ``planarize``
+    replaces, kept here as its reference."""
+    comps = g.connected_components()
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    face_count = Counter(comp_of[f.walk[0][0]] for f in faces)
+    for ci, comp in enumerate(comps):
+        edge_count = sum(g.degrees[v] for v in comp) // 2
+        if edge_count and len(comp) - edge_count + face_count[ci] != 2:
+            return False
+    return True
+
+
+@st.composite
+def rotated_graphs(draw):
+    """A random simple graph on up to 9 vertices, with no edge between the
+    vertices below a random split and those above it, and with each
+    rotation row a random order of the vertex's neighbors."""
+    n = draw(st.integers(0, 9))
+    split = draw(st.integers(0, n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u < split) == (v < split)]
+    g = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    return g, {v: draw(st.permutations(g.adj[v])) for v in range(n)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotated_graphs())
+def test_euler_identity_agrees_with_the_per_component_check(graph_and_rotation):
+    g, rotation = graph_and_rotation
+    faces = trace_faces(g.n, [tuple(rotation[v]) for v in range(g.n)])
+    try:
+        planarize(Drawing(g, [], rotation))
+    except EmbeddingError:
+        assert not _genus_zero_per_component(g, faces)
+    else:
+        assert _genus_zero_per_component(g, faces)
+
+
 def test_planarize_rejects_bad_crossing_rotation():
     d = k4_crossed_drawing()
     rot = {v: list(r) for v, r in d.rotation.items()}
@@ -297,6 +352,25 @@ def test_parse_drawing_prefixes_a_bad_rotation_token():
         parse_drawing("2 1\n0 1\nrot 0: 1\nrot 1: 0\nrot 5: 1\n")
     with pytest.raises(ParseError, match=r"^drawing: crossing X1 out of range \(have 0 pairs\)$"):
         parse_drawing("2 1\n0 1\nrot 0: X1\nrot 1: 0\n")
+
+
+@pytest.mark.parametrize("n", [10**6, 2**31 - 2])
+def test_parse_drawing_refuses_a_header_beyond_its_rotation_lines(backend, monkeypatch, n):
+    # every planarized vertex needs a rotation line, so a header with more
+    # vertices than the text has rotation lines is refused before the graph
+    # allocates a row for each
+    monkeypatch.setattr(kernel, "read_drawing", backend.read_drawing)
+
+    def built(*_):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(kernel, "index_edges", built)
+    with pytest.raises(ParseError, match=re.escape(
+            f"drawing: n + k = {n} + 0 planarized vertices need as many rotation lines, found 1")):
+        parse_drawing(f"{n} 0\nrot 0: \n")
+    with pytest.raises(ParseError, match=re.escape(
+            "drawing: n + k = 5 + 1 planarized vertices need as many rotation lines, found 3")):
+        parse_drawing("5 2\n0 2\n3 1\nx 0 2 1 3\nrot 0: X0\nrot 4: \nrot X0: 0 1 2 3\n")
 
 
 def _with_isolated(d, extra):

@@ -582,6 +582,9 @@ def test_index_edges_rows_and_degrees(backend):
         "1 0\nrot \u0660: \n",
         "1000000000000000000 0\n",
         "1 1\n0 1000000000000000000\n",
+        # fewer rotation lines than n + k: the reference reader names the counts
+        "999999999999999999 1\n0 999999999999999998\n",
+        "5 2\n0 2\n3 1\nx 0 2 1 3\nrot 0: X0\nrot 4: \nrot X0: 0 1 2 3\n",
     ],
 )
 def test_read_drawing_refuses_other_text(backend, text):
@@ -591,14 +594,15 @@ def test_read_drawing_refuses_other_text(backend, text):
 
 
 def test_read_drawing_numbers(backend):
-    # the C scanner's numbers; the Python backend leaves every text,
-    # canonical or not, to the reference reader
+    # the C scanner's numbers, read from exactly n + k rotation lines; the
+    # Python backend leaves every text, canonical or not, to the reference
+    # reader
     cases = [
         (
-            "5 2\n0 2\n3 1\nx 0 2 1 3\nrot 0: X0\nrot 4: \nrot X0: 0 1 2 3\n",
-            (5, [(0, 2), (3, 1)], [((0, 2), (1, 3))], {0: [5], 4: [], 5: [0, 1, 2, 3]}),
+            "4 2\n0 2\n3 1\nx 0 2 1 3\nrot 0: X0\nrot 3: \nrot 1: 0\nrot 2: \nrot X0: 0 1 2 3\n",
+            (4, [(0, 2), (3, 1)], [((0, 2), (1, 3))], {0: [4], 3: [], 1: [0], 2: [], 4: [0, 1, 2, 3]}),
         ),
-        ("999999999999999999 1\n0 999999999999999998\n", (10**18 - 1, [(0, 10**18 - 2)], [], {})),
+        ("1 1\n0 999999999999999998\nrot 0: \n", (1, [(0, 10**18 - 2)], [], {0: []})),
         ("0 0\n", (0, [], [], {})),
     ]
     for text, numbers in cases:

@@ -57,7 +57,7 @@ def test_exact_unsat_below_bound():
 
 def test_exact_empty_graph():
     r = exact_acyclic_index(Graph(3, []), 5)
-    assert r.min_colors == 0
+    assert r.min_colors == 0 and r.coloring.kappa == 0
     assert exact_acyclic_index(Graph(3, []), 0).min_colors == 0
 
 
@@ -99,7 +99,17 @@ def test_has_acyclic_coloring_on_an_edgeless_graph_checks_the_bound_first():
     # the lower bound is 0 there: a negative palette has no coloring, 0 has one
     assert has_acyclic_coloring(Graph(3, []), -1) is None
     col = has_acyclic_coloring(Graph(3, []), 0)
-    assert col is not None and col.is_total()
+    assert col is not None and col.is_total() and col.kappa == 0
+
+
+def test_heuristic_colors_an_edgeless_graph_with_the_palette_asked_for():
+    # as the exact solvers do: 0 colors, palette 0 included; a negative
+    # palette is below the max degree 0
+    outcome = heuristic_color(Graph(0, []), 0)
+    assert outcome.coloring.is_total() and outcome.colors_used == 0
+    assert heuristic_color(Graph(3, []), 4).coloring.kappa == 4
+    with pytest.raises(ValueError, match="below max degree"):
+        heuristic_color(Graph(3, []), -1)
 
 
 def test_edge_insertion_order_path_colors_leaves_last():
