@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -466,3 +467,31 @@ def test_options_a_subcommand_would_ignore_are_refused(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# sha256 of the stdout of audit and discharge, in each format, over the
+# drawings of `gen --count 12 --seed 3`: the reports of cmd_audit (its
+# witness_detail included) and the CLI's JSON path, which the library
+# goldens do not cover
+REPORT_GOLDEN = {
+    ("audit", "json"):
+        "aa35131c3591faa1cf6c40b8eca64bac75abd97e42863cf0830288a688b63d04",
+    ("audit", "text"):
+        "67a35991775fc142df2eb1b42b8bfddb8b365f1f4a0d1daf09c526e4ec4679bc",
+    ("discharge", "json"):
+        "ac4fc676fa13f9413a942eaf70a51e632ae7380081dc12c709c2481c2e8ef2c2",
+    ("discharge", "text"):
+        "8013769d6ac52467625d0be4c24dbfd3ddfdff8009fa2153dceaa8832b845ad0",
+}
+
+
+def test_audit_and_discharge_reports_golden(tmp_path, capsys):
+    assert main(["gen", "--count", "12", "--seed", "3", "--out", str(tmp_path)]) == 0
+    files = [str(p) for p in sorted(tmp_path.glob("*.txt"))]
+    capsys.readouterr()
+    assert len(files) == 12
+    got = {}
+    for command, fmt in REPORT_GOLDEN:
+        assert main([command, "--format", fmt, *files]) == 0
+        got[command, fmt] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == REPORT_GOLDEN

@@ -410,3 +410,52 @@ def test_audit_runs_one_component_search_per_graph(monkeypatch):
             assert p.graph is g and calls[0] is g
         else:
             assert d.crossing_pairs and calls[0] is p.graph and calls[1] is g
+
+
+def _support_details_strictly_increase(g, kappa):
+    """The details of each support's deg2-support-counts witnesses are
+    sorted, with no repeats; returns how many witnesses there were."""
+    found = check_condition(g, None, kappa, Condition.DEG2_SUPPORT_COUNTS)
+    by_support = {}
+    for w in found:
+        by_support.setdefault(w.vertices, []).append(w.detail)
+    for b, details in by_support.items():
+        assert all(x < y for x, y in zip(details, details[1:])), (b, details)
+    return len(found)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(0, 10**6), st.integers(0, 20))
+def test_deg2_support_witnesses_come_once_each_in_text_order(family, seed, slack):
+    # at small slacks the strong-neighbor counts can fire beside the per-2-vertex one
+    g = generate_instance(family, seed).base
+    _support_details_strictly_increase(g, g.delta + slack)
+
+
+def _fan_of_triangles(k):
+    """A hub 0 with k triangles 0-a-v0, where v0 is a 2-vertex and a has
+    2i pendant leaves on the i-th triangle: the 2-vertices' supports are
+    adjacent, their other supports' degrees differ, and their ids run
+    past 9."""
+    edges, n = [], 1
+    for i in range(k):
+        a, v0 = n, n + 1
+        edges += [(0, a), (0, v0), (a, v0)]
+        edges += [(a, leaf) for leaf in range(n + 2, n + 2 + 2 * i)]
+        n += 2 + 2 * i
+    return Graph(n, edges)
+
+
+def test_adjacent_support_witnesses_come_once_each_in_text_order():
+    # a triangle-free graph has no adjacent supports, so the adjacent-support
+    # counts fire only on a graph with triangles; their needs run past 9
+    g = _fan_of_triangles(6)
+    for slack in range(21):
+        assert _support_details_strictly_increase(g, g.delta + slack)
+    found = check_condition(g, None, g.delta + 1, Condition.DEG2_SUPPORT_COUNTS)
+    details = [w.detail for w in found if w.vertices == (0,)]
+    # the numbers that vary within a support have one and two digits
+    needs = [x.rsplit(" ", 1)[1] for x in details if x.startswith("adjacent supports: 0 has")]
+    twos = [x.split()[4].rstrip(":") for x in details if x.startswith("support 0 of 2-vertex")]
+    assert {len(x) for x in needs} == {len(x) for x in twos} == {1, 2}, details
+    assert any(x.startswith("adjacent supports: deg(0)") for x in details)
