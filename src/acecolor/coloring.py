@@ -401,7 +401,10 @@ def parse_coloring(text: str, graph: Graph) -> EdgeColoring:
         kappa = int(head[1])
     except ValueError:
         raise ParseError(f"coloring: bad palette size {head[1]!r}") from None
-    out = EdgeColoring(graph, kappa)
+    try:
+        out = EdgeColoring(graph, kappa)
+    except ValueError as exc:
+        raise ParseError(f"coloring: {exc}") from None
     for ln in rows[1:]:
         parts = ln.split()
         if len(parts) != 3:

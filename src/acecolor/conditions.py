@@ -7,6 +7,10 @@ local degree conditions; each enum member below is one of them, checkable
 directly on a concrete graph (plus, for the face conditions, the plane
 graph that ``embedding.planarize`` builds once from its drawing).
 A witness is a binding of a condition's quantifiers at which it fails.
+A check records how to word each witness, a module-level function and
+the values its text reads, and formats nothing: the text is built when
+``detail`` is read, which only the reports do (the CLI ``audit``'s one
+witness per drawing, and the discharge report's JSON through the blame).
 
 Every degree threshold that scales with the palette slack kappa -
 max_degree is declared once, in the ``Thresholds`` table; the discharging
@@ -86,9 +90,24 @@ CONDITION_ORDER: tuple[Condition, ...] = (
 
 
 class ConditionWitness(NamedTuple):
+    """A binding of a condition's quantifiers at which it fails.
+
+    ``wording`` is a module-level function followed by the values its
+    text reads, the graph's own tuples (its degrees, a vertex's
+    neighbors) among them, not copies; ``detail`` calls it, so the text
+    is built only when read. The function and its values determine the
+    text, and on one graph the text determines them, so two witnesses of
+    one graph compare equal exactly when their condition, vertices and
+    text agree."""
+
     condition: Condition
     vertices: tuple[int, ...]
-    detail: str
+    wording: tuple
+
+    @property
+    def detail(self) -> str:
+        say, *values = self.wording
+        return say(*values)
 
 
 HEAVY = 10  # a vertex of this degree or more is heavy
@@ -153,19 +172,109 @@ def _at_least(nbrs: tuple[int, ...], deg: tuple[int, ...], d: int) -> int:
 
 
 def _too_few(
-    g: Graph, cond: Condition, vertices, d: int, need: int, detail
+    g: Graph, cond: Condition, vertices, d: int, need: int, word
 ) -> list[ConditionWitness]:
     """A witness of cond at each of vertices with fewer than need
-    neighbors of degree d or more; detail(v, have) words it. The lemmas
-    "a vertex of this class has need neighbors of degree >= d" all
-    check through here."""
+    neighbors of degree d or more, worded by word(v, have, d, need, deg,
+    adj[v]). The lemmas "a vertex of this class has need neighbors of
+    degree >= d" all check through here."""
     deg, adj = g.degrees, g.adj
     out = []
     for v in vertices:
-        have = _at_least(adj[v], deg, d)
+        nbrs = adj[v]
+        have = _at_least(nbrs, deg, d)
         if have < need:
-            out.append(ConditionWitness(cond, (v,), detail(v, have)))
+            out.append(ConditionWitness(cond, (v,), (word, v, have, d, need, deg, nbrs)))
     return out
+
+
+# -- wordings --------------------------------------------------------------------
+#
+# Each function words one kind of witness from the values its check
+# records after it in the witness's wording; ``detail`` calls it.
+
+
+def _word_low_degree(v, d):
+    return f"vertex {v} has degree {d} < 2"
+
+
+def _word_cut_vertex(v):
+    return f"vertex {v} is a cut vertex"
+
+
+def _word_disconnected():
+    return "graph is disconnected"
+
+
+def _word_deg2_big(v, have, d, need, deg, nbrs):
+    return f"2-vertex {v} has neighbor degrees {[deg[u] for u in nbrs]}, needs two >= {d}"
+
+
+def _word_deg3_big(v, have, d, need, deg, nbrs):
+    return f"3-vertex {v} has neighbor degrees {[deg[u] for u in nbrs]}, needs three >= {d}"
+
+
+def _word_tight_small(w, tight, deg, nbrs):
+    small = [u for u in nbrs if deg[u] == 3]
+    return (f"degree-{tight} vertex {w} has {len(small)} 3-vertex "
+            f"neighbors {small}, at most one allowed")
+
+
+def _word_two_deg4(v, have, d, need, deg, nbrs):
+    return f"vertex {v} is adjacent to only {have} vertices of degree >= {d}"
+
+
+def _word_deg4_profile(v, huge, deg, nbrs):
+    return (f"4-vertex {v} has neighbor degrees {sorted([deg[u] for u in nbrs])}; "
+            f"needs four {HEAVY}+ or one {HEAVY - 1}- with three {huge}+")
+
+
+def _word_deg5_profile(v, have, d, need, deg, nbrs):
+    return f"5-vertex {v} is adjacent to only {have} vertices of degree >= {d}"
+
+
+def _word_heavy_support(v, have, d, need, deg, nbrs):
+    return (f"vertex {v} (degree {deg[v]}, has a 2-neighbor) is adjacent to "
+            f"{have} vertices of degree >= {d}, needs {need}")
+
+
+def _word_deg2_on_3face(v, face):
+    return f"2-vertex {v} lies on 3-face {face.vertices}"
+
+
+def _word_triangle_budget(v, count, bound):
+    return f"vertex {v} lies on {count} 3-faces, budget {bound}"
+
+
+def _word_support_count(b, v0, have, need_degree, need):
+    return (f"support {b} of 2-vertex {v0}: {have} neighbors of "
+            f"degree >= {need_degree}, needs {need}")
+
+
+def _word_adjacent_count(b, have, need_degree, need):
+    return f"adjacent supports: {b} has {have} neighbors of degree >= {need_degree}, needs {need}"
+
+
+def _word_adjacent_degree(b, db, need):
+    return f"adjacent supports: deg({b}) = {db} < {need}"
+
+
+def _word_strong_twos(b, strong, twos, most):
+    return f"support {b} with exactly {strong} strong neighbors has {twos} 2-neighbors, max {most}"
+
+
+def _word_strong_degree(b, strong, db, big):
+    return f"support {b} with exactly {strong} strong neighbors has degree {db} < {big}"
+
+
+def _word_degree_sum(w0, w, total, bound):
+    return f"4-vertex {w0} with light neighbor {w}: neighbor degree sum {total} < {bound}"
+
+
+def _word_deg3_tight(v, w, nbrs):
+    return (f"3-vertex {v} with threshold neighbor {w}: no labeling of the other "
+            f"neighbors {[x for x in nbrs if x != w]} meets the degree and counting "
+            "requirements")
 
 
 # -- individual checks ----------------------------------------------------------
@@ -181,10 +290,10 @@ def _check_min_degree_2connected(g: Graph, kappa: int, vertices) -> list[Conditi
     deg = g.degrees
 
     def low(v: int) -> ConditionWitness:
-        return ConditionWitness(cond, (v,), f"vertex {v} has degree {deg[v]} < 2")
+        return ConditionWitness(cond, (v,), (_word_low_degree, v, deg[v]))
 
     def cut(v: int) -> ConditionWitness:
-        return ConditionWitness(cond, (v,), f"vertex {v} is a cut vertex")
+        return ConditionWitness(cond, (v,), (_word_cut_vertex, v))
 
     if vertices is not None:
         cuts = set(g.articulation_points())
@@ -198,28 +307,22 @@ def _check_min_degree_2connected(g: Graph, kappa: int, vertices) -> list[Conditi
     out = [low(v) for v in range(g.n) if deg[v] < 2]
     if g.n >= 2 and not g.is_connected():
         reps = tuple(c[0] for c in g.connected_components())
-        out.append(ConditionWitness(cond, reps, "graph is disconnected"))
+        out.append(ConditionWitness(cond, reps, (_word_disconnected,)))
     out.extend(cut(v) for v in g.articulation_points())
     return out
 
 
 def _check_deg2_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    big = thresholds(g, kappa).deg2_big
-    deg, adj = g.degrees, g.adj
     return _too_few(
-        g, Condition.DEG2_BIG_NEIGHBORS, _of_degree(g, vertices, 2), big, 2,
-        lambda v, have: f"2-vertex {v} has neighbor degrees "
-        f"{[deg[u] for u in adj[v]]}, needs two >= {big}",
+        g, Condition.DEG2_BIG_NEIGHBORS, _of_degree(g, vertices, 2),
+        thresholds(g, kappa).deg2_big, 2, _word_deg2_big,
     )
 
 
 def _check_deg3_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    big = thresholds(g, kappa).tight
-    deg, adj = g.degrees, g.adj
     return _too_few(
-        g, Condition.DEG3_BIG_NEIGHBORS, _of_degree(g, vertices, 3), big, 3,
-        lambda v, have: f"3-vertex {v} has neighbor degrees "
-        f"{[deg[u] for u in adj[v]]}, needs three >= {big}",
+        g, Condition.DEG3_BIG_NEIGHBORS, _of_degree(g, vertices, 3),
+        thresholds(g, kappa).tight, 3, _word_deg3_big,
     )
 
 
@@ -228,24 +331,18 @@ def _check_tight_vertex_small_neighbor(g: Graph, kappa: int, vertices) -> list[C
     deg, adj = g.degrees, g.adj
     out = []
     for w in _of_degree(g, vertices, tight):
-        small = [u for u in adj[w] if deg[u] == 3]
-        if len(small) >= 2:
+        nbrs = adj[w]
+        if len([u for u in nbrs if deg[u] == 3]) >= 2:
             out.append(
                 ConditionWitness(
-                    Condition.TIGHT_VERTEX_SMALL_NEIGHBOR,
-                    (w,),
-                    f"degree-{tight} vertex {w} has {len(small)} 3-vertex "
-                    f"neighbors {small}, at most one allowed",
+                    Condition.TIGHT_VERTEX_SMALL_NEIGHBOR, (w,), (_word_tight_small, w, tight, deg, nbrs)
                 )
             )
     return out
 
 
 def _check_two_deg4_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
-    return _too_few(
-        g, Condition.TWO_DEG4_NEIGHBORS, _scope(g, vertices), 4, 2,
-        lambda v, have: f"vertex {v} is adjacent to only {have} vertices of degree >= 4",
-    )
+    return _too_few(g, Condition.TWO_DEG4_NEIGHBORS, _scope(g, vertices), 4, 2, _word_two_deg4)
 
 
 def _check_deg4_neighbor_profile(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
@@ -255,14 +352,12 @@ def _check_deg4_neighbor_profile(g: Graph, kappa: int, vertices) -> list[Conditi
     deg, adj = g.degrees, g.adj
     out = []
     for v in _of_degree(g, vertices, 4):
-        degs = sorted([deg[u] for u in adj[v]])
+        nbrs = adj[v]
+        degs = sorted([deg[u] for u in nbrs])
         if not (degs[0] >= HEAVY or degs[1] >= huge):
             out.append(
                 ConditionWitness(
-                    Condition.DEG4_NEIGHBOR_PROFILE,
-                    (v,),
-                    f"4-vertex {v} has neighbor degrees {degs}; needs four "
-                    f"{HEAVY}+ or one {HEAVY - 1}- with three {huge}+",
+                    Condition.DEG4_NEIGHBOR_PROFILE, (v,), (_word_deg4_profile, v, huge, deg, nbrs)
                 )
             )
     return out
@@ -271,20 +366,16 @@ def _check_deg4_neighbor_profile(g: Graph, kappa: int, vertices) -> list[Conditi
 def _check_deg5_neighbor_profile(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     return _too_few(
         g, Condition.DEG5_NEIGHBOR_PROFILE, _of_degree(g, vertices, 5), DEG5_BIG, 3,
-        lambda v, have: f"5-vertex {v} is adjacent to only {have} vertices "
-        f"of degree >= {DEG5_BIG}",
+        _word_deg5_profile,
     )
 
 
 def _check_heavy_deg2_support(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     t = thresholds(g, kappa)
-    need_count, need_degree = t.slack + 1, t.tight
     deg, adj = g.degrees, g.adj
     supports = [v for v in _heavy(g, vertices) if 2 in [deg[u] for u in adj[v]]]
     return _too_few(
-        g, Condition.HEAVY_DEG2_SUPPORT, supports, need_degree, need_count,
-        lambda v, have: f"vertex {v} (degree {deg[v]}, has a 2-neighbor) is "
-        f"adjacent to {have} vertices of degree >= {need_degree}, needs {need_count}",
+        g, Condition.HEAVY_DEG2_SUPPORT, supports, t.tight, t.slack + 1, _word_heavy_support
     )
 
 
@@ -293,15 +384,12 @@ def _check_deg2_face_sizes(g: Graph, plane: PlaneGraph, vertices) -> list[Condit
     of the scope. In a drawing with as few crossings as possible every
     2-vertex lies only on faces of degree >= 4, so a witness signals a
     drawing that is not crossing-minimal."""
+    faces = plane.faces
     out = []
     for v in _of_degree(plane.base, vertices, 2):
         for fi in plane.triangles_at[v]:
             out.append(
-                ConditionWitness(
-                    Condition.DEG2_FACE_SIZES,
-                    (v,),
-                    f"2-vertex {v} lies on 3-face {plane.faces[fi].vertices}",
-                )
+                ConditionWitness(Condition.DEG2_FACE_SIZES, (v,), (_word_deg2_on_3face, v, faces[fi]))
             )
     return out
 
@@ -322,12 +410,18 @@ def _check_triangle_face_budget(g: Graph, plane: PlaneGraph, vertices) -> list[C
         if count > bound:
             out.append(
                 ConditionWitness(
-                    Condition.TRIANGLE_FACE_BUDGET,
-                    (v,),
-                    f"vertex {v} lies on {count} 3-faces, budget {bound}",
+                    Condition.TRIANGLE_FACE_BUDGET, (v,), (_word_triangle_budget, v, count, bound)
                 )
             )
     return out
+
+
+# the kinds of deg2-support-counts witness at one support, in the order
+# their texts sort: "adjacent supports: {b} has" before "adjacent
+# supports: deg(", then "support {b} of", then "support {b} with
+# exactly"; of these two, "has {count} 2-neighbors" before "has degree",
+# as a digit sorts before a letter
+_ADJACENT_COUNT, _ADJACENT_DEGREE, _PER_TWO, _STRONG_TWOS, _STRONG_DEGREE = range(5)
 
 
 def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
@@ -335,7 +429,18 @@ def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[Condition
     whose other neighbor is a, with the two conditional refinements for
     adjacent supports and for supports with the minimum count. Only the
     supports in the scope are visited. A witness binds its support, and
-    one support's witnesses come out once each, ordered by their text."""
+    one support's witnesses come out once each, ordered by their text.
+
+    No text is built for that: a witness is keyed by its kind and a
+    number, and the keys sort and repeat as the texts do. The kinds come
+    in text order (above). Within one support and kind only one number
+    of the text varies: the need that ends an adjacent-support text,
+    keyed as str(need), which orders as the text does because nothing
+    follows it; or the 2-vertex v0 of a per-2-vertex text, which a ":"
+    follows there, keyed as f"{v0}:" ("12:" < "1:", as the texts sort,
+    where str(v0) would put "1" first). A strong-neighbor kind has one
+    text per support. Equal keys give equal texts, so the adjacent-support
+    witnesses, which repeat across 2-vertices, come out once."""
     t = thresholds(g, kappa)
     deg, adj = g.degrees, g.adj
     cond = Condition.DEG2_SUPPORT_COUNTS
@@ -351,40 +456,30 @@ def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[Condition
         db = deg[b]
         need_degree = kappa - db + 2
         have = _at_least(nbrs, deg, need_degree)
-        details = set()  # the adjacent-support details repeat across 2-vertices
+        found = {}  # (kind, number) -> wording
         for v0 in twos:
             w, v = adj[v0]
             a = w if v == b else v
             da = deg[a]
-            need_count = kappa - da + 1
-            if have < need_count:
-                details.add(
-                    f"support {b} of 2-vertex {v0}: {have} neighbors of "
-                    f"degree >= {need_degree}, needs {need_count}"
-                )
+            need = kappa - da + 1
+            if have < need:
+                found[_PER_TWO, f"{v0}:"] = (_word_support_count, b, v0, have, need_degree, need)
             if kappa >= db + 1 and a in nbrs:
-                if have < kappa - da + 2:
-                    details.add(
-                        f"adjacent supports: {b} has {have} neighbors of "
-                        f"degree >= {need_degree}, needs {kappa - da + 2}"
-                    )
-                if db < kappa - da + 3:
-                    details.add(f"adjacent supports: deg({b}) = {db} < {kappa - da + 3}")
+                need = kappa - da + 2
+                if have < need:
+                    found[_ADJACENT_COUNT, str(need)] = (_word_adjacent_count, b, have, need_degree, need)
+                need = kappa - da + 3
+                if db < need:
+                    found[_ADJACENT_DEGREE, str(need)] = (_word_adjacent_degree, b, db, need)
         if t.slack >= 2:
             strong = _at_least(nbrs, deg, t.tight)
             if strong == t.slack + 1:
                 max_deg2 = db - t.high
                 if len(twos) > max_deg2:
-                    details.add(
-                        f"support {b} with exactly {strong} strong "
-                        f"neighbors has {len(twos)} 2-neighbors, max {max_deg2}"
-                    )
+                    found[_STRONG_TWOS, ""] = (_word_strong_twos, b, strong, len(twos), max_deg2)
                 if db < t.deg2_big:
-                    details.add(
-                        f"support {b} with exactly {strong} strong "
-                        f"neighbors has degree {db} < {t.deg2_big}"
-                    )
-        out.extend(ConditionWitness(cond, (b,), x) for x in sorted(details))
+                    found[_STRONG_DEGREE, ""] = (_word_strong_degree, b, strong, db, t.deg2_big)
+        out.extend(ConditionWitness(cond, (b,), found[key]) for key in sorted(found))
     return out
 
 
@@ -400,10 +495,7 @@ def _check_deg4_degree_sum(g: Graph, kappa: int, vertices) -> list[ConditionWitn
             if deg[w] <= slack:
                 out.append(
                     ConditionWitness(
-                        Condition.DEG4_DEGREE_SUM,
-                        (w0,),
-                        f"4-vertex {w0} with light neighbor {w}: neighbor "
-                        f"degree sum {total} < {2 * kappa + 4}",
+                        Condition.DEG4_DEGREE_SUM, (w0,), (_word_degree_sum, w0, w, total, 2 * kappa + 4)
                     )
                 )
                 break
@@ -419,10 +511,11 @@ def _check_deg3_tight_structure(g: Graph, kappa: int, vertices) -> list[Conditio
     out = []
     cond = Condition.DEG3_TIGHT_STRUCTURE
     for v in _of_degree(g, vertices, 3):
-        for w in adj[v]:
+        nbrs = adj[v]
+        for w in nbrs:
             if deg[w] != tight:
                 continue
-            others = [x for x in adj[v] if x != w]
+            others = [x for x in nbrs if x != w]
             ok = False
             for v1, v2 in ((others[0], others[1]), (others[1], others[0])):
                 if deg[v1] != delta or deg[v2] < t.high:
@@ -436,15 +529,7 @@ def _check_deg3_tight_structure(g: Graph, kappa: int, vertices) -> list[Conditio
                 ok = True
                 break
             if not ok:
-                out.append(
-                    ConditionWitness(
-                        cond,
-                        (v, w),
-                        f"3-vertex {v} with threshold neighbor {w}: no labeling "
-                        f"of the other neighbors {others} meets the degree "
-                        "and counting requirements",
-                    )
-                )
+                out.append(ConditionWitness(cond, (v, w), (_word_deg3_tight, v, w, nbrs)))
     return out
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .conditions import DEG5_BIG, HEAVY, Condition, check_condition, thresholds
+from .conditions import DEG5_BIG, HEAVY, Condition, ConditionWitness, check_condition, thresholds
 from .embedding import PlaneGraph
 from .errors import EmbeddingError
 from .graph import Graph
@@ -114,8 +114,17 @@ class ChargeLedger:
 
 
 class Violation(NamedTuple):
+    """A hypothesis an element's blame found violated. ``wording`` is a
+    module-level function followed by the values its text reads: a
+    condition's violation takes over the wording of its witness, and the
+    two face-profile hypotheses word theirs here. ``detail`` calls it, so
+    the text is built only when read. Two violations of one drawing
+    compare equal exactly when their hypothesis and text agree."""
+
     hypothesis: str
-    detail: str
+    wording: tuple
+
+    detail = ConditionWitness.detail
 
 
 class NegativeElement(NamedTuple):
@@ -262,20 +271,26 @@ def _face_profile_deg3(p: PlaneGraph, g: Graph, v: int) -> Violation | None:
     """A 3-vertex on two 3-faces must also touch a 5+ face."""
     if g.degrees[v] != 3 or len(p.triangles_at[v]) < 2:
         return None
-    faces = sorted(p.faces[i].degree for i in p.faces_at(v))
+    faces = tuple(sorted(p.faces[i].degree for i in p.faces_at(v)))
     if faces[-1] >= 5:
         return None
-    detail = f"3-vertex {v} has incident face degrees {faces}: two 3-faces but no 5+ face"
-    return Violation(HYP_DEG3_FACE_PROFILE, detail)
+    return Violation(HYP_DEG3_FACE_PROFILE, (_word_deg3_face_profile, v, faces))
+
+
+def _word_deg3_face_profile(v, faces):
+    return f"3-vertex {v} has incident face degrees {list(faces)}: two 3-faces but no 5+ face"
 
 
 def _face_no_consecutive_deg3(p: PlaneGraph, g: Graph, fi: int) -> Violation | None:
     walk, n_real, deg = p.faces[fi].vertices, p.n_real, g.degrees
     for a, b in zip(walk, walk[1:] + walk[:1]):
         if a < n_real and b < n_real and deg[a] == 3 and deg[b] == 3:
-            detail = f"face {fi} has consecutive 3-vertices {a}, {b} on its boundary"
-            return Violation(HYP_NO_CONSECUTIVE_DEG3, detail)
+            return Violation(HYP_NO_CONSECUTIVE_DEG3, (_word_consecutive_deg3, fi, a, b))
     return None
+
+
+def _word_consecutive_deg3(fi, a, b):
+    return f"face {fi} has consecutive 3-vertices {a}, {b} on its boundary"
 
 
 _PROFILE_CHECKS = {
@@ -326,7 +341,7 @@ def _blame(
         found[hyp] = at_place = {}
         if isinstance(hyp, Condition):
             for w in check_condition(g, p, kappa, hyp, vertices=scope):
-                at_place.setdefault(w.vertices[0], []).append(Violation(hyp.value, w.detail))
+                at_place.setdefault(w.vertices[0], []).append(Violation(hyp.value, w.wording))
         else:
             for x in scope:
                 violation = _PROFILE_CHECKS[hyp](p, g, x)

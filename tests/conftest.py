@@ -1,5 +1,6 @@
 """Shared test setup: tests/oracle.py and tests/graphlib.py importable
-regardless of cwd, and the two kernel backends as fixtures.
+regardless of cwd, the two kernel backends as fixtures, and a fixture
+that counts the witness and violation texts worded.
 
 When the C extension is not built in place, the ``c_kernel`` fixture
 builds it once per session from ``src/acecolor/_kernel.c`` into a
@@ -18,7 +19,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from acecolor import _kernel_py  # noqa: E402
+from acecolor import _kernel_py, conditions, discharging  # noqa: E402
 
 KERNEL_C = Path(__file__).resolve().parents[1] / "src" / "acecolor" / "_kernel.c"
 
@@ -57,3 +58,25 @@ def backend(request):
     if request.param == "python":
         return _kernel_py
     return request.getfixturevalue("c_kernel")
+
+
+@pytest.fixture
+def worded(monkeypatch):
+    """The names of the wording functions called, in call order: each
+    ``_word_*`` function of the conditions and the discharging is
+    replaced by one that records its name, so a witness or violation
+    made during the test words its text through it."""
+    calls = []
+
+    def counting(name, word):
+        def count(*values):
+            calls.append(name)
+            return word(*values)
+
+        return count
+
+    for module in (conditions, discharging):
+        for name, word in list(vars(module).items()):
+            if name.startswith("_word_"):
+                monkeypatch.setattr(module, name, counting(name, word))
+    return calls

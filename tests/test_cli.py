@@ -15,7 +15,7 @@ from acecolor.conditions import exact_size_ok, find_reducible_configuration
 from acecolor import cli, kernel
 from acecolor.embedding import format_drawing, parse_drawing, planarize
 from acecolor.generate import CorpusSpec, cycle_builder, generate_corpus, grid_builder
-from acecolor.graph import format_graph
+from acecolor.graph import Graph, format_graph
 
 from fixtures import pendant_cycle_fixture
 from graphlib import cycle, grid, star
@@ -219,6 +219,27 @@ def test_color_refuses_coloring_out_for_several_instances(c5_file, tmp_path, cap
     assert not colpath.exists()
     captured = capsys.readouterr()
     assert captured.out == "" and "--coloring-out takes one instance, got 2" in captured.err
+
+
+@pytest.mark.parametrize("kappa", [0, -2])
+def test_verify_names_a_palette_below_one_as_a_coloring_error(tmp_path, capsys, kappa):
+    # the palette check of the coloring's header carries the prefix of
+    # every other coloring parse error
+    graph, col = tmp_path / "c4.txt", tmp_path / "k.col"
+    graph.write_text(format_graph(cycle(4)))
+    col.write_text(f"kappa {kappa}\n")
+    assert main(["verify", str(graph), "--coloring", str(col)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: coloring: palette size must be >= 1, got {kappa}\n"
+    assert captured.out == ""
+
+
+def test_verify_takes_palette_zero_on_an_edgeless_graph(tmp_path, capsys):
+    graph, col = tmp_path / "empty.txt", tmp_path / "k0.col"
+    graph.write_text(format_graph(Graph(3, [])))
+    col.write_text("kappa 0\n")
+    assert main(["verify", str(graph), "--coloring", str(col)]) == 0
+    assert "acyclic=True" in capsys.readouterr().out
 
 
 def test_verify_detects_tampering(c5_file, tmp_path, capsys):
@@ -495,3 +516,17 @@ def test_audit_and_discharge_reports_golden(tmp_path, capsys):
         assert main([command, "--format", fmt, *files]) == 0
         got[command, fmt] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == REPORT_GOLDEN
+
+
+def test_audit_words_one_text_per_drawing(tmp_path, capsys, worded):
+    # the conditions word no witness; the report words the one it shows
+    files = []
+    for name, d in generate_corpus(CorpusSpec(count=20, seed=1000)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(format_drawing(d))
+        files.append(str(path))
+    for fmt in ("text", "json"):
+        worded.clear()
+        assert main(["audit", "--format", fmt, *files]) == 0
+        assert capsys.readouterr().out.count("witness_detail") == len(files)
+        assert len(worded) == len(files)

@@ -268,6 +268,9 @@ def test_parse_coloring_rejects_malformed():
         parse_coloring("kappa 3\n0 1 9\n", c4)  # color out of range
     with pytest.raises(ParseError):
         parse_coloring("kappa 3\n0 2 1\n", c4)  # not an edge
+    for kappa in (0, -2):  # a palette too small for a graph with edges
+        with pytest.raises(ParseError, match=f"^coloring: palette size must be >= 1, got {kappa}$"):
+            parse_coloring(f"kappa {kappa}\n", c4)
 
 
 def test_kappa_validation():

@@ -16,7 +16,7 @@ from acecolor.conditions import (
 from acecolor.discharging import discharge
 from acecolor.embedding import format_drawing, parse_drawing, planarize
 from acecolor.errors import SizeRefusal
-from acecolor.generate import FAMILIES, generate_instance, grid_builder
+from acecolor.generate import FAMILIES, CorpusSpec, generate_corpus, generate_instance, grid_builder
 from acecolor.graph import Graph
 
 from fixtures import pendant_cycle_fixture
@@ -459,3 +459,25 @@ def test_adjacent_support_witnesses_come_once_each_in_text_order():
     twos = [x.split()[4].rstrip(":") for x in details if x.startswith("support 0 of 2-vertex")]
     assert {len(x) for x in needs} == {len(x) for x in twos} == {1, 2}, details
     assert any(x.startswith("adjacent supports: deg(0)") for x in details)
+
+
+def test_checks_and_discharge_word_no_text(worded):
+    # a witness or a violation words its text only when its detail is
+    # read: the full-scope checks, the reducible-witness search and the
+    # discharge's text report read none
+    witnesses, violations = [], []
+    for _, d in generate_corpus(CorpusSpec(count=20, seed=1000)):
+        g, p = d.base, planarize(d)
+        kappa = kappa_for(g)
+        for cond in CONDITION_ORDER:
+            witnesses += check_condition(g, p, kappa, cond)
+        assert find_reducible_configuration(g, p, kappa) is not None
+        rep = discharge(p, g, kappa)
+        assert rep.to_text()
+        violations += [v for ne in rep.negative_elements for v in ne.violated]
+    assert witnesses and violations and worded == []
+    # each read words the text anew, and the same text
+    for x in witnesses + violations:
+        assert x.detail == x.detail
+    assert len(worded) == 2 * (len(witnesses) + len(violations))
+    assert set(worded) >= {"_word_deg2_big", "_word_two_deg4", "_word_support_count"}
