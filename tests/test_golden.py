@@ -22,6 +22,10 @@ final charge) instead.
 The generator: the serialized drawings of the acceptance corpus, the
 tight-palette set, and the exact and scaling inputs of the pipeline
 benchmark at seed 1.
+
+The faces: the boundary vertex sequence of every face of the plane graph,
+in face order, over the acceptance corpus, the tight-palette set and the
+scaling inputs.
 """
 
 import hashlib
@@ -234,3 +238,14 @@ def test_generator_golden():
         for name, d in source:
             h.update(f"{name}\n{format_drawing(d)}".encode())
     assert h.hexdigest() == GENERATOR_GOLDEN
+
+
+FACE_GOLDEN = "8ced6a264a0331964eb2f93e6234a01d2303d4c40e0688e396a16039761a68b4"
+
+
+def test_face_golden():
+    h = hashlib.sha256()
+    for source in (generate_corpus(CORPUS), generate_corpus(SPEC), _scaling_drawings()):
+        for name, d in source:
+            h.update(f"{name} {[f.vertices for f in planarize(d).faces]}\n".encode())
+    assert h.hexdigest() == FACE_GOLDEN
