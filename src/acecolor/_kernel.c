@@ -11,11 +11,11 @@
  * and the same input checks, from a binary heap of vertices keyed by
  * (degree, id) and a per-vertex array of the vertex's remaining edges.
  *
- * ``trace_faces`` mirrors ``_kernel_py.trace_faces``: the same face walks in
- * the same order, and the same input checks, over the darts stored row by
- * row. The reverse of each dart is found in O(n + m) from the darts
- * bucketed by their head, never by scanning another vertex's row, so a
- * hub costs no more than its darts.
+ * ``trace_faces`` mirrors ``_kernel_py.trace_faces``: the same faces, as
+ * their boundary vertices in walk order, in the same order, and the same
+ * input checks, over the darts stored row by row. The reverse of each dart
+ * is found in O(n + m) from the darts bucketed by their head, never by
+ * scanning another vertex's row, so a hub costs no more than its darts.
  *
  * ``index_edges`` mirrors ``_kernel_py.index_edges``: the same sorted edges,
  * rows and degrees, and the same message for the first bad entry, formatted
@@ -365,7 +365,7 @@ static PyObject *trace_faces(PyObject *Py_UNUSED(self), PyObject *args)
     /* one block: start | in_start (n+1 each) | cursor | mark | at (n each) |
      * head | tail | rev | in_slot | used (one per dart) */
     buf = calloc(5 * n + 2 + 5 * darts, sizeof(int));
-    /* items[s]: the row entry of dart s, reused as the ends of the walks */
+    /* items[s]: the row entry of dart s, reused as the vertices of the walks */
     items = malloc((darts + 1) * sizeof(PyObject *));
     if (!buf || !items)
         goto nomem;
@@ -437,8 +437,8 @@ static PyObject *trace_faces(PyObject *Py_UNUSED(self), PyObject *args)
     }
     /* the walks: after dart s = (v, w) comes the dart that follows its
      * reverse (w, v) in row w, cyclically; each walk starts at its first
-     * unused slot. A dart's ends are the row entries of its reverse and of
-     * itself. */
+     * unused slot and lists the tail of each dart, the row entry of its
+     * reverse. */
     result = PyList_New(0);
     for (int s0 = 0; result && s0 < darts; s0++) {
         if (used[s0])
@@ -452,14 +452,7 @@ static PyObject *trace_faces(PyObject *Py_UNUSED(self), PyObject *args)
         PyObject *walk = PyTuple_New(len);
         for (Py_ssize_t j = 0; walk && j < len; j++) {
             used[s] = 1;
-            PyObject *dart = PyTuple_New(2);
-            if (!dart) {
-                Py_CLEAR(walk);
-                break;
-            }
-            PyTuple_SET_ITEM(dart, 0, Py_NewRef(items[rev[s]]));
-            PyTuple_SET_ITEM(dart, 1, Py_NewRef(items[s]));
-            PyTuple_SET_ITEM(walk, j, dart);
+            PyTuple_SET_ITEM(walk, j, Py_NewRef(items[rev[s]]));
             s = rev[s] + 1 == start[head[s] + 1] ? start[head[s]] : rev[s] + 1;
         }
         if (!walk || PyList_Append(result, walk) < 0)
@@ -875,9 +868,9 @@ static PyMethodDef methods[] = {
      "Mirror of ``_kernel_py.peeling_order`` (see that module for the contract):\n"
      "the edge indices in coloring order, the reverse of min-degree peeling."},
     {"trace_faces", trace_faces, METH_VARARGS,
-     "trace_faces(n, rot) -> list[tuple[tuple[int, int], ...]]\n\n"
+     "trace_faces(n, rot) -> list[tuple[int, ...]]\n\n"
      "Mirror of ``_kernel_py.trace_faces`` (see that module for the contract):\n"
-     "the face walks of the rotation system rot, as tuples of darts (u, v)."},
+     "the faces of the rotation system rot, as their boundary vertices in walk order."},
     {"index_edges", index_edges, METH_VARARGS,
      "index_edges(n, edges) -> (edges, adj, degrees)\n\n"
      "Mirror of ``_kernel_py.index_edges`` (see that module for the contract):\n"

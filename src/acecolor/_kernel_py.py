@@ -9,7 +9,8 @@ forward or back. A node budget caps how many the search may visit.
 
 ``peeling_order`` computes the edge order the solvers feed the search:
 the reverse of min-degree peeling. ``trace_faces`` splits the darts of a
-rotation system into its face walks, for ``embedding.planarize``.
+rotation system into its face walks and returns each face as its vertex
+cycle, for ``embedding.planarize``.
 ``index_edges`` checks and indexes the edge list of every ``Graph``.
 
 The hand-written C extension in ``_kernel.c`` implements the same
@@ -205,14 +206,16 @@ def _row_problems(n: int, v: int, row):
             first[w] = i
 
 
-def trace_faces(n: int, rot) -> list[tuple[tuple[int, int], ...]]:
-    """The face walks of a rotation system, as tuples of darts (u, v).
+def trace_faces(n: int, rot) -> list[tuple[int, ...]]:
+    """The faces of a rotation system, each as the tuple of its boundary
+    vertices in walk order: the tail of each dart on its walk.
 
     ``rot[v]`` is the cyclic order of the neighbors of vertex v. From the
     dart (u, v) a walk continues with (v, w), where w follows u in
-    ``rot[v]``; every dart lies on exactly one walk. Darts are taken with
-    v ascending and then in ``rot[v]`` order, and each walk starts at the
-    first dart not on an earlier one.
+    ``rot[v]``; every dart lies on exactly one walk, so a face f has the
+    darts (f[i], f[i + 1]), cyclically. Darts are taken with v ascending
+    and then in ``rot[v]`` order, and each walk starts at the first dart
+    not on an earlier one.
 
     Raises ValueError unless rot has n rows, every entry lies in [0, n),
     no row lists its own vertex or an entry twice, and every dart (v, w)
@@ -240,7 +243,7 @@ def trace_faces(n: int, rot) -> list[tuple[tuple[int, int], ...]]:
             a, j, b = v, i, w
             while not seen[a][j]:
                 seen[a][j] = True
-                walk.append((a, b))
+                walk.append(a)
                 k = pos[b].get(a)
                 if k is None:  # (a, b) has no reverse; report the first such dart
                     a, b = next((a, b) for a, row in enumerate(rot) for b in row if a not in pos[b])

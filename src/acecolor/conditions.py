@@ -239,7 +239,7 @@ def _word_heavy_support(v, have, d, need, deg, nbrs):
 
 
 def _word_deg2_on_3face(v, face):
-    return f"2-vertex {v} lies on 3-face {face.vertices}"
+    return f"2-vertex {v} lies on 3-face {face}"
 
 
 def _word_triangle_budget(v, count, bound):
@@ -249,14 +249,6 @@ def _word_triangle_budget(v, count, bound):
 def _word_support_count(b, v0, have, need_degree, need):
     return (f"support {b} of 2-vertex {v0}: {have} neighbors of "
             f"degree >= {need_degree}, needs {need}")
-
-
-def _word_adjacent_count(b, have, need_degree, need):
-    return f"adjacent supports: {b} has {have} neighbors of degree >= {need_degree}, needs {need}"
-
-
-def _word_adjacent_degree(b, db, need):
-    return f"adjacent supports: deg({b}) = {db} < {need}"
 
 
 def _word_strong_twos(b, strong, twos, most):
@@ -416,31 +408,24 @@ def _check_triangle_face_budget(g: Graph, plane: PlaneGraph, vertices) -> list[C
     return out
 
 
-# the kinds of deg2-support-counts witness at one support, in the order
-# their texts sort: "adjacent supports: {b} has" before "adjacent
-# supports: deg(", then "support {b} of", then "support {b} with
-# exactly"; of these two, "has {count} 2-neighbors" before "has degree",
-# as a digit sorts before a letter
-_ADJACENT_COUNT, _ADJACENT_DEGREE, _PER_TWO, _STRONG_TWOS, _STRONG_DEGREE = range(5)
-
-
 def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
     """Counting conditions at each support (neighbor) b of a 2-vertex v0
-    whose other neighbor is a, with the two conditional refinements for
-    adjacent supports and for supports with the minimum count. Only the
-    supports in the scope are visited. A witness binds its support, and
-    one support's witnesses come out once each, ordered by their text.
+    whose other neighbor is a, with the conditional refinement for
+    supports with the minimum count. Only the supports in the scope are
+    visited. A witness binds its support, and one support's witnesses
+    come out once each, ordered by their text.
 
-    No text is built for that: a witness is keyed by its kind and a
-    number, and the keys sort and repeat as the texts do. The kinds come
-    in text order (above). Within one support and kind only one number
-    of the text varies: the need that ends an adjacent-support text,
-    keyed as str(need), which orders as the text does because nothing
-    follows it; or the 2-vertex v0 of a per-2-vertex text, which a ":"
-    follows there, keyed as f"{v0}:" ("12:" < "1:", as the texts sort,
-    where str(v0) would put "1" first). A strong-neighbor kind has one
-    text per support. Equal keys give equal texts, so the adjacent-support
-    witnesses, which repeat across 2-vertices, come out once."""
+    No text is built for that. The per-2-vertex texts ("support {b} of
+    2-vertex {v0}:") come first, with v0 taken in the order of
+    f"{v0}:" ("12:" < "1:", as the texts sort, where str(v0) would put
+    "1" first); then the strong-neighbor texts ("support {b} with
+    exactly"), one each per support, "has {count} 2-neighbors" before
+    "has degree", as a digit sorts before a letter.
+
+    There is no refinement for adjacent supports a and b: they would close
+    the triangle v0-a-b, which ``require_in_scope`` refuses and no
+    discharging rule reads, so a graph with triangles gets no witness for
+    them either."""
     t = thresholds(g, kappa)
     deg, adj = g.degrees, g.adj
     cond = Condition.DEG2_SUPPORT_COUNTS
@@ -456,30 +441,21 @@ def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[Condition
         db = deg[b]
         need_degree = kappa - db + 2
         have = _at_least(nbrs, deg, need_degree)
-        found = {}  # (kind, number) -> wording
-        for v0 in twos:
+        found = []  # the wordings of b's witnesses, in text order
+        for v0 in sorted(twos, key="{}:".format):
             w, v = adj[v0]
-            a = w if v == b else v
-            da = deg[a]
-            need = kappa - da + 1
+            need = kappa - deg[w if v == b else v] + 1
             if have < need:
-                found[_PER_TWO, f"{v0}:"] = (_word_support_count, b, v0, have, need_degree, need)
-            if kappa >= db + 1 and a in nbrs:
-                need = kappa - da + 2
-                if have < need:
-                    found[_ADJACENT_COUNT, str(need)] = (_word_adjacent_count, b, have, need_degree, need)
-                need = kappa - da + 3
-                if db < need:
-                    found[_ADJACENT_DEGREE, str(need)] = (_word_adjacent_degree, b, db, need)
+                found.append((_word_support_count, b, v0, have, need_degree, need))
         if t.slack >= 2:
             strong = _at_least(nbrs, deg, t.tight)
             if strong == t.slack + 1:
                 max_deg2 = db - t.high
                 if len(twos) > max_deg2:
-                    found[_STRONG_TWOS, ""] = (_word_strong_twos, b, strong, len(twos), max_deg2)
+                    found.append((_word_strong_twos, b, strong, len(twos), max_deg2))
                 if db < t.deg2_big:
-                    found[_STRONG_DEGREE, ""] = (_word_strong_degree, b, strong, db, t.deg2_big)
-        out.extend(ConditionWitness(cond, (b,), found[key]) for key in sorted(found))
+                    found.append((_word_strong_degree, b, strong, db, t.deg2_big))
+        out.extend(ConditionWitness(cond, (b,), wording) for wording in found)
     return out
 
 

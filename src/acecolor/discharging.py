@@ -1,16 +1,18 @@
 """Discharging on the plane graph of a triangle-free 1-planar drawing.
 
 Every vertex and face of the planarized drawing starts with charge
-deg - 4; the total is exactly -8 on a connected drawing. Eight local
-rules then move charge toward the light elements (2-, 3-, 4-, 5-vertices
-and 3-faces). Rules read only the input structure, so they commute and
-conserve the total.
+deg - 4; the total is exactly -8 on a connected drawing with an edge,
+the only drawings the discharging takes. Eight local rules then move
+charge toward the light elements (2-, 3-, 4-, 5-vertices and 3-faces).
+Rules read only the input structure, so they commute and conserve the
+total.
 
 Every amount is a multiple of 1/12, so the ledger counts charge in
 integer twelfths (``SCALE``); the report converts to ``Fraction`` once.
 Vertex-to-vertex rules follow adjacency in the *base* graph; crossing
 vertices neither send nor receive (they hold charge 0). Face rules count
-incidences per boundary-walk slot.
+incidences per boundary-walk slot: a face is the tuple of its boundary
+vertices in walk order, with multiplicity.
 
 The ``RULES`` table declares each rule once: its name, its amount and the
 hypotheses that bound a sender's outflow under it; ``NEEDS`` declares
@@ -176,14 +178,21 @@ def _frac(q: Fraction) -> str:
 
 
 def initial_charges(p: PlaneGraph) -> ChargeLedger:
-    """Charge deg - 4 on every planarized vertex and every face."""
+    """Charge deg - 4 on every planarized vertex and every face.
+
+    The drawing must be connected and have an edge: without one, no face
+    walk exists, so no face element would carry the -4 of its one face
+    and the total would not be -8."""
     if not p.graph.is_connected():
         raise EmbeddingError("discharging requires a connected drawing")
+    if not p.graph.m:
+        raise EmbeddingError("discharging requires a drawing with an edge: an edgeless "
+                             "drawing has no face walk to carry its face's charge")
     charges: dict[Element, int] = {}
     for v, d in enumerate(p.graph.degrees):
         charges[("v", v)] = (d - 4) * SCALE
     for i, f in enumerate(p.faces):
-        charges[("f", i)] = (f.degree - 4) * SCALE
+        charges[("f", i)] = (len(f) - 4) * SCALE
     return ChargeLedger(charges)
 
 
@@ -235,12 +244,12 @@ def compute_transfers(
     n_real = p.n_real
     for i in range(len(p.faces)) if faces is None else faces:
         f = p.faces[i]
-        if f.degree == 3:
-            for v in f.vertices:
+        if len(f) == 3:
+            for v in f:
                 if v < n_real:
                     out.append(Transfer(TRIFACE.name, ("v", v), ("f", i), TRIFACE.amount))
-        elif f.degree >= 5:
-            for v in f.vertices:
+        elif len(f) >= 5:
+            for v in f:
                 if v < n_real and deg[v] == 3:
                     out.append(Transfer(BIGFACE.name, ("f", i), ("v", v), BIGFACE.amount))
     return out
@@ -271,7 +280,7 @@ def _face_profile_deg3(p: PlaneGraph, g: Graph, v: int) -> Violation | None:
     """A 3-vertex on two 3-faces must also touch a 5+ face."""
     if g.degrees[v] != 3 or len(p.triangles_at[v]) < 2:
         return None
-    faces = tuple(sorted(p.faces[i].degree for i in p.faces_at(v)))
+    faces = tuple(sorted(len(p.faces[i]) for i in p.faces_at(v)))
     if faces[-1] >= 5:
         return None
     return Violation(HYP_DEG3_FACE_PROFILE, (_word_deg3_face_profile, v, faces))
@@ -282,7 +291,7 @@ def _word_deg3_face_profile(v, faces):
 
 
 def _face_no_consecutive_deg3(p: PlaneGraph, g: Graph, fi: int) -> Violation | None:
-    walk, n_real, deg = p.faces[fi].vertices, p.n_real, g.degrees
+    walk, n_real, deg = p.faces[fi], p.n_real, g.degrees
     for a, b in zip(walk, walk[1:] + walk[:1]):
         if a < n_real and b < n_real and deg[a] == 3 and deg[b] == 3:
             return Violation(HYP_NO_CONSECUTIVE_DEG3, (_word_consecutive_deg3, fi, a, b))

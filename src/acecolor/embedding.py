@@ -8,9 +8,11 @@ crossing-pair order; in files they are written X0, X1, ...
 
 Face traversal convention: from the directed edge (u, v), the walk
 continues with (v, w) where w follows u in the rotation at v. Every
-directed edge lies on exactly one face walk. The walks are traced by the
-kernel (``kernel.trace_faces``, in C when it is built), which also
-rejects a malformed rotation.
+directed edge lies on exactly one face walk. A face is the tuple f of its
+boundary vertices in walk order, with multiplicity: its directed edges
+are (f[i], f[i + 1]), cyclically, and its degree is len(f). The walks are
+traced by the kernel (``kernel.trace_faces``, in C when it is built),
+which also rejects a malformed rotation.
 
 ``planarize`` builds the plane graph once per drawing. A drawing without
 crossings shares its immutable base graph as the planarized graph, so the
@@ -28,32 +30,11 @@ the 3-face budget of a vertex in the ``deg2-face-sizes`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import kernel
 from .errors import EmbeddingError, ParseError
 from .graph import Edge, Graph, _checked_graph, _parse_graph_lines, canonical_edge, format_graph
 
 CrossingPair = tuple[Edge, Edge]
-
-
-@dataclass(frozen=True)
-class Face:
-    """One face walk: the cyclic sequence of directed edges on its boundary."""
-
-    walk: tuple[tuple[int, int], ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.walk)
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        """Boundary vertices in walk order, with multiplicity."""
-        return tuple(u for u, _ in self.walk)
-
-    def __repr__(self) -> str:
-        return f"Face({'-'.join(str(v) for v in self.vertices)})"
 
 
 class Drawing:
@@ -96,7 +77,10 @@ class PlaneGraph:
 
     Vertices 0..n_real-1 are the base vertices; n_real.. are crossings.
     ``graph`` is the planarized graph; a drawing without crossings shares
-    its base graph, which is immutable, as its planarized graph.
+    its base graph, which is immutable, as its planarized graph. Each of
+    ``faces`` is the tuple of its boundary vertices in walk order (the
+    module's face traversal convention). The rotation and the crossing
+    pairs stay with the ``Drawing``.
     ``triangles_at[v]`` holds the indices of the 3-faces at v, with
     multiplicity; it is computed once, from the 3-faces alone, so that the
     face conditions cost O(deg v) per vertex: its length is v's 3-face
@@ -107,32 +91,21 @@ class PlaneGraph:
     __slots__ = (
         "base",
         "n_real",
-        "crossing_pairs",
         "graph",
-        "rotation",
         "faces",
         "triangles_at",
         "_face_index_at",
     )
 
-    def __init__(
-        self,
-        base: Graph,
-        crossing_pairs: tuple[CrossingPair, ...],
-        graph: Graph,
-        rotation: tuple[tuple[int, ...], ...],
-        faces: tuple[Face, ...],
-    ):
+    def __init__(self, base: Graph, graph: Graph, faces: tuple[tuple[int, ...], ...]):
         self.base = base
         self.n_real = base.n
-        self.crossing_pairs = crossing_pairs
         self.graph = graph
-        self.rotation = rotation
         self.faces = faces
         triangles: list[tuple[int, ...]] = [()] * graph.n
         for i, f in enumerate(faces):
-            if len(f.walk) == 3:
-                for v, _ in f.walk:
+            if len(f) == 3:
+                for v in f:
                     triangles[v] += (i,)
         self.triangles_at: tuple[tuple[int, ...], ...] = tuple(triangles)
         self._face_index_at: tuple[tuple[int, ...], ...] | None = None
@@ -143,18 +116,10 @@ class PlaneGraph:
         if self._face_index_at is None:
             index: list[list[int]] = [[] for _ in range(self.graph.n)]
             for i, f in enumerate(self.faces):
-                for u, _ in f.walk:
+                for u in f:
                     index[u].append(i)
             self._face_index_at = tuple(map(tuple, index))
         return self._face_index_at[v]
-
-
-def trace_faces(n: int, rot: list[tuple[int, ...]]) -> list[Face]:
-    """The face walks of the rotation system ``rot`` (``rot[v]`` is the
-    rotation at vertex v, for v in 0..n-1), traced by the kernel
-    (``kernel.trace_faces``, which states the order and the checks). A
-    malformed rotation raises the kernel's ValueError."""
-    return list(map(Face, kernel.trace_faces(n, rot)))
 
 
 def planarize(d: Drawing) -> PlaneGraph:
@@ -216,7 +181,7 @@ def planarize(d: Drawing) -> PlaneGraph:
                 f"{e1} and {e2}: {r}"
             )
 
-    faces = trace_faces(n_all, rot_list)
+    faces = kernel.trace_faces(n_all, rot_list)
 
     # Euler, now that the rotation matches the graph: V-E+F is at most 2 on
     # a component with an edge, 2 iff it is planar, and 1 on an isolated vertex
@@ -225,13 +190,7 @@ def planarize(d: Drawing) -> PlaneGraph:
     if v - e + f + i != 2 * c:
         raise EmbeddingError(f"rotation is not planar: V-E+F+I = {v}-{e}+{f}+{i} != 2C = 2*{c}")
 
-    return PlaneGraph(
-        base=base,
-        crossing_pairs=d.crossing_pairs,
-        graph=pgraph,
-        rotation=tuple(rot_list),
-        faces=tuple(faces),
-    )
+    return PlaneGraph(base=base, graph=pgraph, faces=tuple(faces))
 
 
 # -- drawing file format -------------------------------------------------------

@@ -22,12 +22,14 @@ ValueError unless eu and ev have equal lengths, every endpoint lies in
 (degree, id) is distinct and the order is unique. It costs
 O(m * degeneracy + m log n).
 
-``trace_faces(n, rot)`` returns the face walks of the rotation system
-``rot`` (``rot[v]`` lists the neighbors of v in cyclic order) as tuples of
-darts (u, v): from (u, v) a walk goes on to (v, w), where w follows u in
-``rot[v]``. Darts are taken with v ascending and then in ``rot[v]`` order,
-and each walk starts at the first dart not on an earlier one, so the
-walks and their order are unique. It raises ValueError unless rot has n
+``trace_faces(n, rot)`` returns the faces of the rotation system ``rot``
+(``rot[v]`` lists the neighbors of v in cyclic order), each as the tuple
+of its boundary vertices in walk order: from the dart (u, v) a walk goes
+on to (v, w), where w follows u in ``rot[v]``, and a face f lists the
+tail of each dart on its walk, so its darts are (f[i], f[i + 1]),
+cyclically. Darts are taken with v ascending and then in ``rot[v]``
+order, and each walk starts at the first dart not on an earlier one, so
+the faces and their order are unique. It raises ValueError unless rot has n
 rows, every entry lies in [0, n), no row lists its own vertex or an entry
 twice, and every dart (v, w) has its reverse (v is in ``rot[w]``); the
 message names the first bad entry in row order, or else the first dart

@@ -211,7 +211,7 @@ def test_criterion_5_conservation_and_worked_computations(corpus):
     d = crossed_grid()
     p = planarize(d)
     led = apply_rules(initial_charges(p), p, d.base)
-    three = [i for i, f in enumerate(p.faces) if f.degree == 3]
+    three = [i for i, f in enumerate(p.faces) if len(f) == 3]
     assert three
     for i in three:
         assert led.charges[("f", i)] == 0

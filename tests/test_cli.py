@@ -276,6 +276,18 @@ def test_discharge_requires_drawing(c5_file, capsys):
     assert "requires a drawing" in capsys.readouterr().err
 
 
+def test_discharge_refuses_a_drawing_without_edges(tmp_path, capsys):
+    # one vertex has no face walk to carry the -4 of its face, so its total
+    # would be -4; the audit still finds its witness
+    path = tmp_path / "one.txt"
+    path.write_text("1 0\nrot 0:\n")
+    assert main(["discharge", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "requires a drawing with an edge" in captured.err and captured.out == ""
+    assert main(["audit", str(path)]) == 0
+    assert "witness_detail=vertex 0 has degree 0 < 2" in capsys.readouterr().out
+
+
 def test_discharge_json(drawing_file, capsys):
     rc = main(["discharge", str(drawing_file), "--format", "json"])
     assert rc == 0
@@ -430,6 +442,10 @@ def test_the_cli_answers_the_same_on_both_kernels(tmp_path, c_kernel):
         cwd = tmp_path / ("python" if pure else "c")
         cwd.mkdir()
         (cwd / "bad.txt").write_text("3 1\n0 5\n")
+        # degenerate rotations: one vertex without a dart, one edge whose two
+        # darts make one face
+        (cwd / "one.txt").write_text("1 0\nrot 0:\n")
+        (cwd / "edge.txt").write_text("2 1\n0 1\nrot 0: 1\nrot 1: 0\n")
         runs = [
             _python_run(cwd, pure, "-c", "from acecolor import kernel; print(kernel.BACKEND)"),
             _python_run(cwd, pure, *CLI, "gen", "--count", "6", "--nmin", "8", "--nmax", "14",
@@ -440,11 +456,12 @@ def test_the_cli_answers_the_same_on_both_kernels(tmp_path, c_kernel):
         assert len(files) == 6 and small
         runs += [_python_run(cwd, pure, *CLI, cmd, *files) for cmd in ("color", "audit", "discharge")]
         runs += [_python_run(cwd, pure, *CLI, "exact", *small), _python_run(cwd, pure, *CLI, "color", "bad.txt")]
+        runs += [_python_run(cwd, pure, *CLI, cmd, f) for cmd in ("audit", "discharge") for f in ("one.txt", "edge.txt")]
         sides[pure] = runs, [(cwd / f).read_bytes() for f in files]
     (c_runs, c_files), (py_runs, py_files) = sides[False], sides[True]
     assert [r[1] for r in (c_runs[0], py_runs[0])] == ["c\n", "python\n"]
     assert c_runs[1:] == py_runs[1:] and c_files == py_files
-    assert [r[0] for r in c_runs] == [0, 0, 0, 0, 0, 0, 2]
+    assert [r[0] for r in c_runs] == [0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 1]
 
 
 def test_report_written_to_out_dir(c5_file, tmp_path):

@@ -297,17 +297,17 @@ def test_scoped_face_conditions_match_full_scope(d, data):
     p = planarize(d)
     g = d.base
     # the per-vertex 3-faces agree with a recount from the face list
-    recount = Counter(v for f in p.faces if f.degree == 3 for v in f.vertices)
+    recount = Counter(v for f in p.faces if len(f) == 3 for v in f)
     for v in range(p.graph.n):
         assert len(p.triangles_at[v]) == recount[v]
-        assert p.triangles_at[v] == tuple(i for i in p.faces_at(v) if p.faces[i].degree == 3)
+        assert p.triangles_at[v] == tuple(i for i in p.faces_at(v) if len(p.faces[i]) == 3)
     on_3_faces = check_condition(g, p, kappa_for(g), Condition.DEG2_FACE_SIZES)
     assert [w.vertices for w in on_3_faces] == [
         (v,)
         for v in range(p.n_real)
         if g.degree(v) == 2
         for i in p.faces_at(v)
-        if p.faces[i].degree == 3
+        if len(p.faces[i]) == 3
     ]
     scope = data.draw(st.sets(st.integers(0, g.n - 1)))
     for cond in (Condition.DEG2_FACE_SIZES, Condition.TRIANGLE_FACE_BUDGET):
@@ -432,33 +432,15 @@ def test_deg2_support_witnesses_come_once_each_in_text_order(family, seed, slack
     _support_details_strictly_increase(g, g.delta + slack)
 
 
-def _fan_of_triangles(k):
-    """A hub 0 with k triangles 0-a-v0, where v0 is a 2-vertex and a has
-    2i pendant leaves on the i-th triangle: the 2-vertices' supports are
-    adjacent, their other supports' degrees differ, and their ids run
-    past 9."""
-    edges, n = [], 1
-    for i in range(k):
-        a, v0 = n, n + 1
-        edges += [(0, a), (0, v0), (a, v0)]
-        edges += [(a, leaf) for leaf in range(n + 2, n + 2 + 2 * i)]
-        n += 2 + 2 * i
-    return Graph(n, edges)
-
-
-def test_adjacent_support_witnesses_come_once_each_in_text_order():
-    # a triangle-free graph has no adjacent supports, so the adjacent-support
-    # counts fire only on a graph with triangles; their needs run past 9
-    g = _fan_of_triangles(6)
-    for slack in range(21):
-        assert _support_details_strictly_increase(g, g.delta + slack)
-    found = check_condition(g, None, g.delta + 1, Condition.DEG2_SUPPORT_COUNTS)
-    details = [w.detail for w in found if w.vertices == (0,)]
-    # the numbers that vary within a support have one and two digits
-    needs = [x.rsplit(" ", 1)[1] for x in details if x.startswith("adjacent supports: 0 has")]
-    twos = [x.split()[4].rstrip(":") for x in details if x.startswith("support 0 of 2-vertex")]
-    assert {len(x) for x in needs} == {len(x) for x in twos} == {1, 2}, details
-    assert any(x.startswith("adjacent supports: deg(0)") for x in details)
+def test_per_two_vertex_support_witnesses_sort_as_their_text():
+    # a hub 0 whose 2-neighbors 1..12 each lead on to a leaf: the 2-vertex
+    # ids have one and two digits, and "support 0 of 2-vertex 12:" sorts
+    # before "support 0 of 2-vertex 1:"
+    g = Graph(25, [(0, v) for v in range(1, 13)] + [(v, v + 12) for v in range(1, 13)])
+    assert _support_details_strictly_increase(g, g.delta + 16)
+    found = check_condition(g, None, g.delta + 16, Condition.DEG2_SUPPORT_COUNTS)
+    at_hub = [w.detail.split()[4] for w in found if w.vertices == (0,)]
+    assert at_hub == ["10:", "11:", "12:"] + [f"{v}:" for v in range(1, 10)]
 
 
 def test_checks_and_discharge_word_no_text(worded):

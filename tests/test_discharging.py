@@ -41,7 +41,7 @@ def test_initial_charges_basics():
     p = planarize(b.to_drawing())
     led = initial_charges(p)
     assert led.charges[("v", x)] == 0
-    three = [i for i, f in enumerate(p.faces) if f.degree == 3]
+    three = [i for i, f in enumerate(p.faces) if len(f) == 3]
     assert all(led.charges[("f", i)] == -1 * SCALE for i in three)
 
 
@@ -90,7 +90,7 @@ def test_worked_computation_three_face():
     d = b.to_drawing()
     p = planarize(d)
     led = apply_rules(initial_charges(p), p, d.base)
-    three = [i for i, f in enumerate(p.faces) if f.degree == 3]
+    three = [i for i, f in enumerate(p.faces) if len(f) == 3]
     assert three
     for i in three:
         assert led.charges[("f", i)] == 0
@@ -107,7 +107,7 @@ def test_worked_computation_five_vertex():
     g = d.base
     assert g.degree(0) == 5
     assert sorted(g.degree(u) >= 8 for u in g.neighbors(0)).count(True) == 3
-    assert sum(1 for i in p.faces_at(0) if p.faces[i].degree == 3) == 3
+    assert sum(1 for i in p.faces_at(0) if len(p.faces[i]) == 3) == 3
     led = apply_rules(initial_charges(p), p, g)
     assert led.charges[("v", 0)] == 0
     incoming = [t for t in led.transfers if t.target == ("v", 0)]

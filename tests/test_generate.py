@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acecolor import kernel
 from acecolor.discharging import SCALE, initial_charges
-from acecolor.embedding import format_drawing, planarize, trace_faces
+from acecolor.embedding import format_drawing, planarize
 from acecolor.errors import EmbeddingError
 from acecolor.generate import (
     FAMILIES,
@@ -20,7 +21,7 @@ from acecolor.graph import canonical_edge
 
 def test_grid_builder_is_quadrangulation():
     p = planarize(grid_builder(3, 4).to_drawing())
-    inner = [f for f in p.faces if f.degree == 4]
+    inner = [f for f in p.faces if len(f) == 4]
     assert len(inner) == len(p.faces) - 1  # all quads plus the outer face
     assert initial_charges(p).total() == -8 * SCALE
 
@@ -32,7 +33,7 @@ def test_attach_square_hangs_a_4_face_in_the_corner():
     p = planarize(b.to_drawing())
     assert p.base.degrees[4] == 6 and [p.base.degrees[w] for w in (9, 10, 11)] == [2, 2, 2]
     # the corner face grows from 4 to 8; the square bounds a new 4-face
-    assert sorted(f.degree for f in p.faces) == [4] * 4 + [8, 8]
+    assert sorted(map(len, p.faces)) == [4] * 4 + [8, 8]
     assert initial_charges(p).total() == -8 * SCALE
     # a corner that is not there changes nothing; nor may a crossing precede it
     before = format_drawing(b.to_drawing())
@@ -71,10 +72,10 @@ def test_insertion_creates_two_triangle_faces():
     before_faces = len(planarize(b.to_drawing()).faces)
     x = b.insert_crossing(5, 6)
     p = planarize(b.to_drawing())
-    three = [f for f in p.faces if f.degree == 3]
+    three = [f for f in p.faces if len(f) == 3]
     assert len(three) == 2
     for f in three:
-        assert x in f.vertices
+        assert x in f
     assert len(p.faces) == before_faces + 2
 
 
@@ -113,21 +114,24 @@ class ReferenceInsertion:
     def __init__(self, b):
         self.b = b
         n_all = b.n + len(b.pairs)
-        self.faces = trace_faces(n_all, [tuple(b.rotation[v]) for v in range(n_all)])
-        self.face_of = {dart: i for i, f in enumerate(self.faces) for dart in f.walk}
+        self.faces = kernel.trace_faces(n_all, [tuple(b.rotation[v]) for v in range(n_all)])
+        # face_of[dart]: the face i and slot j of the dart (f[j], f[j + 1])
+        self.face_of = {
+            dart: (i, j) for i, f in enumerate(self.faces) for j, dart in enumerate(zip(f, f[1:] + f[:1]))
+        }
         self.adj = {v: set() for v in range(b.n)}
         for u, v in b.edges:
             self.adj[u].add(v)
             self.adj[v].add(u)
 
     def corners(self, a, c):
-        f1, f2 = self.face_of.get((a, c)), self.face_of.get((c, a))
-        if f1 is None or f2 is None or f1 == f2:
+        at1, at2 = self.face_of.get((a, c)), self.face_of.get((c, a))
+        if at1 is None or at2 is None or at1[0] == at2[0]:
             return None
-        walk1, walk2 = self.faces[f1].walk, self.faces[f2].walk
-        p = walk1[(walk1.index((a, c)) + 1) % len(walk1)][1]
-        r = walk2[(walk2.index((c, a)) + 1) % len(walk2)][1]
-        return p, r
+        # the head of the dart after (a, c) on its face, and of the one after (c, a)
+        (f1, j1), (f2, j2) = at1, at2
+        walk1, walk2 = self.faces[f1], self.faces[f2]
+        return walk1[(j1 + 2) % len(walk1)], walk2[(j2 + 2) % len(walk2)]
 
     def can_insert(self, a, c, protect_deg2):
         b = self.b
@@ -221,7 +225,7 @@ def test_named_builders():
     assert planarize(cycle_builder(6).to_drawing()).graph.n == 6
     p = planarize(cube_builder().to_drawing())
     assert len(p.faces) == 6
-    assert all(f.degree == 4 for f in p.faces)
+    assert all(len(f) == 4 for f in p.faces)
 
 
 def test_generate_instance_families_valid():
