@@ -547,3 +547,79 @@ def test_audit_words_one_text_per_drawing(tmp_path, capsys, worded):
         assert main(["audit", "--format", fmt, *files]) == 0
         assert capsys.readouterr().out.count("witness_detail") == len(files)
         assert len(worded) == len(files)
+
+
+def _cli_runs(capsys):
+    """Each instance command's runs in the current directory: the argv,
+    exit code, stdout and stderr of each, then the path and contents of
+    every file its --out runs wrote, with the time_ms entries of `color`
+    taken out. Single, batch and directory runs, in each format, with
+    failing instances and a refusal part way through a batch."""
+    assert main(["gen", "--count", "3", "--nmin", "8", "--nmax", "12", "--seed", "3", "--out", "d"]) == 0
+    drawings = sorted(str(p) for p in Path("d").glob("*.txt"))
+    graphs = {"c4.txt": cycle(4), "c5.txt": cycle(5), "k14.txt": star(4), "grid44.txt": grid(4, 4)}
+    for name, g in graphs.items():
+        Path(name).write_text(format_graph(g))
+    Path("k3.txt").write_text("3 3\n0 1\n1 2\n0 2\n")
+    Path("e3.txt").write_text("3 0\n")
+    Path("bad.col").write_text("kappa 3\n0 1 1\n1 2 2\n2 3 1\n0 3 2\n")
+    assert main(["color", "c5.txt", "--coloring-out", "c5.col"]) == 0
+    capsys.readouterr()
+    batches = {
+        "color": [*drawings, "c4.txt", "k3.txt", "e3.txt"],
+        "exact": ["c5.txt", "k14.txt", "e3.txt", "grid44.txt", "c4.txt"],
+        "discharge": drawings,
+        "audit": drawings,
+    }
+    runs = {}
+    for cmd, batch in batches.items():
+        argvs = []
+        for fmt in ("text", "json"):
+            out = ("--format", fmt, "--out")
+            argvs += [
+                [cmd, batch[0], "--format", fmt],
+                [cmd, batch[0], *out, f"{cmd}-{fmt}.txt"],
+                [cmd, batch[0], *out, f"{cmd}-{fmt}-dir/"],
+                [cmd, *batch, "--format", fmt],
+                [cmd, *batch, *out, f"{cmd}-{fmt}-batch"],
+            ]
+        runs[cmd] = argvs
+    runs["verify"] = [
+        ["verify", graph, "--coloring", col, "--format", fmt, *out]
+        for graph, col in (("c5.txt", "c5.col"), ("c4.txt", "bad.col"))
+        for fmt in ("text", "json")
+        for out in ((), ("--out", f"verify-{fmt}-{col}.txt"), ("--out", f"verify-{fmt}-dir/"))
+    ]
+    # a palette with no coloring, and a bare graph where a drawing is needed
+    runs["color"].append(["color", "c4.txt", "--kappa", "2"])
+    runs["exact"].append(["exact", "c5.txt", "--kappa", "2"])
+    runs["discharge"].append(["discharge", "c5.txt"])
+    runs["audit"].append(["audit", "c5.txt"])
+    untimed = re.compile(r'(?m)^(time_ms=.*|  "time_ms": .*)\n')
+    for cmd, argvs in runs.items():
+        lines = []
+        for argv in argvs:
+            rc = main(argv)
+            captured = capsys.readouterr()
+            lines.append(repr((argv, rc, untimed.sub("", captured.out), captured.err)))
+        for path in sorted(Path(".").rglob("*")):
+            if path.is_file() and path.parts[0].startswith(f"{cmd}-"):
+                lines.append(repr((str(path), untimed.sub("", path.read_text()))))
+        yield cmd, "\n".join(lines)
+
+
+# sha256 of each instance command's runs in _cli_runs: their exit codes,
+# stdout and stderr, and every report file they wrote
+CLI_GOLDEN = {
+    "color": "df87c42b721421ccd9b5555b58874b6ae4cedf93d5ed1f49f3a612684faa6d1b",
+    "exact": "a1429f3cbefa59bb2da29f9f6462e6da2fb19947e7a70f75e0385158ae2c85dd",
+    "discharge": "e39c9129b1fabef06673d296601c95933f32661bc34e25d0fb82b74329a81be9",
+    "audit": "c1914cde8b7885b3af86b2c1da8ed5431161ef456ca33fa696ff72c0154a515f",
+    "verify": "0871e3f760bf3a17a085c27ba2e52ec8265a29299a2e02cf442606cd1cdd64fd",
+}
+
+
+def test_cli_runs_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    got = {cmd: hashlib.sha256(text.encode()).hexdigest() for cmd, text in _cli_runs(capsys)}
+    assert got == CLI_GOLDEN
