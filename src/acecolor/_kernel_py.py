@@ -112,7 +112,8 @@ def find_coloring(
     exists within k colors. With max_nodes >= 0 the search stops once it
     has visited more than max_nodes nodes and returns False: no answer
     either way. A negative max_nodes (the default) sets no limit. An
-    empty graph or k <= 0 is answered before the first node. Raises
+    empty graph or k <= 0 is answered before the first node, and a k
+    above m acts as m. Raises
     ValueError unless every endpoint lies in [0, n) and order is a
     permutation of range(m).
     """
@@ -126,6 +127,7 @@ def find_coloring(
         return []
     if k <= 0:
         return None
+    k = min(k, m)  # colors above m are never reached: each edge opens at most one new color
     stride = k + 1
     # vcol[v*stride + c] = w+1 if vertex v has an edge of color c to w, else 0
     vcol = [0] * (n * stride)

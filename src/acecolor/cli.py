@@ -56,24 +56,12 @@ def _write_file(target: Path, text: str) -> None:
     os.replace(tmp, target)
 
 
-def _write_report(payload: str, args, default_name: str, multi: bool) -> None:
-    if not args.out:
-        sys.stdout.write(payload)
-        return
-    target = Path(args.out)
-    # directory mode: trailing separator, existing directory, or batch run
-    if str(args.out).endswith(os.sep) or target.is_dir() or multi:
-        target.mkdir(parents=True, exist_ok=True)
-        target = target / default_name
-    _write_file(target, payload)
-
-
-def _emit(report: dict, args, default_name: str, multi: bool = False) -> None:
-    if args.format == "json":
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        payload = "".join(f"{k}={v}\n" for k, v in report.items())
-    _write_report(payload, args, default_name, multi)
+def _load_drawing(path: str, command: str) -> Drawing:
+    d = _load_instance(path)[1]
+    if d is None:
+        raise ParseError(f"{path}: {command} requires a drawing file "
+                         "(crossing and rotation lines), got a bare graph")
+    return d
 
 
 def _palette(args, g: Graph) -> int:
@@ -84,83 +72,99 @@ def _palette(args, g: Graph) -> int:
     return g.delta + DEFAULT_SLACK
 
 
-def cmd_color(args) -> int:
+def _each_instance(args) -> int:
+    """Run the command's report function on each instance in turn, and
+    write each report before the next instance is read: to stdout, to the
+    --out file, or to {stem}.{command}.txt in the --out directory, which a
+    batch run always takes. A report function returns the report, a dict
+    or the finished text of a discharge report, and whether the instance
+    passed. The exit status is 1 when one did not pass."""
+    status = EXIT_OK
+    for path in args.instance:
+        stem = Path(path).stem
+        report, ok = args.report(args, path)
+        if args.format == "json":
+            payload = json.dumps({"instance": stem, **report}, indent=2, sort_keys=True) + "\n"
+        else:
+            text = report if isinstance(report, str) else "".join(f"{k}={v}\n" for k, v in report.items())
+            payload = f"instance={stem}\n{text}"
+        if not ok:
+            status = EXIT_INVARIANT
+        if not args.out:
+            sys.stdout.write(payload)
+            continue
+        target = Path(args.out)
+        # directory mode: trailing separator, existing directory, or batch run
+        if args.out.endswith(os.sep) or target.is_dir() or len(args.instance) > 1:
+            target.mkdir(parents=True, exist_ok=True)
+            target = target / f"{stem}.{args.command}.txt"
+        _write_file(target, payload)
+    return status
+
+
+def _color(args, path: str) -> tuple[dict, bool]:
     if args.coloring_out and len(args.instance) > 1:
         # one file per run: a second instance would overwrite the first
         raise ValueError(f"--coloring-out takes one instance, got {len(args.instance)}")
-    status = EXIT_OK
-    for path in args.instance:
-        g, _ = _load_instance(path)
-        kappa = _palette(args, g)
-        triangle_free, witness = g.is_triangle_free()
-        t0 = time.perf_counter()
-        outcome = heuristic_color(g, kappa, seed=args.seed, restarts=args.restarts)
-        ms = (time.perf_counter() - t0) * 1000.0
-        report = {
-            "instance": Path(path).stem,
-            "n": g.n,
-            "m": g.m,
-            "delta": g.delta,
-            "kappa": kappa,
-            "triangle_free": triangle_free,
+    g, _ = _load_instance(path)
+    kappa = _palette(args, g)
+    triangle_free, witness = g.is_triangle_free()
+    t0 = time.perf_counter()
+    outcome = heuristic_color(g, kappa, seed=args.seed, restarts=args.restarts)
+    ms = (time.perf_counter() - t0) * 1000.0
+    report = {
+        "n": g.n,
+        "m": g.m,
+        "delta": g.delta,
+        "kappa": kappa,
+        "triangle_free": triangle_free,
+    }
+    if not triangle_free:
+        report["warning"] = f"triangle {witness}: graph is not triangle-free"
+    if outcome is None:
+        report.update({"status": "failure", "time_ms": round(ms, 3)})
+        return report, False
+    rep = verify(outcome.coloring)
+    report.update(
+        {
+            "status": "ok" if rep.ok else "verify-failed",
+            "colors_used": outcome.colors_used,
+            "restarts": outcome.restarts_used,
+            "time_ms": round(ms, 3),
+            "verify": "pass" if rep.ok else "fail",
         }
-        if not triangle_free:
-            report["warning"] = f"triangle {witness}: graph is not triangle-free"
-        if outcome is None:
-            report.update({"status": "failure", "time_ms": round(ms, 3)})
-            status = EXIT_INVARIANT
-        else:
-            rep = verify(outcome.coloring)
-            report.update(
-                {
-                    "status": "ok" if rep.ok else "verify-failed",
-                    "colors_used": outcome.colors_used,
-                    "restarts": outcome.restarts_used,
-                    "time_ms": round(ms, 3),
-                    "verify": "pass" if rep.ok else "fail",
-                }
-            )
-            if not rep.ok:
-                status = EXIT_INVARIANT
-            elif args.coloring_out:
-                _write_file(Path(args.coloring_out), format_coloring(outcome.coloring))
-        _emit(report, args, f"{Path(path).stem}.color.txt", multi=len(args.instance) > 1)
-    return status
+    )
+    if rep.ok and args.coloring_out:
+        _write_file(Path(args.coloring_out), format_coloring(outcome.coloring))
+    return report, rep.ok
 
 
-def cmd_exact(args) -> int:
-    status = EXIT_OK
-    for path in args.instance:
-        g, _ = _load_instance(path)
-        if not exact_size_ok(g):
-            raise SizeRefusal(f"{path}: n={g.n}, m={g.m} beyond exact-solver limits")
-        bound = _palette(args, g)
-        result = exact_acyclic_index(g, bound)
-        report = {"instance": Path(path).stem, "n": g.n, "m": g.m, "bound": bound}
-        if result is None:
-            report["status"] = "unsat-below-bound"
-            status = EXIT_INVARIANT
-        else:
-            ok = verify(result.coloring).ok
-            report.update(
-                {
-                    "status": "ok" if ok else "verify-failed",
-                    "acyclic_index": result.min_colors,
-                    "verify": "pass" if ok else "fail",
-                }
-            )
-            if not ok:
-                status = EXIT_INVARIANT
-        _emit(report, args, f"{Path(path).stem}.exact.txt", multi=len(args.instance) > 1)
-    return status
+def _exact(args, path: str) -> tuple[dict, bool]:
+    g, _ = _load_instance(path)
+    if not exact_size_ok(g):
+        raise SizeRefusal(f"{path}: n={g.n}, m={g.m} beyond exact-solver limits")
+    bound = _palette(args, g)
+    result = exact_acyclic_index(g, bound)
+    report = {"n": g.n, "m": g.m, "bound": bound}
+    if result is None:
+        report["status"] = "unsat-below-bound"
+        return report, False
+    ok = verify(result.coloring).ok
+    report.update(
+        {
+            "status": "ok" if ok else "verify-failed",
+            "acyclic_index": result.min_colors,
+            "verify": "pass" if ok else "fail",
+        }
+    )
+    return report, ok
 
 
-def cmd_verify(args) -> int:
-    g, _ = _load_instance(args.instance[0])
+def _verify(args, path: str) -> tuple[dict, bool]:
+    g, _ = _load_instance(path)
     coloring = parse_coloring(Path(args.coloring).read_text(), g)
     rep = verify(coloring)
     report = {
-        "instance": Path(args.instance[0]).stem,
         "proper": rep.proper,
         "acyclic": rep.acyclic,
         "colored_edges": coloring.colored_count,
@@ -170,64 +174,43 @@ def cmd_verify(args) -> int:
         report["conflict"] = str(rep.conflict)
     if rep.cycle:
         report["cycle"] = str(list(rep.cycle))
-    _emit(report, args, f"{Path(args.instance[0]).stem}.verify.txt")
-    return EXIT_OK if rep.ok else EXIT_INVARIANT
+    return report, rep.ok
 
 
-def cmd_discharge(args) -> int:
-    status = EXIT_OK
-    for path in args.instance:
-        g, d = _load_instance(path)
-        if d is None:
-            raise ParseError(f"{path}: discharge requires a drawing file "
-                             "(crossing and rotation lines), got a bare graph")
-        p = planarize(d)
-        kappa = _palette(args, g)
-        rep = discharge(p, g, kappa)
-        blamed = all(ne.violated for ne in rep.negative_elements)
-        if not rep.conserved or not rep.negative_elements or not blamed:
-            status = EXIT_INVARIANT
-        if args.format == "json":
-            doc = rep.to_json()
-            doc["instance"] = Path(path).stem
-            payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        else:
-            payload = f"instance={Path(path).stem}\n" + rep.to_text()
-        _write_report(payload, args, f"{Path(path).stem}.discharge.txt",
-                      multi=len(args.instance) > 1)
-    return status
+def _discharge(args, path: str) -> tuple[dict | str, bool]:
+    d = _load_drawing(path, "discharge")
+    p = planarize(d)
+    kappa = _palette(args, d.base)
+    rep = discharge(p, d.base, kappa)
+    blamed = all(ne.violated for ne in rep.negative_elements)
+    ok = rep.conserved and bool(rep.negative_elements) and blamed
+    return rep.to_json() if args.format == "json" else rep.to_text(), ok
 
 
-def cmd_audit(args) -> int:
-    status = EXIT_OK
-    for path in args.instance:
-        g, d = _load_instance(path)
-        if d is None:
-            raise ParseError(f"{path}: audit requires a drawing file "
-                             "(crossing and rotation lines), got a bare graph")
-        kappa = _palette(args, g)
-        plane = planarize(d)
-        require_in_scope(g, kappa)
-        report = {"instance": Path(path).stem, "kappa": kappa}
-        # the witness is the first entry of the first failing condition in
-        # CONDITION_ORDER, as find_reducible_configuration picks it
-        found = None
-        for cond in CONDITION_ORDER:
-            witnesses = check_condition(g, plane, kappa, cond)
-            report[f"condition.{cond.value}"] = (
-                "pass" if not witnesses else f"fail({len(witnesses)})"
-            )
-            if found is None and witnesses:
-                found = witnesses[0]
-        if found is None:
-            report["reducible"] = "none"
-            status = EXIT_INVARIANT
-        else:
-            report["reducible"] = found.condition.value
-            report["witness_vertices"] = str(list(found.vertices))
-            report["witness_detail"] = found.detail
-        _emit(report, args, f"{Path(path).stem}.audit.txt", multi=len(args.instance) > 1)
-    return status
+def _audit(args, path: str) -> tuple[dict, bool]:
+    d = _load_drawing(path, "audit")
+    g = d.base
+    kappa = _palette(args, g)
+    plane = planarize(d)
+    require_in_scope(g, kappa)
+    report = {"kappa": kappa}
+    # the witness is the first entry of the first failing condition in
+    # CONDITION_ORDER, as find_reducible_configuration picks it
+    found = None
+    for cond in CONDITION_ORDER:
+        witnesses = check_condition(g, plane, kappa, cond)
+        report[f"condition.{cond.value}"] = (
+            "pass" if not witnesses else f"fail({len(witnesses)})"
+        )
+        if found is None and witnesses:
+            found = witnesses[0]
+    if found is None:
+        report["reducible"] = "none"
+        return report, False
+    report["reducible"] = found.condition.value
+    report["witness_vertices"] = str(list(found.vertices))
+    report["witness_detail"] = found.detail
+    return report, True
 
 
 def cmd_gen(args) -> int:
@@ -259,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kappa=True, instances="+"):
+    def common(p, report, kappa=True, instances="+"):
+        p.set_defaults(func=_each_instance, report=report)
         p.add_argument("instance", nargs=instances, help="instance file(s)")
         if kappa:
             p.add_argument("--kappa", type=int, default=None,
@@ -268,31 +252,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write report(s) here")
 
     p = sub.add_parser("color", help="run the heuristic colorer")
-    common(p)
+    common(p, _color)
     p.add_argument("--seed", type=int, default=0, help="seeds the order of the later roots")
     p.add_argument("--restarts", type=int, default=RESTARTS,
                    help="rooted searches beyond the first, run only after the search "
                         f"on the peeling order spends its node budget (default {RESTARTS})")
     p.add_argument("--coloring-out", default=None,
                    help="save the coloring (one instance only)")
-    p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("exact", help="exact acyclic chromatic index (small graphs)")
-    common(p)
-    p.set_defaults(func=cmd_exact)
+    common(p, _exact)
 
     p = sub.add_parser("verify", help="check a serialized coloring of one instance")
-    common(p, kappa=False, instances=1)
+    common(p, _verify, kappa=False, instances=1)
     p.add_argument("--coloring", required=True, help="coloring file")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("discharge", help="run the discharging audit (palette >= max degree + 16)")
-    common(p)
-    p.set_defaults(func=cmd_discharge)
+    common(p, _discharge)
 
     p = sub.add_parser("audit", help="check all structural conditions")
-    common(p)
-    p.set_defaults(func=cmd_audit)
+    common(p, _audit)
 
     p = sub.add_parser("gen", help="generate corpus instances")
     p.add_argument("--seed", type=int, default=0)

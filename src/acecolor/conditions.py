@@ -47,6 +47,9 @@ from .graph import Graph
 from .solver import has_acyclic_coloring
 
 
+# declared in evaluation order for find_reducible_configuration: global
+# connectivity first, then the numbered degree conditions, then face
+# conditions, then the finer counting conditions
 class Condition(Enum):
     MIN_DEGREE_2CONNECTED = "min-degree-2connected"
     DEG2_BIG_NEIGHBORS = "deg2-big-neighbors"
@@ -59,8 +62,8 @@ class Condition(Enum):
     DEG2_FACE_SIZES = "deg2-face-sizes"
     TRIANGLE_FACE_BUDGET = "triangle-face-budget"
     DEG2_SUPPORT_COUNTS = "deg2-support-counts"
-    DEG4_DEGREE_SUM = "deg4-degree-sum"
     DEG3_TIGHT_STRUCTURE = "deg3-tight-structure"
+    DEG4_DEGREE_SUM = "deg4-degree-sum"
 
     # members are singletons and compare by identity, so they hash by it
     # too, in C, instead of by name through Enum.__hash__
@@ -69,24 +72,7 @@ class Condition(Enum):
 
 FACE_CONDITIONS = frozenset({Condition.DEG2_FACE_SIZES, Condition.TRIANGLE_FACE_BUDGET})
 
-# evaluation order for find_reducible_configuration: global connectivity
-# first, then the numbered degree conditions, then face conditions, then
-# the finer counting conditions
-CONDITION_ORDER: tuple[Condition, ...] = (
-    Condition.MIN_DEGREE_2CONNECTED,
-    Condition.DEG2_BIG_NEIGHBORS,
-    Condition.DEG3_BIG_NEIGHBORS,
-    Condition.TIGHT_VERTEX_SMALL_NEIGHBOR,
-    Condition.TWO_DEG4_NEIGHBORS,
-    Condition.DEG4_NEIGHBOR_PROFILE,
-    Condition.DEG5_NEIGHBOR_PROFILE,
-    Condition.HEAVY_DEG2_SUPPORT,
-    Condition.DEG2_FACE_SIZES,
-    Condition.TRIANGLE_FACE_BUDGET,
-    Condition.DEG2_SUPPORT_COUNTS,
-    Condition.DEG3_TIGHT_STRUCTURE,
-    Condition.DEG4_DEGREE_SUM,
-)
+CONDITION_ORDER: tuple[Condition, ...] = tuple(Condition)
 
 
 class ConditionWitness(NamedTuple):
@@ -271,13 +257,15 @@ def _word_deg3_tight(v, w, nbrs):
 
 # -- individual checks ----------------------------------------------------------
 #
-# A check scoped to S returns the concatenation of its results scoped to
-# each vertex of S alone, in increasing order: the audit's batched blame
-# rests on this. Only the full-scope min-degree-2connected check orders
-# its witnesses otherwise, with the disconnected-graph witness among them.
+# Every check takes (g, plane, kappa, vertices): the face checks read the
+# plane graph, the others the palette. A check scoped to S returns the
+# concatenation of its results scoped to each vertex of S alone, in
+# increasing order: the audit's batched blame rests on this. Only the
+# full-scope min-degree-2connected check orders its witnesses otherwise,
+# with the disconnected-graph witness among them.
 
 
-def _check_min_degree_2connected(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_min_degree_2connected(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
     cond = Condition.MIN_DEGREE_2CONNECTED
     deg = g.degrees
 
@@ -304,21 +292,21 @@ def _check_min_degree_2connected(g: Graph, kappa: int, vertices) -> list[Conditi
     return out
 
 
-def _check_deg2_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_deg2_big_neighbors(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
     return _too_few(
         g, Condition.DEG2_BIG_NEIGHBORS, _of_degree(g, vertices, 2),
         thresholds(g, kappa).deg2_big, 2, _word_deg2_big,
     )
 
 
-def _check_deg3_big_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_deg3_big_neighbors(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
     return _too_few(
         g, Condition.DEG3_BIG_NEIGHBORS, _of_degree(g, vertices, 3),
         thresholds(g, kappa).tight, 3, _word_deg3_big,
     )
 
 
-def _check_tight_vertex_small_neighbor(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_tight_vertex_small_neighbor(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
     tight = thresholds(g, kappa).tight
     deg, adj = g.degrees, g.adj
     out = []
@@ -333,11 +321,11 @@ def _check_tight_vertex_small_neighbor(g: Graph, kappa: int, vertices) -> list[C
     return out
 
 
-def _check_two_deg4_neighbors(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_two_deg4_neighbors(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
     return _too_few(g, Condition.TWO_DEG4_NEIGHBORS, _scope(g, vertices), 4, 2, _word_two_deg4)
 
 
-def _check_deg4_neighbor_profile(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_deg4_neighbor_profile(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
     """A 4-vertex has four heavy neighbors, or one light one and three
     huge ones: exactly the 4-vertices the deg4-* rules send charge to."""
     huge = thresholds(g, kappa).huge
@@ -355,14 +343,14 @@ def _check_deg4_neighbor_profile(g: Graph, kappa: int, vertices) -> list[Conditi
     return out
 
 
-def _check_deg5_neighbor_profile(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_deg5_neighbor_profile(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
     return _too_few(
         g, Condition.DEG5_NEIGHBOR_PROFILE, _of_degree(g, vertices, 5), DEG5_BIG, 3,
         _word_deg5_profile,
     )
 
 
-def _check_heavy_deg2_support(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_heavy_deg2_support(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
     t = thresholds(g, kappa)
     deg, adj = g.degrees, g.adj
     supports = [v for v in _heavy(g, vertices) if 2 in [deg[u] for u in adj[v]]]
@@ -371,7 +359,7 @@ def _check_heavy_deg2_support(g: Graph, kappa: int, vertices) -> list[ConditionW
     )
 
 
-def _check_deg2_face_sizes(g: Graph, plane: PlaneGraph, vertices) -> list[ConditionWitness]:
+def _check_deg2_face_sizes(g: Graph, plane: PlaneGraph, kappa: int, vertices) -> list[ConditionWitness]:
     """Real 2-vertices on a 3-face, one witness per 3-face at each 2-vertex
     of the scope. In a drawing with as few crossings as possible every
     2-vertex lies only on faces of degree >= 4, so a witness signals a
@@ -386,7 +374,7 @@ def _check_deg2_face_sizes(g: Graph, plane: PlaneGraph, vertices) -> list[Condit
     return out
 
 
-def _check_triangle_face_budget(g: Graph, plane: PlaneGraph, vertices) -> list[ConditionWitness]:
+def _check_triangle_face_budget(g: Graph, plane: PlaneGraph, kappa: int, vertices) -> list[ConditionWitness]:
     """A vertex of degree d with l 2-neighbors lies on at most
     floor(2(d - l)/3) 3-faces. Only vertices on a 3-face are visited: a
     count of 0 is within every budget, which is never negative."""
@@ -408,7 +396,7 @@ def _check_triangle_face_budget(g: Graph, plane: PlaneGraph, vertices) -> list[C
     return out
 
 
-def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_deg2_support_counts(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
     """Counting conditions at each support (neighbor) b of a 2-vertex v0
     whose other neighbor is a, with the conditional refinement for
     supports with the minimum count. Only the supports in the scope are
@@ -459,7 +447,7 @@ def _check_deg2_support_counts(g: Graph, kappa: int, vertices) -> list[Condition
     return out
 
 
-def _check_deg4_degree_sum(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_deg4_degree_sum(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
     slack = thresholds(g, kappa).slack
     deg, adj = g.degrees, g.adj
     out = []
@@ -478,7 +466,7 @@ def _check_deg4_degree_sum(g: Graph, kappa: int, vertices) -> list[ConditionWitn
     return out
 
 
-def _check_deg3_tight_structure(g: Graph, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_deg3_tight_structure(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
     """Structure around a 3-vertex with a tight neighbor, via its degree
     consequences only."""
     t = thresholds(g, kappa)
@@ -509,7 +497,7 @@ def _check_deg3_tight_structure(g: Graph, kappa: int, vertices) -> list[Conditio
     return out
 
 
-_GRAPH_CHECKS = {
+_CHECKS = {
     Condition.MIN_DEGREE_2CONNECTED: _check_min_degree_2connected,
     Condition.DEG2_BIG_NEIGHBORS: _check_deg2_big_neighbors,
     Condition.DEG3_BIG_NEIGHBORS: _check_deg3_big_neighbors,
@@ -518,14 +506,11 @@ _GRAPH_CHECKS = {
     Condition.DEG4_NEIGHBOR_PROFILE: _check_deg4_neighbor_profile,
     Condition.DEG5_NEIGHBOR_PROFILE: _check_deg5_neighbor_profile,
     Condition.HEAVY_DEG2_SUPPORT: _check_heavy_deg2_support,
-    Condition.DEG2_SUPPORT_COUNTS: _check_deg2_support_counts,
-    Condition.DEG4_DEGREE_SUM: _check_deg4_degree_sum,
-    Condition.DEG3_TIGHT_STRUCTURE: _check_deg3_tight_structure,
-}
-
-_FACE_CHECKS = {
     Condition.DEG2_FACE_SIZES: _check_deg2_face_sizes,
     Condition.TRIANGLE_FACE_BUDGET: _check_triangle_face_budget,
+    Condition.DEG2_SUPPORT_COUNTS: _check_deg2_support_counts,
+    Condition.DEG3_TIGHT_STRUCTURE: _check_deg3_tight_structure,
+    Condition.DEG4_DEGREE_SUM: _check_deg4_degree_sum,
 }
 
 
@@ -553,11 +538,9 @@ def check_condition(
             if not (0 <= v < g.n):
                 raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
         vertices = sorted(set(vertices))
-    if condition in FACE_CONDITIONS:
-        if plane is None:
-            raise ValueError(f"{condition.value} requires the plane graph of a drawing")
-        return _FACE_CHECKS[condition](g, plane, vertices)
-    return _GRAPH_CHECKS[condition](g, kappa, vertices)
+    if plane is None and condition in FACE_CONDITIONS:
+        raise ValueError(f"{condition.value} requires the plane graph of a drawing")
+    return _CHECKS[condition](g, plane, kappa, vertices)
 
 
 def require_in_scope(g: Graph, kappa: int) -> None:

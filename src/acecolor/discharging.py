@@ -1,9 +1,10 @@
 """Discharging on the plane graph of a triangle-free 1-planar drawing.
 
 Every vertex and face of the planarized drawing starts with charge
-deg - 4; the total is exactly -8 on a connected drawing with an edge,
-the only drawings the discharging takes. Eight local rules then move
-charge toward the light elements (2-, 3-, 4-, 5-vertices and 3-faces).
+deg - 4; the total is exactly -8 on a connected drawing with an edge.
+The discharging takes those with two edges or more, as the one face of
+K2 has degree 2. Eight local rules then move charge toward the light
+elements (2-, 3-, 4-, 5-vertices and 3-faces).
 Rules read only the input structure, so they commute and conserve the
 total.
 
@@ -180,14 +181,12 @@ def _frac(q: Fraction) -> str:
 def initial_charges(p: PlaneGraph) -> ChargeLedger:
     """Charge deg - 4 on every planarized vertex and every face.
 
-    The drawing must be connected and have an edge: without one, no face
-    walk exists, so no face element would carry the -4 of its one face
-    and the total would not be -8."""
-    if not p.graph.is_connected():
-        raise EmbeddingError("discharging requires a connected drawing")
-    if not p.graph.m:
-        raise EmbeddingError("discharging requires a drawing with an edge: an edgeless "
-                             "drawing has no face walk to carry its face's charge")
+    The drawing must be connected and have at least two edges. Without an
+    edge no face walk exists to carry the -4 of its one face, and the
+    one face of K2 has degree 2, which no rule feeds and no hypothesis
+    covers, so its charge -2 would stay unblamed."""
+    if p.graph.m < 2 or not p.graph.is_connected():
+        raise EmbeddingError("discharging requires a connected drawing with at least two edges")
     charges: dict[Element, int] = {}
     for v, d in enumerate(p.graph.degrees):
         charges[("v", v)] = (d - 4) * SCALE

@@ -112,11 +112,11 @@ class DrawingBuilder:
             if (u, v) == (a, b):
                 return self._after(b, a), self._after(a, b)
 
-    def can_insert_crossing(self, a: int, b: int, protect_deg2: bool = True) -> bool:
+    def can_insert_crossing(self, a: int, b: int) -> bool:
         e = canonical_edge(a, b)
         if e not in self.edges or e in self.crossed:
             return False
-        if protect_deg2 and (len(self.rotation[a]) < 3 or len(self.rotation[b]) < 3):
+        if len(self.rotation[a]) < 3 or len(self.rotation[b]) < 3:
             # the new 3-faces contain a and b; keep 2-vertices off 3-faces
             return False
         corners = self.insertion_corners(a, b)
@@ -132,9 +132,9 @@ class DrawingBuilder:
         # a common neighbor of p and r would close a triangle with the chord
         return self._base_neighbors(p).isdisjoint(self._base_neighbors(r))
 
-    def insert_crossing(self, a: int, b: int, protect_deg2: bool = True) -> int:
+    def insert_crossing(self, a: int, b: int) -> int:
         """Insert a chord crossing edge (a, b); returns the crossing vertex id."""
-        if not self.can_insert_crossing(a, b, protect_deg2):
+        if not self.can_insert_crossing(a, b):
             raise EmbeddingError(f"cannot insert a crossing over edge ({a}, {b})")
         p, r = self._after(b, a), self._after(a, b)
         x = self.n + len(self.pairs)

@@ -11,7 +11,9 @@ ValueError with the same message. ``read_drawing`` alone differs (below).
 colors, None when no acyclic coloring within k colors exists, or False
 when the search visited more than ``max_nodes`` nodes (passes of its
 backtracking loop) before it could tell; a negative budget sets no limit.
-Both backends count nodes the same way.
+Both backends count nodes the same way. A k above m, the number of edges,
+acts as m on both, as each edge opens at most one new color, so a huge k
+allocates nothing in proportion to it.
 
 ``peeling_order(n, eu, ev)`` returns the edge indices in the order the
 solvers color them: the reverse of min-degree peeling, which repeatedly

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from acecolor.embedding import parse_drawing
 from acecolor.generate import DrawingBuilder, grid_builder
 
 
@@ -70,3 +71,15 @@ def pendant_cycle_fixture():
     edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]
     rotation = {0: [1, 4, 3], 1: [2, 0], 2: [3, 1], 3: [0, 2], 4: [0]}
     return DrawingBuilder(5, edges, rotation).to_drawing()
+
+
+def two_vertex_on_three_face():
+    """A 3x3 grid whose edge 0-1 is subdivided by the 2-vertex 9, with the
+    chord 0-2 crossing 9-1 at X0: 9 lies on the 3-face 0-X0-9. The
+    builder keeps 2-vertices off 3-faces, so the drawing is read from its
+    text."""
+    return parse_drawing(
+        "10 14\n0 2\n0 3\n0 9\n1 2\n1 4\n1 9\n2 5\n3 4\n3 6\n4 5\n4 7\n5 8\n6 7\n7 8\n"
+        "x 0 2 1 9\nrot 0: 9 X0 3\nrot 1: 2 4 X0\nrot 2: 5 1 X0\nrot 3: 0 4 6\nrot 4: 1 5 7 3\n"
+        "rot 5: 2 8 4\nrot 6: 3 7\nrot 7: 4 8 6\nrot 8: 5 7\nrot 9: 0 X0\nrot X0: 2 1 0 9\n"
+    )

@@ -283,7 +283,7 @@ def test_discharge_refuses_a_drawing_without_edges(tmp_path, capsys):
     path.write_text("1 0\nrot 0:\n")
     assert main(["discharge", str(path)]) == 2
     captured = capsys.readouterr()
-    assert "requires a drawing with an edge" in captured.err and captured.out == ""
+    assert "with at least two edges" in captured.err and captured.out == ""
     assert main(["audit", str(path)]) == 0
     assert "witness_detail=vertex 0 has degree 0 < 2" in capsys.readouterr().out
 
@@ -442,6 +442,7 @@ def test_the_cli_answers_the_same_on_both_kernels(tmp_path, c_kernel):
         cwd = tmp_path / ("python" if pure else "c")
         cwd.mkdir()
         (cwd / "bad.txt").write_text("3 1\n0 5\n")
+        (cwd / "c4.txt").write_text(format_graph(cycle(4)))
         # degenerate rotations: one vertex without a dart, one edge whose two
         # darts make one face
         (cwd / "one.txt").write_text("1 0\nrot 0:\n")
@@ -457,11 +458,13 @@ def test_the_cli_answers_the_same_on_both_kernels(tmp_path, c_kernel):
         runs += [_python_run(cwd, pure, *CLI, cmd, *files) for cmd in ("color", "audit", "discharge")]
         runs += [_python_run(cwd, pure, *CLI, "exact", *small), _python_run(cwd, pure, *CLI, "color", "bad.txt")]
         runs += [_python_run(cwd, pure, *CLI, cmd, f) for cmd in ("audit", "discharge") for f in ("one.txt", "edge.txt")]
+        # a palette far above m acts as m on both kernels
+        runs.append(_python_run(cwd, pure, *CLI, "color", "--kappa", str(2**62), "c4.txt"))
         sides[pure] = runs, [(cwd / f).read_bytes() for f in files]
     (c_runs, c_files), (py_runs, py_files) = sides[False], sides[True]
     assert [r[1] for r in (c_runs[0], py_runs[0])] == ["c\n", "python\n"]
     assert c_runs[1:] == py_runs[1:] and c_files == py_files
-    assert [r[0] for r in c_runs] == [0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 1]
+    assert [r[0] for r in c_runs] == [0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 2, 0]
 
 
 def test_report_written_to_out_dir(c5_file, tmp_path):
@@ -508,7 +511,7 @@ def test_options_a_subcommand_would_ignore_are_refused(argv, capsys):
 
 
 # sha256 of the stdout of audit and discharge, in each format, over the
-# drawings of `gen --count 12 --seed 3`: the reports of cmd_audit (its
+# drawings of `gen --count 12 --seed 3`: the reports of the audit command (its
 # witness_detail included) and the CLI's JSON path, which the library
 # goldens do not cover
 REPORT_GOLDEN = {

@@ -19,7 +19,7 @@ from acecolor.errors import SizeRefusal
 from acecolor.generate import FAMILIES, CorpusSpec, generate_corpus, generate_instance, grid_builder
 from acecolor.graph import Graph
 
-from fixtures import pendant_cycle_fixture
+from fixtures import pendant_cycle_fixture, two_vertex_on_three_face
 from graphlib import complete, cube, cycle, grid, path, star, triangle_free_tiny
 
 
@@ -277,17 +277,19 @@ def test_scope_outside_vertex_range_is_refused(cond):
 
 @st.composite
 def face_drawings(draw):
-    """Generated corpus drawings, or grids with subdivided edges and
-    crossings that may put 2-vertices on 3-faces."""
+    """Generated corpus drawings, grids with subdivided edges and
+    crossings, or the drawing with a 2-vertex on a 3-face."""
     if draw(st.booleans()):
         return generate_instance(draw(st.sampled_from(FAMILIES)), draw(st.integers(0, 500)))
+    if draw(st.booleans()):
+        return two_vertex_on_three_face()
     b = grid_builder(draw(st.integers(2, 5)), draw(st.integers(2, 5)))
     for _ in range(draw(st.integers(0, 5))):
         b.subdivide(*draw(st.sampled_from(sorted(b.edges))))
     for _ in range(draw(st.integers(0, 5))):
         a, c = draw(st.sampled_from(sorted(b.edges)))
-        if b.can_insert_crossing(a, c, protect_deg2=False):
-            b.insert_crossing(a, c, protect_deg2=False)
+        if b.can_insert_crossing(a, c):
+            b.insert_crossing(a, c)
     return b.to_drawing()
 
 
@@ -356,13 +358,11 @@ def test_scoped_check_is_the_concatenation_of_single_vertex_checks(d, data):
 def test_two_vertex_on_three_face_is_found_in_scope():
     # a subdivision vertex next to a crossing lies on a 3-face; its own
     # scope finds it, and a scope without it does not
-    b = grid_builder(3, 3)
-    w = b.subdivide(0, 1)
-    x = b.insert_crossing(w, 1, protect_deg2=False)
-    d = b.to_drawing()
+    d = two_vertex_on_three_face()
     p = planarize(d)
     g = d.base
-    assert x >= g.n and p.triangles_at[w]
+    w = 9
+    assert p.triangles_at[w]
     found = check_condition(g, p, kappa_for(g), Condition.DEG2_FACE_SIZES, vertices=(w,))
     assert found and all(f.vertices == (w,) for f in found)
     others = tuple(v for v in range(g.n) if v != w)

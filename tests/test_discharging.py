@@ -24,7 +24,7 @@ from acecolor.embedding import planarize
 from acecolor.errors import EmbeddingError
 from acecolor.generate import CorpusSpec, cycle_builder, generate_corpus, generate_instance, grid_builder
 
-from fixtures import five_vertex_fixture, heavy_four_vertex_fixture, pendant_cycle_fixture
+from fixtures import five_vertex_fixture, heavy_four_vertex_fixture, pendant_cycle_fixture, two_vertex_on_three_face
 
 
 def test_initial_charges_basics():
@@ -400,22 +400,13 @@ def test_blame_is_sound_from_the_floor_up(d, slack):
         assert element_hypothesis_failures(p, g, kappa, ne.element) == list(ne.violated)
 
 
-def _two_vertex_on_three_face():
-    """A 3x3 grid with a 2-vertex next to a crossing: the 2-vertex sends
-    triface-from-real to its 3-face, and fails deg2-face-sizes."""
-    b = grid_builder(3, 3)
-    w = b.subdivide(0, 1)
-    b.insert_crossing(w, 1, protect_deg2=False)
-    return b.to_drawing()
-
-
 def test_one_element_blame_equals_the_blame_from_the_full_ledger():
     # element_hypothesis_failures computes only the firings its element can
     # send; on every element of the acceptance corpus, and of a drawing
     # whose 3-face blame fires, its blame is the one the full ledger gives,
     # and each scoped run is the part of the full run that its scope covers
     face_blamed = 0
-    for d in _corpus_drawings() + [_two_vertex_on_three_face()]:
+    for d in _corpus_drawings() + [two_vertex_on_three_face()]:
         p, g = planarize(d), d.base
         kappa = g.max_degree() + FLOOR_SLACK
         full = compute_transfers(p, g, kappa)

@@ -161,8 +161,17 @@ def test_charge_identity_rejects_a_drawing_without_edges():
     for d in (Drawing(Graph(1, []), [], {0: []}), Drawing(Graph(0, []), [], {})):
         p = planarize(d)
         assert p.faces == ()
-        with pytest.raises(EmbeddingError, match="requires a drawing with an edge"):
+        with pytest.raises(EmbeddingError, match="with at least two edges"):
             initial_charges(p)
+
+
+def test_charge_identity_rejects_a_single_edge():
+    # K2 totals -8, but its one face has degree 2 and charge -2, which no
+    # rule feeds and no hypothesis covers
+    p = planarize(Drawing(Graph(2, [(0, 1)]), [], {0: [1], 1: [0]}))
+    assert p.faces == ((0, 1),)
+    with pytest.raises(EmbeddingError, match="with at least two edges"):
+        initial_charges(p)
 
 
 def test_degree_two_face_violations():

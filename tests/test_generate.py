@@ -133,13 +133,13 @@ class ReferenceInsertion:
         walk1, walk2 = self.faces[f1], self.faces[f2]
         return walk1[(j1 + 2) % len(walk1)], walk2[(j2 + 2) % len(walk2)]
 
-    def can_insert(self, a, c, protect_deg2):
+    def can_insert(self, a, c):
         b = self.b
         e = canonical_edge(a, c)
         if e not in b.edges or e in b.crossed:
             return False
         degree = {v: sum(1 for f in b.edges if v in f) for v in (a, c)}
-        if protect_deg2 and min(degree.values()) < 3:
+        if min(degree.values()) < 3:
             return False
         corners = self.corners(a, c)
         if corners is None:
@@ -164,7 +164,7 @@ def dumbbell_builder():
 @st.composite
 def builders_with_steps(draw):
     """A grid, cycle, cube or dumbbell, randomly subdivided, with a list of
-    crossing attempts (edge index, orientation, protect_deg2) to replay."""
+    crossing attempts (edge index, orientation) to replay."""
     kind = draw(st.sampled_from(["grid", "cycle", "cube", "dumbbell"]))
     if kind == "grid":
         b = grid_builder(draw(st.integers(2, 5)), draw(st.integers(2, 5)))
@@ -177,7 +177,7 @@ def builders_with_steps(draw):
     for _ in range(draw(st.integers(0, 4))):
         b.subdivide(*draw(st.sampled_from(sorted(b.edges))))
     steps = draw(
-        st.lists(st.tuples(st.integers(0, 10**6), st.booleans(), st.booleans()), max_size=6)
+        st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), max_size=6)
     )
     return b, steps
 
@@ -190,8 +190,7 @@ def _assert_matches_reference(b):
     for a in range(-1, count + 1):
         for c in range(-1, count + 1):
             assert b.insertion_corners(a, c) == ref.corners(a, c), (a, c)
-            for protect in (True, False):
-                assert b.can_insert_crossing(a, c, protect_deg2=protect) == ref.can_insert(a, c, protect)
+            assert b.can_insert_crossing(a, c) == ref.can_insert(a, c)
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,17 +198,17 @@ def _assert_matches_reference(b):
 def test_insertion_questions_match_face_tracing_reference(case):
     b, steps = case
     _assert_matches_reference(b)
-    for index, flip, protect in steps:
+    for index, flip in steps:
         edges = sorted(b.edges)
         a, c = edges[index % len(edges)]
         if flip:
             a, c = c, a
-        if ReferenceInsertion(b).can_insert(a, c, protect):
-            assert b.insert_crossing(a, c, protect_deg2=protect) == b.n + len(b.pairs) - 1
+        if ReferenceInsertion(b).can_insert(a, c):
+            assert b.insert_crossing(a, c) == b.n + len(b.pairs) - 1
             planarize(b.to_drawing())  # validation
         else:
             with pytest.raises(EmbeddingError):
-                b.insert_crossing(a, c, protect_deg2=protect)
+                b.insert_crossing(a, c)
         _assert_matches_reference(b)
 
 

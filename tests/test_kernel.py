@@ -51,6 +51,21 @@ def test_nonpositive_palette_refutes(backend, k):
     assert backend.find_coloring(2, k, [], [], []) == []
 
 
+@pytest.mark.parametrize("graph", [cycle(4), petersen()], ids=["C4", "petersen"])
+@pytest.mark.parametrize("palette", [lambda m: m, lambda m: m + 1, lambda m: 2**62], ids=["m", "m+1", "2**62"])
+def test_a_palette_above_m_acts_as_m(c_kernel, graph, palette):
+    # colors above m are never reached, so both backends clip k to m: the
+    # same coloring at every node budget, and no table of n * k slots
+    n, eu, ev, order = _inputs(graph)
+    m = len(eu)
+    for budget in range(5 * m + 1):
+        want = _kernel_py.find_coloring(n, m, eu, ev, order, budget)
+        for backend in (_kernel_py, c_kernel):
+            got = backend.find_coloring(n, palette(m), eu, ev, order, budget)
+            assert got == want and type(got) is type(want), (backend.BACKEND, budget)
+    assert _kernel_py.find_coloring(n, palette(m), eu, ev, order) not in (None, False)
+
+
 def test_c_kernel_reports_backend(c_kernel):
     assert c_kernel.BACKEND == "c"
 

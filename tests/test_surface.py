@@ -1,11 +1,12 @@
-"""Every public name of the library has a reader.
+"""Every public name of the library has a reader, and every option a caller.
 
 A public module-level function or class, or a public method, of
 ``src/acecolor`` must be named (as an identifier, an attribute or an
 imported name) outside its own definition, in the library itself (the
 package ``__init__`` re-exports count), the benchmark (``pipebench/``,
 ``benchmarks/``) or the acceptance tests. A name only other tests read
-is surface nothing runs.
+is surface nothing runs. The same readers must pass each parameter with
+a default of such a function or method.
 """
 
 import ast
@@ -85,3 +86,78 @@ def test_every_public_name_has_a_reader():
 def test_each_exception_is_still_unread():
     # an exception whose name gained a reader, or went, is dropped from the list
     assert set(EXCEPTIONS) <= set(unread_public_names())
+
+
+# -- options ----------------------------------------------------------------------
+#
+# A keyword default of a public function or method is an option some
+# caller sets: library, benchmark or acceptance code must pass it, by
+# keyword or by position. An option only tests set is a knob nothing runs.
+
+# options kept without a caller, each with its reason
+OPTION_EXCEPTIONS = {
+    ("cli.py", "main", "argv"):
+        "the argument list a caller may give in place of sys.argv; the console script gives none",
+}
+
+
+def _options(path):
+    """(qualified name, parameter, position) of each parameter with a
+    default of each public module-level function and public method in
+    the file. The position counts what a call passes by position, so a
+    method's self takes none; a keyword-only parameter has None."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            defs = [(node.name, node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            defs = [(f"{node.name}.{f.name}", f, 1) for f in node.body if isinstance(f, ast.FunctionDef)]
+        else:
+            continue
+        for qualified, fn, skip in defs:
+            if qualified.rsplit(".", 1)[-1].startswith("_"):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            out.extend((qualified, arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first)
+            out.extend((qualified, arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+    return out
+
+
+def _calls(path, out):
+    """Add to out, under each name the file calls as a function or an
+    attribute, the (positional count, keywords) of each call. Only the
+    arguments before a *args count, and a **kwargs passes no keyword: a
+    caller that passes an option that way is listed in the exceptions."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            count = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)), len(node.args))
+            out.setdefault(name, []).append((count, {k.arg for k in node.keywords}))
+
+
+def unpassed_options():
+    calls = {}
+    for path in _readers():
+        _calls(path, calls)
+    unpassed = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for qualified, param, position in _options(path):
+            if not any(
+                param in keywords or (position is not None and position < count)
+                for count, keywords in calls.get(qualified.rsplit(".", 1)[-1], ())
+            ):
+                unpassed.append((path.name, qualified, param))
+    return unpassed
+
+
+def test_every_option_has_a_caller():
+    unpassed = [key for key in unpassed_options() if key not in OPTION_EXCEPTIONS]
+    assert unpassed == [], f"options no library, benchmark or acceptance code passes: {unpassed}"
+
+
+def test_each_option_exception_is_still_unpassed():
+    # an exception whose option gained a caller, or went, is dropped from the list
+    assert set(OPTION_EXCEPTIONS) <= set(unpassed_options())
