@@ -113,9 +113,8 @@ def find_coloring(
     has visited more than max_nodes nodes and returns False: no answer
     either way. A negative max_nodes (the default) sets no limit. An
     empty graph or k <= 0 is answered before the first node, and a k
-    above m acts as m. Raises
-    ValueError unless every endpoint lies in [0, n) and order is a
-    permutation of range(m).
+    above m acts as m. Raises ValueError unless every endpoint lies in
+    [0, n) and order is a permutation of range(m).
     """
     max_nodes = operator.index(max_nodes)
     m = len(eu)

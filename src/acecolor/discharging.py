@@ -4,9 +4,8 @@ Every vertex and face of the planarized drawing starts with charge
 deg - 4; the total is exactly -8 on a connected drawing with an edge.
 The discharging takes those with two edges or more, as the one face of
 K2 has degree 2. Eight local rules then move charge toward the light
-elements (2-, 3-, 4-, 5-vertices and 3-faces).
-Rules read only the input structure, so they commute and conserve the
-total.
+elements (2-, 3-, 4-, 5-vertices and 3-faces). Rules read only the input
+structure, so they commute and conserve the total.
 
 Every amount is a multiple of 1/12, so the ledger counts charge in
 integer twelfths (``SCALE``); the report converts to ``Fraction`` once.

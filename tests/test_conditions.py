@@ -361,7 +361,7 @@ def test_two_vertex_on_three_face_is_found_in_scope():
     d = two_vertex_on_three_face()
     p = planarize(d)
     g = d.base
-    w = 9
+    w = g.n - 1  # the subdivision vertex
     assert p.triangles_at[w]
     found = check_condition(g, p, kappa_for(g), Condition.DEG2_FACE_SIZES, vertices=(w,))
     assert found and all(f.vertices == (w,) for f in found)
