@@ -23,7 +23,7 @@ from .conditions import (
     require_in_scope,
 )
 from .coloring import format_coloring, parse_coloring, verify
-from .discharging import discharge
+from .discharging import DischargeReport, discharge
 from .embedding import Drawing, format_drawing, parse_drawing, planarize
 from .errors import EmbeddingError, ParseError, SizeRefusal
 from .generate import FAMILIES, CorpusSpec, generate_corpus
@@ -72,22 +72,25 @@ def _palette(args, g: Graph) -> int:
     return g.delta + DEFAULT_SLACK
 
 
+def _key_values(report: dict) -> str:
+    return "".join(f"{k}={v}\n" for k, v in report.items())
+
+
 def _each_instance(args) -> int:
     """Run the command's report function on each instance in turn, and
     write each report before the next instance is read: to stdout, to the
     --out file, or to {stem}.{command}.txt in the --out directory, which a
-    batch run always takes. A report function returns the report, a dict
-    or the finished text of a discharge report, and whether the instance
-    passed. The exit status is 1 when one did not pass."""
+    batch run always takes. A report function returns the report and
+    whether the instance passed; the command's to_text or to_json renders
+    the report. The exit status is 1 when one did not pass."""
     status = EXIT_OK
     for path in args.instance:
         stem = Path(path).stem
         report, ok = args.report(args, path)
         if args.format == "json":
-            payload = json.dumps({"instance": stem, **report}, indent=2, sort_keys=True) + "\n"
+            payload = json.dumps({"instance": stem, **args.to_json(report)}, indent=2, sort_keys=True) + "\n"
         else:
-            text = report if isinstance(report, str) else "".join(f"{k}={v}\n" for k, v in report.items())
-            payload = f"instance={stem}\n{text}"
+            payload = f"instance={stem}\n{args.to_text(report)}"
         if not ok:
             status = EXIT_INVARIANT
         if not args.out:
@@ -177,14 +180,14 @@ def _verify(args, path: str) -> tuple[dict, bool]:
     return report, rep.ok
 
 
-def _discharge(args, path: str) -> tuple[dict | str, bool]:
+def _discharge(args, path: str) -> tuple[DischargeReport, bool]:
     d = _load_drawing(path, "discharge")
     p = planarize(d)
     kappa = _palette(args, d.base)
     rep = discharge(p, d.base, kappa)
     blamed = all(ne.violated for ne in rep.negative_elements)
     ok = rep.conserved and bool(rep.negative_elements) and blamed
-    return rep.to_json() if args.format == "json" else rep.to_text(), ok
+    return rep, ok
 
 
 def _audit(args, path: str) -> tuple[dict, bool]:
@@ -242,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, report, kappa=True, instances="+"):
-        p.set_defaults(func=_each_instance, report=report)
+    def common(p, report, kappa=True, instances="+", to_text=_key_values, to_json=dict):
+        p.set_defaults(func=_each_instance, report=report, to_text=to_text, to_json=to_json)
         p.add_argument("instance", nargs=instances, help="instance file(s)")
         if kappa:
             p.add_argument("--kappa", type=int, default=None,
@@ -268,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coloring", required=True, help="coloring file")
 
     p = sub.add_parser("discharge", help="run the discharging audit (palette >= max degree + 16)")
-    common(p, _discharge)
+    common(p, _discharge, to_text=DischargeReport.to_text, to_json=DischargeReport.to_json)
 
     p = sub.add_parser("audit", help="check all structural conditions")
     common(p, _audit)

@@ -1,9 +1,11 @@
-"""Hand-built drawing fixtures shared by the discharging and acceptance tests."""
+"""Hand-built drawing fixtures shared by the tests, and a builder for the
+drawings with 2-vertices on 3-faces that the library's builder refuses."""
 
 from __future__ import annotations
 
 from acecolor.embedding import parse_drawing
 from acecolor.generate import DrawingBuilder, grid_builder
+from acecolor.graph import canonical_edge
 
 
 def subdivided_grid_two_vertex():
@@ -77,9 +79,35 @@ def two_vertex_on_three_face():
     """A 3x3 grid whose edge 0-1 is subdivided by the 2-vertex 9, with the
     chord 0-2 crossing 9-1 at X0: 9 lies on the 3-face 0-X0-9. The
     builder keeps 2-vertices off 3-faces, so the drawing is read from its
-    text."""
+    text; TwoVertexCrossingBuilder draws it too."""
     return parse_drawing(
         "10 14\n0 2\n0 3\n0 9\n1 2\n1 4\n1 9\n2 5\n3 4\n3 6\n4 5\n4 7\n5 8\n6 7\n7 8\n"
         "x 0 2 1 9\nrot 0: 9 X0 3\nrot 1: 2 4 X0\nrot 2: 5 1 X0\nrot 3: 0 4 6\nrot 4: 1 5 7 3\n"
         "rot 5: 2 8 4\nrot 6: 3 7\nrot 7: 4 8 6\nrot 8: 5 7\nrot 9: 0 X0\nrot X0: 2 1 0 9\n"
     )
+
+
+class TwoVertexCrossingBuilder(DrawingBuilder):
+    """A builder that also crosses an edge at a 2-vertex, which puts the
+    2-vertex on a 3-face. The library's builder keeps 2-vertices off
+    3-faces; a drawing read from a file need not, and the face conditions
+    must find them there."""
+
+    def can_insert_crossing(self, a, b):
+        # DrawingBuilder.can_insert_crossing without its degree check
+        e = canonical_edge(a, b)
+        if e not in self.edges or e in self.crossed:
+            return False
+        corners = self.insertion_corners(a, b)
+        if corners is None:
+            return False
+        p, r = corners
+        if p >= self.n or r >= self.n or p == r or p in (a, b) or r in (a, b):
+            return False
+        return canonical_edge(p, r) not in self.edges and self._base_neighbors(p).isdisjoint(self._base_neighbors(r))
+
+
+def crossing_two_vertices(b):
+    """The drawing under construction in builder b, in a
+    TwoVertexCrossingBuilder."""
+    return TwoVertexCrossingBuilder(b.n, sorted(b.edges), b.rotation)

@@ -18,6 +18,8 @@ from acecolor.generate import (
 )
 from acecolor.graph import canonical_edge
 
+from fixtures import TwoVertexCrossingBuilder, crossing_two_vertices
+
 
 def test_grid_builder_is_quadrangulation():
     p = planarize(grid_builder(3, 4).to_drawing())
@@ -134,12 +136,14 @@ class ReferenceInsertion:
         return walk1[(j1 + 2) % len(walk1)], walk2[(j2 + 2) % len(walk2)]
 
     def can_insert(self, a, c):
+        degree = [sum(1 for f in self.b.edges if v in f) for v in (a, c)]
+        return min(degree) >= 3 and self.can_chord(a, c)
+
+    def can_chord(self, a, c):
+        """can_insert without its degree check."""
         b = self.b
         e = canonical_edge(a, c)
         if e not in b.edges or e in b.crossed:
-            return False
-        degree = {v: sum(1 for f in b.edges if v in f) for v in (a, c)}
-        if min(degree.values()) < 3:
             return False
         corners = self.corners(a, c)
         if corners is None:
@@ -163,8 +167,9 @@ def dumbbell_builder():
 
 @st.composite
 def builders_with_steps(draw):
-    """A grid, cycle, cube or dumbbell, randomly subdivided, with a list of
-    crossing attempts (edge index, orientation) to replay."""
+    """A grid, cycle, cube or dumbbell, randomly subdivided, in the
+    library's builder or in one that also crosses edges at 2-vertices,
+    with a list of crossing attempts (edge index, orientation) to replay."""
     kind = draw(st.sampled_from(["grid", "cycle", "cube", "dumbbell"]))
     if kind == "grid":
         b = grid_builder(draw(st.integers(2, 5)), draw(st.integers(2, 5)))
@@ -179,7 +184,7 @@ def builders_with_steps(draw):
     steps = draw(
         st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), max_size=6)
     )
-    return b, steps
+    return crossing_two_vertices(b) if draw(st.booleans()) else b, steps
 
 
 def _assert_matches_reference(b):
@@ -190,7 +195,8 @@ def _assert_matches_reference(b):
     for a in range(-1, count + 1):
         for c in range(-1, count + 1):
             assert b.insertion_corners(a, c) == ref.corners(a, c), (a, c)
-            assert b.can_insert_crossing(a, c) == ref.can_insert(a, c)
+            assert DrawingBuilder.can_insert_crossing(b, a, c) == ref.can_insert(a, c)
+            assert TwoVertexCrossingBuilder.can_insert_crossing(b, a, c) == ref.can_chord(a, c)
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,7 +209,8 @@ def test_insertion_questions_match_face_tracing_reference(case):
         a, c = edges[index % len(edges)]
         if flip:
             a, c = c, a
-        if ReferenceInsertion(b).can_insert(a, c):
+        ref = ReferenceInsertion(b)
+        if (ref.can_chord if isinstance(b, TwoVertexCrossingBuilder) else ref.can_insert)(a, c):
             assert b.insert_crossing(a, c) == b.n + len(b.pairs) - 1
             planarize(b.to_drawing())  # validation
         else:

@@ -6,7 +6,8 @@ imported name) outside its own definition, in the library itself (the
 package ``__init__`` re-exports count), the benchmark (``pipebench/``,
 ``benchmarks/``) or the acceptance tests. A name only other tests read
 is surface nothing runs. The same readers must pass each parameter with
-a default of such a function or method.
+a default of such a function, method or class constructor (its
+``__init__``, or a dataclass or NamedTuple field with a default).
 """
 
 import ast
@@ -22,20 +23,18 @@ EXCEPTIONS = {
 }
 
 
-def _public_definitions(path):
-    """(qualified name, first line, last line) of each public module-level
-    function and class and each public method in the file."""
-    out = []
+def _definitions(path):
+    """(qualified name, node) of each public module-level function and
+    class and each public method in the file."""
     for node in ast.parse(path.read_text()).body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         if not node.name.startswith("_"):
-            out.append((node.name, node.lineno, node.end_lineno))
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not sub.name.startswith("_"):
-                    out.append((f"{node.name}.{sub.name}", sub.lineno, sub.end_lineno))
-    return out
+                    yield f"{node.name}.{sub.name}", sub
 
 
 def _names_read(path):
@@ -67,10 +66,10 @@ def unread_public_names():
     reads = {path: _names_read(path) for path in _readers()}
     unread = []
     for path in sorted(LIBRARY.glob("*.py")):
-        for qualified, first, last in _public_definitions(path):
+        for qualified, node in _definitions(path):
             name = qualified.rsplit(".", 1)[-1]
             if not any(
-                not (reader == path and first <= line <= last)
+                not (reader == path and node.lineno <= line <= node.end_lineno)
                 for reader, names in reads.items()
                 for line in names.get(name, ())
             ):
@@ -90,38 +89,64 @@ def test_each_exception_is_still_unread():
 
 # -- options ----------------------------------------------------------------------
 #
-# A keyword default of a public function or method is an option some
-# caller sets: library, benchmark or acceptance code must pass it, by
-# keyword or by position. An option only tests set is a knob nothing runs.
+# A default of a public function, method or class constructor is an
+# option some caller sets: library, benchmark or acceptance code must pass
+# it, by keyword or by position. An option only tests set is a knob
+# nothing runs. A constructor's options are its __init__'s parameters, or
+# a dataclass's or NamedTuple's fields, which a call passes by the class
+# name; one set through dataclasses.replace goes in the exceptions.
 
 # options kept without a caller, each with its reason
 OPTION_EXCEPTIONS = {
     ("cli.py", "main", "argv"):
         "the argument list a caller may give in place of sys.argv; the console script gives none",
+    ("solver.py", "SolveOutcome", "moves"):
+        "always empty; the pipeline benchmark still reads it, and it goes with the repair moves",
 }
+
+
+def _defaults(fn, skip):
+    """(parameter, position) of each parameter of fn with a default. The
+    position counts what a call passes by position, so the first skip
+    parameters (a method's self or cls) take none; a keyword-only
+    parameter has None."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    out = [(arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first]
+    out.extend((arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+    return out
+
+
+def _constructor_defaults(cls):
+    """_defaults of a class's constructor, which a call names by the
+    class: its __init__, or else, for a dataclass or NamedTuple, the
+    fields with a default, placed among all its fields."""
+    for sub in cls.body:
+        if isinstance(sub, ast.FunctionDef) and sub.name == "__init__":
+            return _defaults(sub, 1)
+    kinds = [ast.unparse(d).split("(")[0] for d in cls.decorator_list] + [ast.unparse(b) for b in cls.bases]
+    if not {"dataclass", "NamedTuple"} & set(kinds):
+        return []
+    fields = [
+        f for f in cls.body
+        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name) and "ClassVar" not in ast.unparse(f.annotation)
+    ]
+    return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
 
 
 def _options(path):
     """(qualified name, parameter, position) of each parameter with a
-    default of each public module-level function and public method in
-    the file. The position counts what a call passes by position, so a
-    method's self takes none; a keyword-only parameter has None."""
+    default of each public function, method and class constructor in the
+    file."""
     out = []
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, ast.FunctionDef):
-            defs = [(node.name, node, 0)]
-        elif isinstance(node, ast.ClassDef):
-            defs = [(f"{node.name}.{f.name}", f, 1) for f in node.body if isinstance(f, ast.FunctionDef)]
+    for qualified, node in _definitions(path):
+        if isinstance(node, ast.ClassDef):
+            found = _constructor_defaults(node)
         else:
-            continue
-        for qualified, fn, skip in defs:
-            if qualified.rsplit(".", 1)[-1].startswith("_"):
-                continue
-            a = fn.args
-            positional = a.posonlyargs + a.args
-            first = len(positional) - len(a.defaults)
-            out.extend((qualified, arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first)
-            out.extend((qualified, arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+            bound = "." in qualified and "staticmethod" not in [ast.unparse(d) for d in node.decorator_list]
+            found = _defaults(node, int(bound))
+        out.extend((qualified, param, position) for param, position in found)
     return out
 
 
