@@ -3,7 +3,8 @@
 Subcommands: gen, color, exact, verify, discharge, audit. Exit codes:
 0 success, 1 invariant violation (failed coloring, broken conservation,
 missing reducible witness, failed verify), 2 input error (an input too
-large to hold in memory included), 3 size refusal.
+large to hold in memory included), 3 size refusal. A batch reports every
+instance it can and exits with the largest code met.
 """
 
 from __future__ import annotations
@@ -76,39 +77,58 @@ def _key_values(report: dict) -> str:
     return "".join(f"{k}={v}\n" for k, v in report.items())
 
 
+# ParseError and EmbeddingError are ValueErrors; so are bad parameters
+# like a palette below the max degree. An OSError is a missing instance or
+# an --out path that cannot be written, and a MemoryError an input too
+# large to hold, such as a vertex count beyond the kernel's int ids,
+# refused before it is allocated
+REFUSALS = (ValueError, OSError, MemoryError, SizeRefusal)
+
+
+def _refused(exc: Exception) -> int:
+    """Print the error line of a refusal in REFUSALS; return its exit code."""
+    print(f"error: {str(exc) or 'input too large to hold in memory'}", file=sys.stderr)
+    return EXIT_SIZE if isinstance(exc, SizeRefusal) else EXIT_INPUT
+
+
 def _each_instance(args) -> int:
     """Run the command's report function on each instance in turn, and
     write each report before the next instance is read: to stdout, to the
     --out file, or to {stem}.{command}.txt in the --out directory, which a
     batch run always takes. A report function returns the report and
     whether the instance passed; the command's to_text or to_json renders
-    the report. The exit status is 1 when one did not pass."""
+    the report. A refused instance prints its error line and the batch
+    goes on. The exit status is the largest code met: 1 for an instance
+    that did not pass, 2 or 3 for a refused one."""
+    if getattr(args, "coloring_out", None) and len(args.instance) > 1:
+        # one file per run: a second instance would overwrite the first
+        raise ValueError(f"--coloring-out takes one instance, got {len(args.instance)}")
     status = EXIT_OK
     for path in args.instance:
         stem = Path(path).stem
-        report, ok = args.report(args, path)
-        if args.format == "json":
-            payload = json.dumps({"instance": stem, **args.to_json(report)}, indent=2, sort_keys=True) + "\n"
-        else:
-            payload = f"instance={stem}\n{args.to_text(report)}"
-        if not ok:
-            status = EXIT_INVARIANT
-        if not args.out:
-            sys.stdout.write(payload)
-            continue
-        target = Path(args.out)
-        # directory mode: trailing separator, existing directory, or batch run
-        if args.out.endswith(os.sep) or target.is_dir() or len(args.instance) > 1:
-            target.mkdir(parents=True, exist_ok=True)
-            target = target / f"{stem}.{args.command}.txt"
-        _write_file(target, payload)
+        try:
+            report, ok = args.report(args, path)
+            if args.format == "json":
+                payload = json.dumps({"instance": stem, **args.to_json(report)}, indent=2, sort_keys=True) + "\n"
+            else:
+                payload = f"instance={stem}\n{args.to_text(report)}"
+            if not ok:
+                status = max(status, EXIT_INVARIANT)
+            if not args.out:
+                sys.stdout.write(payload)
+                continue
+            target = Path(args.out)
+            # directory mode: trailing separator, existing directory, or batch run
+            if args.out.endswith(os.sep) or target.is_dir() or len(args.instance) > 1:
+                target.mkdir(parents=True, exist_ok=True)
+                target = target / f"{stem}.{args.command}.txt"
+            _write_file(target, payload)
+        except REFUSALS as exc:
+            status = max(status, _refused(exc))
     return status
 
 
 def _color(args, path: str) -> tuple[dict, bool]:
-    if args.coloring_out and len(args.instance) > 1:
-        # one file per run: a second instance would overwrite the first
-        raise ValueError(f"--coloring-out takes one instance, got {len(args.instance)}")
     g, _ = _load_instance(path)
     kappa = _palette(args, g)
     triangle_free, witness = g.is_triangle_free()
@@ -293,17 +313,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:
-        # ParseError and EmbeddingError are ValueErrors; so are bad
-        # parameters like a palette below the max degree. An OSError is a
-        # missing instance or an --out path that cannot be written, and a
-        # MemoryError an input too large to hold, such as a vertex count
-        # beyond the kernel's int ids, refused before it is allocated
-        print(f"error: {str(exc) or 'input too large to hold in memory'}", file=sys.stderr)
-        return EXIT_INPUT
-    except SizeRefusal as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
+    except REFUSALS as exc:
+        return _refused(exc)
 
 
 if __name__ == "__main__":

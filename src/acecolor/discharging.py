@@ -34,7 +34,6 @@ every palette.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -184,38 +183,27 @@ def initial_charges(p: PlaneGraph) -> ChargeLedger:
     edge no face walk exists to carry the -4 of its one face, and the
     one face of K2 has degree 2, which no rule feeds and no hypothesis
     covers, so its charge -2 would stay unblamed."""
-    if p.graph.m < 2 or not p.graph.is_connected():
+    if p.base.m < 2 or not p.base.is_connected():
         raise EmbeddingError("discharging requires a connected drawing with at least two edges")
     charges: dict[Element, int] = {}
-    for v, d in enumerate(p.graph.degrees):
+    for v, d in enumerate(p.base.degrees):
         charges[("v", v)] = (d - 4) * SCALE
+    for x in range(p.n_real, p.n):  # a crossing has degree 4
+        charges[("v", x)] = 0
     for i, f in enumerate(p.faces):
         charges[("f", i)] = (len(f) - 4) * SCALE
     return ChargeLedger(charges)
 
 
-def compute_transfers(
-    p: PlaneGraph,
-    g: Graph,
-    kappa: int | None = None,
-    vertices: Iterable[int] | None = None,
-    faces: Iterable[int] | None = None,
-) -> list[Transfer]:
-    """The rule firings, computed from the pre-rule structure only.
-
-    ``vertices`` scopes the vertex rules to those receiving vertices, and
-    ``faces`` the face rules to those faces, which receive from their real
-    vertices (triface-from-real) or send to their 3-vertices
-    (deg3-from-bigface); None, the default, is every one. A scope given in
-    ascending order without repeats yields the firings of the full run
-    that it covers, in the same order."""
+def compute_transfers(p: PlaneGraph, g: Graph, kappa: int | None = None) -> list[Transfer]:
+    """The rule firings, computed from the pre-rule structure only."""
     if kappa is None:
         kappa = g.delta + DEFAULT_SLACK
     t = thresholds(g, kappa)
     tight, high, huge = t.tight, t.high, t.huge
     deg, adj = g.degrees, g.adj
     out: list[Transfer] = []
-    for v in range(g.n) if vertices is None else vertices:
+    for v in range(g.n):
         d = deg[v]
         if d == 2:
             for u in adj[v]:
@@ -240,8 +228,7 @@ def compute_transfers(
                 if deg[u] >= DEG5_BIG:
                     out.append(Transfer(DEG5_SIXTH.name, ("v", u), ("v", v), DEG5_SIXTH.amount))
     n_real = p.n_real
-    for i in range(len(p.faces)) if faces is None else faces:
-        f = p.faces[i]
+    for i, f in enumerate(p.faces):
         if len(f) == 3:
             for v in f:
                 if v < n_real:
@@ -369,21 +356,14 @@ def element_hypothesis_failures(
     p: PlaneGraph, g: Graph, kappa: int, elem: Element
 ) -> list[Violation]:
     """The audit's blame for one element alone; if it is empty, the
-    element's final charge is >= 0. Only the firings the element can send
-    are computed: a vertex sends to its base neighbors and its 3-faces, a
-    face to the 3-vertices on it. An unknown element kind, an index
+    element's final charge is >= 0. An unknown element kind, an index
     outside the drawing and a palette below the floor raise ValueError."""
     kind, idx = elem
-    size = {"v": p.graph.n, "f": len(p.faces)}.get(kind)
+    size = {"v": p.n, "f": len(p.faces)}.get(kind)
     if size is None or not 0 <= idx < size:
         raise ValueError(f"element {elem!r} is not a vertex or face of the drawing")
     _require_floor(g, kappa)
-    if kind == "v":  # a crossing has no base neighbors
-        vertices = g.adj[idx] if idx < p.n_real else ()
-        faces = sorted(set(p.triangles_at[idx]))
-    else:
-        vertices, faces = (), [idx]
-    return _blame(p, g, kappa, compute_transfers(p, g, kappa, vertices, faces), [elem])[0]
+    return _blame(p, g, kappa, compute_transfers(p, g, kappa), [elem])[0]
 
 
 def audit_final_charges(

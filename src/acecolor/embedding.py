@@ -14,11 +14,12 @@ are (f[i], f[i + 1]), cyclically, and its degree is len(f). The walks are
 traced by the kernel (``kernel.trace_faces``, in C when it is built),
 which also rejects a malformed rotation.
 
-``planarize`` builds the plane graph once per drawing. A drawing without
-crossings shares its immutable base graph as the planarized graph, so the
-two also share the components and cut vertices each graph keeps. The
-3-faces at each vertex are indexed when the plane graph is built; the
-index of all faces at each vertex is built on its first use.
+``planarize`` builds the plane graph once per drawing: the base graph,
+the vertex count n + k and the faces. Each crossing is a degree-4 vertex
+with charge 0, so the plane graph's size, degrees and components follow
+from the base graph, whose one kept search serves both. The 3-faces at
+each vertex are indexed when the plane graph is built; the index of all
+faces at each vertex is built on its first use.
 
 This module only validates drawings; constructing them (generators,
 crossing insertion) lives in ``acecolor.generate``. The facts read off
@@ -75,12 +76,12 @@ class Drawing:
 class PlaneGraph:
     """The plane graph of a drawing: crossings are degree-4 vertices.
 
-    Vertices 0..n_real-1 are the base vertices; n_real.. are crossings.
-    ``graph`` is the planarized graph; a drawing without crossings shares
-    its base graph, which is immutable, as its planarized graph. Each of
-    ``faces`` is the tuple of its boundary vertices in walk order (the
-    module's face traversal convention). The rotation and the crossing
-    pairs stay with the ``Drawing``.
+    Vertices 0..n_real-1 are the base vertices and n_real..n-1 the
+    crossings. A crossing has degree 4, so the plane graph keeps no graph
+    of its own: its size, degrees and components follow from ``base``.
+    Each of ``faces`` is the tuple of its boundary vertices in walk order
+    (the module's face traversal convention). The rotation and the
+    crossing pairs stay with the ``Drawing``.
     ``triangles_at[v]`` holds the indices of the 3-faces at v, with
     multiplicity; it is computed once, from the 3-faces alone, so that the
     face conditions cost O(deg v) per vertex: its length is v's 3-face
@@ -91,18 +92,18 @@ class PlaneGraph:
     __slots__ = (
         "base",
         "n_real",
-        "graph",
+        "n",
         "faces",
         "triangles_at",
         "_face_index_at",
     )
 
-    def __init__(self, base: Graph, graph: Graph, faces: tuple[tuple[int, ...], ...]):
+    def __init__(self, base: Graph, n: int, faces: tuple[tuple[int, ...], ...]):
         self.base = base
         self.n_real = base.n
-        self.graph = graph
+        self.n = n
         self.faces = faces
-        triangles: list[tuple[int, ...]] = [()] * graph.n
+        triangles: list[tuple[int, ...]] = [()] * n
         for i, f in enumerate(faces):
             if len(f) == 3:
                 for v in f:
@@ -112,9 +113,10 @@ class PlaneGraph:
 
     def faces_at(self, v: int) -> tuple[int, ...]:
         """Indices of faces incident with v, with multiplicity."""
-        self.graph.check_vertex(v)
+        if not (0 <= v < self.n):
+            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
         if self._face_index_at is None:
-            index: list[list[int]] = [[] for _ in range(self.graph.n)]
+            index: list[list[int]] = [[] for _ in range(self.n)]
             for i, f in enumerate(self.faces):
                 for u in f:
                     index[u].append(i)
@@ -127,53 +129,44 @@ def planarize(d: Drawing) -> PlaneGraph:
 
     Checks: the rotation covers exactly the planarized vertex set and
     matches its edge set; the rotation at every crossing alternates the
-    two crossed edges; the face walks satisfy V - E + F + I = 2C, with I
-    the isolated vertices and C the components, which holds iff every
-    component has genus zero. A drawing without crossings keeps its base
-    graph as the planarized graph.
+    two crossed edges; no crossing pair joins two base components; the
+    face walks satisfy V - E + F + I = 2C with V = n + k, E = m + 2k, and
+    I and C the base's isolated vertices and components, which holds iff
+    every component has genus zero.
     """
     base = d.base
-    n = base.n
-    n_all = n + len(d.crossing_pairs)
-
-    if d.crossing_pairs:
-        crossed: dict[Edge, int] = {}
-        for i, (e1, e2) in enumerate(d.crossing_pairs):
-            crossed[e1] = n + i
-            crossed[e2] = n + i
-        # planarized edges: a crossed edge becomes its two halves
-        segments: list[Edge] = []
-        for e in base.edges:
-            if e in crossed:
-                x = crossed[e]
-                segments.extend(canonical_edge(end, x) for end in e)
-            else:
-                segments.append(e)
-        # simple by construction: Drawing rejects an edge crossed twice and a
-        # crossing pair that shares an endpoint
-        pgraph = Graph(n_all, segments)
-    else:
-        pgraph = base
+    pairs = d.crossing_pairs
+    n_real = base.n
+    n = n_real + len(pairs)
 
     # rotation must cover exactly the planarized vertices and edges
-    rot_list = list(map(d.rotation.get, range(n_all)))
+    rot_list = list(map(d.rotation.get, range(n)))
     if None in rot_list:
         missing = [v for v, r in enumerate(rot_list) if r is None]
         raise EmbeddingError(f"rotation missing for vertices {missing}")
-    if len(d.rotation) != n_all:
-        extra = [v for v in d.rotation if not (0 <= v < n_all)]
+    if len(d.rotation) != n:
+        extra = [v for v in d.rotation if not (0 <= v < n)]
         raise EmbeddingError(f"rotation given for unknown vertices {extra}")
-    if list(map(tuple, map(sorted, rot_list))) != list(pgraph.adj):
-        v = next(v for v, r in enumerate(rot_list) if tuple(sorted(r)) != pgraph.adj[v])
+    # the plane graph's sorted rows: each end of a crossed edge sees the
+    # crossing in place of the far end, and a crossing's row is its four ends
+    via: dict[Edge, int] = {}  # (end, far end) -> crossing
+    for x, (e1, e2) in enumerate(pairs, n_real):
+        for a, b in (e1, e2):
+            via[a, b] = via[b, a] = x
+    rows = list(base.adj)
+    for v in {a for a, _ in via}:  # each touched row once
+        rows[v] = tuple(sorted(via.get((v, w), w) for w in rows[v]))
+    rows.extend(tuple(sorted(e1 + e2)) for e1, e2 in pairs)
+    if list(map(tuple, map(sorted, rot_list))) != rows:
+        v = next(v for v, r in enumerate(rot_list) if tuple(sorted(r)) != rows[v])
         raise EmbeddingError(
             f"rotation at {v} is {rot_list[v]}, inconsistent with planarized "
-            f"neighbors {pgraph.neighbors(v)}"
+            f"neighbors {rows[v]}"
         )
 
     # crossing rotations must alternate the two original edges: opposite
     # rotation slots must be the endpoints of the same crossed edge
-    for i, (e1, e2) in enumerate(d.crossing_pairs):
-        x = n + i
+    for x, (e1, e2) in enumerate(pairs, n_real):
         r = rot_list[x]
         if len(r) != 4 or {r[0], r[2]} not in (set(e1), set(e2)):
             raise EmbeddingError(
@@ -181,16 +174,26 @@ def planarize(d: Drawing) -> PlaneGraph:
                 f"{e1} and {e2}: {r}"
             )
 
-    faces = kernel.trace_faces(n_all, rot_list)
+    components = base.connected_components()
+    if len(components) > 1:  # a crossing pair may join two of them
+        label = {v: c for c, comp in enumerate(components) for v in comp}
+        for e1, e2 in pairs:
+            if label[e1[0]] != label[e2[0]]:
+                raise EmbeddingError(
+                    f"crossing pair {e1} x {e2} joins two components; such "
+                    "crossings are always removable and are rejected"
+                )
+
+    faces = kernel.trace_faces(n, rot_list)
 
     # Euler, now that the rotation matches the graph: V-E+F is at most 2 on
     # a component with an edge, 2 iff it is planar, and 1 on an isolated vertex
-    v, e, f = n_all, pgraph.m, len(faces)
-    i, c = pgraph.degrees.count(0), len(pgraph.connected_components())
+    v, e, f = n, base.m + 2 * len(pairs), len(faces)
+    i, c = base.degrees.count(0), len(components)
     if v - e + f + i != 2 * c:
         raise EmbeddingError(f"rotation is not planar: V-E+F+I = {v}-{e}+{f}+{i} != 2C = 2*{c}")
 
-    return PlaneGraph(base=base, graph=pgraph, faces=tuple(faces))
+    return PlaneGraph(base, n, tuple(faces))
 
 
 # -- drawing file format -------------------------------------------------------

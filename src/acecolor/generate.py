@@ -252,17 +252,19 @@ def _subdivide_random(builder: DrawingBuilder, rng: random.Random, count: int) -
         builder.subdivide(u, v)
 
 
-def _insert_random_crossings(
-    builder: DrawingBuilder, rng: random.Random, count: int, cap: int = 100
-) -> int:
-    """Insert up to `count` crossings, drawing at most `cap` uncrossed
-    edges in all. Returns the number actually inserted."""
+# the draws _insert_random_crossings makes in all, refused ones included
+CROSSING_DRAWS = 100
+
+
+def _insert_random_crossings(builder: DrawingBuilder, rng: random.Random, count: int) -> int:
+    """Insert up to `count` crossings, drawing at most ``CROSSING_DRAWS``
+    uncrossed edges in all. Returns the number actually inserted."""
     # an insertion crosses the drawn edge and adds its chord already
     # crossed, so the drawn edge is the only one to leave the candidates
     candidates = sorted(builder.edges - builder.crossed)
     inserted = 0
     attempts = 0
-    while inserted < count and attempts < cap and candidates:
+    while inserted < count and attempts < CROSSING_DRAWS and candidates:
         e = rng.choice(candidates)
         attempts += 1
         if builder.can_insert_crossing(*e):

@@ -75,10 +75,6 @@ class Graph:
         self.check_vertex(v)
         return self.degrees[v]
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self.check_vertex(v)
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)
         self.check_vertex(v)

@@ -296,7 +296,7 @@ def test_scoped_face_conditions_match_full_scope(d, data):
     g = d.base
     # the per-vertex 3-faces agree with a recount from the face list
     recount = Counter(v for f in p.faces if len(f) == 3 for v in f)
-    for v in range(p.graph.n):
+    for v in range(p.n):
         assert len(p.triangles_at[v]) == recount[v]
         assert p.triangles_at[v] == tuple(i for i in p.faces_at(v) if len(p.faces[i]) == 3)
     on_3_faces = check_condition(g, p, kappa_for(g), Condition.DEG2_FACE_SIZES)
@@ -396,15 +396,14 @@ def test_audit_runs_one_cut_vertex_search_per_drawing(monkeypatch):
 
 def test_audit_runs_one_component_search_per_graph(monkeypatch):
     # planarizing, discharging, the full-scope checks and the
-    # reducible-witness search share each graph's kept components and cut
-    # vertices, from one search, so each distinct graph is searched once:
-    # an uncrossed drawing is its own plane graph, and a crossed one has a
-    # plane graph and a base graph. Each drawing is read back from its
-    # file, so its graphs are fresh.
+    # reducible-witness search share the base graph's kept components and
+    # cut vertices, from one search: the plane graph keeps no graph of its
+    # own, crossed or not. Each drawing is read back from its file, so its
+    # graph is fresh.
     calls = []
     find = Graph._search
     monkeypatch.setattr(Graph, "_search", lambda g: calls.append(g) or find(g))
-    for family, searched in (("subdivided-quadrangulation", 1), ("grid-with-crossings", 2)):
+    for family in ("subdivided-quadrangulation", "grid-with-crossings"):
         d = parse_drawing(format_drawing(generate_instance(family, 3)))
         calls.clear()
         g, p = d.base, planarize(d)
@@ -412,11 +411,8 @@ def test_audit_runs_one_component_search_per_graph(monkeypatch):
         for cond in CONDITION_ORDER:
             check_condition(g, p, kappa_for(g), cond)
         assert find_reducible_configuration(g, p, kappa_for(g)) is not None
-        assert len(calls) == searched, family
-        if searched == 1:
-            assert p.graph is g and calls[0] is g
-        else:
-            assert d.crossing_pairs and calls[0] is p.graph and calls[1] is g
+        assert calls == [g], family
+    assert d.crossing_pairs
 
 
 def _support_details_strictly_increase(g, kappa):

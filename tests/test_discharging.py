@@ -106,7 +106,7 @@ def test_worked_computation_five_vertex():
     p = planarize(d)
     g = d.base
     assert g.degree(0) == 5
-    assert sorted(g.degree(u) >= 8 for u in g.neighbors(0)).count(True) == 3
+    assert sorted(g.degree(u) >= 8 for u in g.adj[0]).count(True) == 3
     assert sum(1 for i in p.faces_at(0) if len(p.faces[i]) == 3) == 3
     led = apply_rules(initial_charges(p), p, g)
     assert led.charges[("v", 0)] == 0
@@ -157,7 +157,7 @@ def test_crossing_vertices_end_at_exactly_zero():
         d = generate_instance("grid-with-crossings", seed)
         p = planarize(d)
         rep = discharge(p, d.base)
-        for x in range(p.n_real, p.graph.n):
+        for x in range(p.n_real, p.n):
             assert rep.charges[("v", x)] == Fraction(0)
 
 
@@ -401,27 +401,19 @@ def test_blame_is_sound_from_the_floor_up(d, slack):
 
 
 def test_one_element_blame_equals_the_blame_from_the_full_ledger():
-    # element_hypothesis_failures computes only the firings its element can
-    # send; on every element of the acceptance corpus, and of a drawing
-    # whose 3-face blame fires, its blame is the one the full ledger gives,
-    # and each scoped run is the part of the full run that its scope covers
+    # on every element of the acceptance corpus, and of a drawing whose
+    # 3-face blame fires, the one-element blame is the one the full ledger
+    # gives
     face_blamed = 0
     for d in _corpus_drawings() + [two_vertex_on_three_face()]:
         p, g = planarize(d), d.base
         kappa = g.max_degree() + FLOOR_SLACK
         full = compute_transfers(p, g, kappa)
-        elems = [("v", v) for v in range(p.graph.n)] + [("f", i) for i in range(len(p.faces))]
+        elems = [("v", v) for v in range(p.n)] + [("f", i) for i in range(len(p.faces))]
         for elem in elems:
             blame = _blame(p, g, kappa, full, [elem])[0]
             assert element_hypothesis_failures(p, g, kappa, elem) == blame, elem
             face_blamed += any(v.hypothesis == Condition.DEG2_FACE_SIZES.value for v in blame)
-        vertices, faces = range(0, g.n, 3), range(1, len(p.faces), 2)
-
-        def covered(t):
-            face = next((x for kind, x in (t.source, t.target) if kind == "f"), None)
-            return t.target[1] in vertices if face is None else face in faces
-
-        assert compute_transfers(p, g, kappa, vertices, faces) == list(filter(covered, full))
     assert face_blamed
 
 
@@ -429,7 +421,7 @@ def test_one_element_blame_errors():
     p = planarize(grid_builder(3, 3).to_drawing())
     g = p.base
     kappa = g.max_degree() + 16
-    bad = [("v", -1), ("v", p.graph.n), ("v", 10**6), ("f", -1), ("f", len(p.faces)), ("q", 0)]
+    bad = [("v", -1), ("v", p.n), ("v", 10**6), ("f", -1), ("f", len(p.faces)), ("q", 0)]
     for elem in bad:
         with pytest.raises(ValueError, match=f"element {re.escape(repr(elem))} is not"):
             element_hypothesis_failures(p, g, kappa, elem)

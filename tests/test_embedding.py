@@ -17,8 +17,10 @@ from acecolor.embedding import (
     planarize,
 )
 from acecolor.errors import EmbeddingError, ParseError
-from acecolor.generate import FAMILIES, cycle_builder, generate_instance, grid_builder
+from acecolor.generate import FAMILIES, cube_builder, cycle_builder, generate_instance, grid_builder
 from acecolor.graph import Graph, canonical_edge
+
+from fixtures import crossing_two_vertices
 
 
 def c4_drawing():
@@ -47,11 +49,11 @@ def triangle_with_tail_drawing():
 
 
 def contracted_edges(drawing, p):
-    """The base edges recovered from the planarized graph: the drawing's
-    rotation (a, b, c, d) at each crossing joins its halves into {a, c}
-    and {b, d}."""
-    out = {e for e in p.graph.edges if max(e) < p.n_real}
-    for x in range(p.n_real, p.graph.n):
+    """The base edges recovered from the drawing's rotation: the uncrossed
+    edges join two real vertices, and the rotation (a, b, c, d) at each
+    crossing joins its halves into {a, c} and {b, d}."""
+    out = {canonical_edge(v, w) for v in range(p.n_real) for w in drawing.rotation[v] if w < p.n_real}
+    for x in range(p.n_real, p.n):
         a, b, c, d = drawing.rotation[x]
         out |= {canonical_edge(a, c), canonical_edge(b, d)}
     return out
@@ -72,7 +74,7 @@ def test_single_edge_degenerate_walk():
 def test_zero_crossings_identity():
     d = c4_drawing()
     p = planarize(d)
-    assert p.graph is d.base  # shared: graphs are immutable
+    assert p.base is d.base and p.n == d.base.n
     assert p.faces == tuple(kernel.trace_faces(4, [d.rotation[v] for v in range(4)]))
     assert contracted_edges(d, p) == set(d.base.edges)
 
@@ -97,12 +99,12 @@ def test_trace_faces_rejects_malformed_rotations(n, rot, message):
 def test_k4_crossed_planarization():
     d = k4_crossed_drawing()
     p = planarize(d)
-    assert p.graph.n == 5
-    assert p.graph.degree(4) == 4
+    assert p.n == 5
+    assert len(p.faces_at(4)) == 4
     assert p.n_real == 4  # vertex 4 is the crossing
     assert sorted(map(len, p.faces)) == [3, 3, 3, 3, 4]
-    # V - E + F = 5 - 8 + 5 = 2
-    assert p.graph.n - p.graph.m + len(p.faces) == 2
+    # V - E + F = 5 - 8 + 5 = 2, with E = m + 2k
+    assert p.n - (p.base.m + 2) + len(p.faces) == 2
     assert initial_charges(p).total() == -8 * SCALE
     assert contracted_edges(d, p) == set(p.base.edges)
 
@@ -111,17 +113,18 @@ def test_two_disjoint_crossings_not_adjacent():
     b = grid_builder(3, 4)
     b.insert_crossing(5, 6)
     b.insert_crossing(1, 2)
-    p = planarize(b.to_drawing())
-    crossings = list(range(p.n_real, p.graph.n))
+    d = b.to_drawing()
+    p = planarize(d)
+    crossings = list(range(p.n_real, p.n))
     assert len(crossings) == 2
     for x in crossings:
-        assert all(w < p.n_real for w in p.graph.neighbors(x))
+        assert all(w < p.n_real for w in d.rotation[x])
 
 
 def test_face_degree_sum_is_twice_edges():
     for builder in (grid_builder(3, 3), grid_builder(2, 5), cycle_builder(7)):
         p = planarize(builder.to_drawing())
-        assert sum(map(len, p.faces)) == 2 * p.graph.m
+        assert sum(map(len, p.faces)) == 2 * (p.base.m + 2 * (p.n - p.n_real))
 
 
 def test_triangle_free_base_puts_one_crossing_on_every_3_face():
@@ -291,6 +294,105 @@ def test_planarize_rejects_bad_crossing_rotation():
     rot[4] = [2, 0, 3, 1]  # segments of the same edge adjacent, not opposite
     with pytest.raises(EmbeddingError):
         planarize(Drawing(d.base, list(d.crossing_pairs), rot))
+
+
+def test_planarize_refuses_a_crossing_between_two_components():
+    # two disjoint edges crossing once: the plane graph is a star, but the
+    # crossing goes when one edge is drawn beside the other
+    rotation = {0: [4], 1: [4], 2: [4], 3: [4], 4: [0, 2, 1, 3]}
+    d = Drawing(Graph(4, [(0, 1), (2, 3)]), [((0, 1), (2, 3))], rotation)
+    with pytest.raises(EmbeddingError, match=re.escape(
+            "crossing pair (0, 1) x (2, 3) joins two components; such crossings "
+            "are always removable and are rejected")):
+        planarize(d)
+    # a crossing inside one component of a disconnected drawing is drawn
+    p = planarize(_with_isolated(k4_crossed_drawing(), 2))
+    assert p.n == 7 and sorted(map(len, p.faces)) == [3, 3, 3, 3, 4]
+
+
+def _planarize_with_a_graph(d):
+    """``planarize`` as it was when the plane graph kept a ``Graph`` of its
+    own: the crossed edges' halves indexed as a second graph, which its
+    own search gave the components of. The reference for the rows and the
+    base facts ``planarize`` derives; returns (n, faces)."""
+    base, n = d.base, d.base.n
+    n_all = n + len(d.crossing_pairs)
+    crossed = {}
+    for i, (e1, e2) in enumerate(d.crossing_pairs):
+        crossed[e1] = crossed[e2] = n + i
+    segments = []
+    for e in base.edges:
+        segments.extend([canonical_edge(end, crossed[e]) for end in e] if e in crossed else [e])
+    pgraph = Graph(n_all, segments)
+    rot_list = list(map(d.rotation.get, range(n_all)))
+    if None in rot_list:
+        raise EmbeddingError(f"rotation missing for vertices {[v for v, r in enumerate(rot_list) if r is None]}")
+    if len(d.rotation) != n_all:
+        raise EmbeddingError(f"rotation given for unknown vertices {[v for v in d.rotation if not 0 <= v < n_all]}")
+    for v, r in enumerate(rot_list):
+        if tuple(sorted(r)) != pgraph.adj[v]:
+            raise EmbeddingError(f"rotation at {v} is {r}, inconsistent with planarized neighbors {pgraph.adj[v]}")
+    for i, (e1, e2) in enumerate(d.crossing_pairs):
+        r = rot_list[n + i]
+        if len(r) != 4 or {r[0], r[2]} not in (set(e1), set(e2)):
+            raise EmbeddingError(f"rotation at crossing {n + i} does not alternate edges {e1} and {e2}: {r}")
+    faces = kernel.trace_faces(n_all, rot_list)
+    v, e, f = n_all, pgraph.m, len(faces)
+    i, c = pgraph.degrees.count(0), len(pgraph.connected_components())
+    if v - e + f + i != 2 * c:
+        raise EmbeddingError(f"rotation is not planar: V-E+F+I = {v}-{e}+{f}+{i} != 2C = 2*{c}")
+    return n_all, tuple(faces)
+
+
+@st.composite
+def crossed_drawings(draw):
+    """A grid, cycle or cube drawing, subdivided, then crossed at random by
+    the library's builder or by TwoVertexCrossingBuilder, with up to 2
+    isolated vertices; then, in two of three, one rotation entry of a row
+    of three or more replaced by any vertex or swapped with another."""
+    shape = draw(st.sampled_from(["grid", "cycle", "cube"]))
+    if shape == "grid":
+        b = grid_builder(draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+    else:
+        b = cycle_builder(draw(st.integers(4, 9))) if shape == "cycle" else cube_builder()
+    for _ in range(draw(st.integers(0, 3))):
+        b.subdivide(*draw(st.sampled_from(sorted(b.edges))))
+    if draw(st.booleans()):
+        b = crossing_two_vertices(b)
+    for _ in range(draw(st.integers(1, 5))):
+        a, c = draw(st.sampled_from(sorted(b.edges)))
+        if b.can_insert_crossing(a, c):
+            b.insert_crossing(a, c)
+    d = _with_isolated(b.to_drawing(), draw(st.integers(0, 2)))
+    edit = draw(st.sampled_from(["none", "replace", "swap"]))
+    rotation = {v: list(row) for v, row in d.rotation.items()}
+    rows = [row for v, row in sorted(rotation.items()) if len(row) >= 3]  # a swap in a row of two is none
+    if edit == "none" or not rows:
+        return d
+    row = draw(st.sampled_from(rows))
+    i = draw(st.integers(0, len(row) - 1))
+    if edit == "replace":
+        row[i] = draw(st.integers(0, len(rotation) - 1))
+    else:
+        j = (i + draw(st.integers(1, len(row) - 1))) % len(row)
+        row[i], row[j] = row[j], row[i]
+    return Drawing(d.base, d.crossing_pairs, rotation)
+
+
+@settings(max_examples=150, deadline=None)
+@given(crossed_drawings())
+def test_planarize_agrees_with_the_plane_graph_it_once_built(d):
+    # the same drawings accepted, with the same faces, and the same ones
+    # refused, with the same message
+    try:
+        expected = _planarize_with_a_graph(d)
+    except EmbeddingError as exc:
+        with pytest.raises(EmbeddingError) as got:
+            planarize(d)
+        assert str(got.value) == str(exc)
+    else:
+        p = planarize(d)
+        assert (p.n, p.faces) == expected
 
 
 def test_drawing_file_roundtrip():

@@ -228,7 +228,7 @@ def test_bridge_has_no_insertion_corners():
 
 
 def test_named_builders():
-    assert planarize(cycle_builder(6).to_drawing()).graph.n == 6
+    assert planarize(cycle_builder(6).to_drawing()).n == 6
     p = planarize(cube_builder().to_drawing())
     assert len(p.faces) == 6
     assert all(len(f) == 4 for f in p.faces)

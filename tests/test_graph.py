@@ -149,7 +149,7 @@ def test_degree_sum_is_twice_edge_count(n, data):
     )
     g = Graph(n, chosen)
     assert sum(g.degree(v) for v in range(n)) == 2 * g.m
-    assert g.degrees == tuple(len(g.neighbors(v)) for v in range(n))
+    assert g.degrees == tuple(len(g.adj[v]) for v in range(n))
     assert g.delta == max(g.degrees)
 
 

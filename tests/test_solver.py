@@ -132,7 +132,7 @@ def _insertion_order_by_scan(g):
     """The peeling order by its definition: scan every vertex for the
     minimum (degree, id), then its neighbor of minimum (degree, id)."""
     deg = [g.degree(v) for v in range(g.n)]
-    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    nbrs = [set(g.adj[v]) for v in range(g.n)]
     order = []
     for _ in range(g.m):
         v = min((x for x in range(g.n) if deg[x] > 0), key=lambda x: (deg[x], x))

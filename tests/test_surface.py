@@ -7,7 +7,9 @@ package ``__init__`` re-exports count), the benchmark (``pipebench/``,
 ``benchmarks/``) or the acceptance tests. A name only other tests read
 is surface nothing runs. The same readers must pass each parameter with
 a default of such a function, method or class constructor (its
-``__init__``, or a dataclass or NamedTuple field with a default).
+``__init__``, or a dataclass or NamedTuple field with a default). Each
+parameter with a default of a private function, method or class
+constructor must be passed by the library itself, its only reader.
 """
 
 import ast
@@ -24,16 +26,17 @@ EXCEPTIONS = {
 
 
 def _definitions(path):
-    """(qualified name, node) of each public module-level function and
-    class and each public method in the file."""
+    """(qualified name, node) of each module-level function and class and
+    each method in the file, public or private. A name is private when its
+    last part starts with an underscore; dunder methods, which no call
+    names, are left out."""
     for node in ast.parse(path.read_text()).body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
-        if not node.name.startswith("_"):
-            yield node.name, node
+        yield node.name, node
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not sub.name.startswith("_"):
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not sub.name.startswith("__"):
                     yield f"{node.name}.{sub.name}", sub
 
 
@@ -68,7 +71,7 @@ def unread_public_names():
     for path in sorted(LIBRARY.glob("*.py")):
         for qualified, node in _definitions(path):
             name = qualified.rsplit(".", 1)[-1]
-            if not any(
+            if not name.startswith("_") and not any(
                 not (reader == path and node.lineno <= line <= node.end_lineno)
                 for reader, names in reads.items()
                 for line in names.get(name, ())
@@ -92,7 +95,8 @@ def test_each_exception_is_still_unread():
 # A default of a public function, method or class constructor is an
 # option some caller sets: library, benchmark or acceptance code must pass
 # it, by keyword or by position. An option only tests set is a knob
-# nothing runs. A constructor's options are its __init__'s parameters, or
+# nothing runs. A private one's only caller is the library, so the library
+# must pass it. A constructor's options are its __init__'s parameters, or
 # a dataclass's or NamedTuple's fields, which a call passes by the class
 # name; one set through dataclasses.replace goes in the exceptions.
 
@@ -137,8 +141,7 @@ def _constructor_defaults(cls):
 
 def _options(path):
     """(qualified name, parameter, position) of each parameter with a
-    default of each public function, method and class constructor in the
-    file."""
+    default of each function, method and class constructor in the file."""
     out = []
     for qualified, node in _definitions(path):
         if isinstance(node, ast.ClassDef):
@@ -150,29 +153,33 @@ def _options(path):
     return out
 
 
-def _calls(path, out):
-    """Add to out, under each name the file calls as a function or an
-    attribute, the (positional count, keywords) of each call. Only the
-    arguments before a *args count, and a **kwargs passes no keyword: a
-    caller that passes an option that way is listed in the exceptions."""
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            count = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)), len(node.args))
-            out.setdefault(name, []).append((count, {k.arg for k in node.keywords}))
+def _calls(paths):
+    """Under each name the files call as a function or an attribute, the
+    (positional count, keywords) of each call. Only the arguments before a
+    *args count, and a **kwargs passes no keyword: a caller that passes an
+    option that way is listed in the exceptions."""
+    out = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                count = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)), len(node.args))
+                out.setdefault(name, []).append((count, {k.arg for k in node.keywords}))
+    return out
 
 
 def unpassed_options():
-    calls = {}
-    for path in _readers():
-        _calls(path, calls)
+    library = sorted(LIBRARY.glob("*.py"))
+    # the callers of a public name, and of a private one (keyed True)
+    calls = {False: _calls(_readers()), True: _calls(library)}
     unpassed = []
-    for path in sorted(LIBRARY.glob("*.py")):
+    for path in library:
         for qualified, param, position in _options(path):
+            name = qualified.rsplit(".", 1)[-1]
             if not any(
                 param in keywords or (position is not None and position < count)
-                for count, keywords in calls.get(qualified.rsplit(".", 1)[-1], ())
+                for count, keywords in calls[name.startswith("_")].get(name, ())
             ):
                 unpassed.append((path.name, qualified, param))
     return unpassed
