@@ -31,6 +31,13 @@
 #include <Python.h>
 #include <stdlib.h>
 
+/* setup.py defines the digest of this file (``_stamp.py``); a build
+ * without it carries "", which ``acecolor.kernel`` refuses beside the
+ * source. */
+#ifndef SOURCE_DIGEST
+#define SOURCE_DIGEST ""
+#endif
+
 /* vcol[v*stride + c] = w+1 if vertex v has an edge of color c to w, else 0 */
 static int closes_cycle(const int *vcol, Py_ssize_t stride, int u, int v, int c, int k)
 {
@@ -889,7 +896,8 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC PyInit__kernel(void)
 {
     PyObject *mod = PyModule_Create(&module);
-    if (mod && PyModule_AddStringConstant(mod, "BACKEND", "c") < 0)
+    if (mod && (PyModule_AddStringConstant(mod, "BACKEND", "c") < 0
+                || PyModule_AddStringConstant(mod, "SOURCE_DIGEST", SOURCE_DIGEST) < 0))
         Py_CLEAR(mod);
     return mod;
 }

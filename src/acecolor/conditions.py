@@ -23,14 +23,12 @@ exists. The discharging audit, whose blame reads these conditions,
 accepts only kappa >= max_degree + 16, where its argument closes.
 
 Every check reads the degrees and the max degree the graph computed once,
-and the face checks read the per-vertex 3-faces of the plane graph, so a
-check scoped to a few vertices costs O(their degrees), not O(n). A check
-visits only the vertices that can fail it: those of its degree class
-(read from the graph's degree classes at full scope), the vertices on a
-3-face, or the neighbors of 2-vertices. A check scoped to a set of
-vertices returns the concatenation of its results scoped to each of them
-alone, in increasing order; the discharging audit relies on this to
-blame all negative elements with one check per condition.
+and the face checks read the per-vertex 3-faces of the plane graph. A
+check runs over the whole graph, but visits only the vertices that can
+fail it: those of its degree class (read from the graph's degree
+classes), the vertices on a 3-face, or the neighbors of 2-vertices. Each
+witness binds its vertex first (``vertices[0]``), and the discharging
+audit reads the witnesses of one check by that vertex.
 """
 
 from __future__ import annotations
@@ -124,28 +122,10 @@ def thresholds(g: Graph, kappa: int) -> Thresholds:
     return _table(kappa - g.delta)
 
 
-def _scope(g: Graph, vertices) -> Sequence[int]:
-    """The vertices a check examines, sorted: all of them, or the scope
-    check_condition has validated, deduplicated and sorted."""
-    return range(g.n) if vertices is None else vertices
-
-
-def _of_degree(g: Graph, vertices, d: int) -> Sequence[int]:
-    """The vertices of degree d a check examines, sorted: the graph's
-    degree class, or the scope's members of it."""
-    if vertices is None:
-        classes = g.degree_classes()
-        return classes[d] if 0 <= d < len(classes) else ()
-    deg = g.degrees
-    return [v for v in vertices if deg[v] == d]
-
-
-def _heavy(g: Graph, vertices) -> Sequence[int]:
-    """The heavy vertices a check examines, sorted."""
-    if vertices is None:
-        return sorted(chain.from_iterable(g.degree_classes()[HEAVY:]))
-    deg = g.degrees
-    return [v for v in vertices if deg[v] >= HEAVY]
+def _of_degree(g: Graph, d: int) -> Sequence[int]:
+    """The vertices of degree d, sorted: the graph's degree class."""
+    classes = g.degree_classes()
+    return classes[d] if 0 <= d < len(classes) else ()
 
 
 def _at_least(nbrs: tuple[int, ...], deg: tuple[int, ...], d: int) -> int:
@@ -257,60 +237,40 @@ def _word_deg3_tight(v, w, nbrs):
 
 # -- individual checks ----------------------------------------------------------
 #
-# Every check takes (g, plane, kappa, vertices): the face checks read the
-# plane graph, the others the palette. A check scoped to S returns the
-# concatenation of its results scoped to each vertex of S alone, in
-# increasing order: the audit's batched blame rests on this. Only the
-# full-scope min-degree-2connected check orders its witnesses otherwise,
-# with the disconnected-graph witness among them.
+# Every check takes (g, plane, kappa): the face checks read the plane
+# graph, the others the palette.
 
 
-def _check_min_degree_2connected(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_min_degree_2connected(g: Graph, plane, kappa: int) -> list[ConditionWitness]:
     cond = Condition.MIN_DEGREE_2CONNECTED
     deg = g.degrees
-
-    def low(v: int) -> ConditionWitness:
-        return ConditionWitness(cond, (v,), (_word_low_degree, v, deg[v]))
-
-    def cut(v: int) -> ConditionWitness:
-        return ConditionWitness(cond, (v,), (_word_cut_vertex, v))
-
-    if vertices is not None:
-        cuts = set(g.articulation_points())
-        out = []
-        for v in vertices:
-            if deg[v] < 2:
-                out.append(low(v))
-            if v in cuts:
-                out.append(cut(v))
-        return out
-    out = [low(v) for v in range(g.n) if deg[v] < 2]
+    out = [ConditionWitness(cond, (v,), (_word_low_degree, v, deg[v])) for v in range(g.n) if deg[v] < 2]
     if g.n >= 2 and not g.is_connected():
         reps = tuple(c[0] for c in g.connected_components())
         out.append(ConditionWitness(cond, reps, (_word_disconnected,)))
-    out.extend(cut(v) for v in g.articulation_points())
+    out.extend(ConditionWitness(cond, (v,), (_word_cut_vertex, v)) for v in g.articulation_points())
     return out
 
 
-def _check_deg2_big_neighbors(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_deg2_big_neighbors(g: Graph, plane, kappa: int) -> list[ConditionWitness]:
     return _too_few(
-        g, Condition.DEG2_BIG_NEIGHBORS, _of_degree(g, vertices, 2),
+        g, Condition.DEG2_BIG_NEIGHBORS, _of_degree(g, 2),
         thresholds(g, kappa).deg2_big, 2, _word_deg2_big,
     )
 
 
-def _check_deg3_big_neighbors(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_deg3_big_neighbors(g: Graph, plane, kappa: int) -> list[ConditionWitness]:
     return _too_few(
-        g, Condition.DEG3_BIG_NEIGHBORS, _of_degree(g, vertices, 3),
+        g, Condition.DEG3_BIG_NEIGHBORS, _of_degree(g, 3),
         thresholds(g, kappa).tight, 3, _word_deg3_big,
     )
 
 
-def _check_tight_vertex_small_neighbor(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_tight_vertex_small_neighbor(g: Graph, plane, kappa: int) -> list[ConditionWitness]:
     tight = thresholds(g, kappa).tight
     deg, adj = g.degrees, g.adj
     out = []
-    for w in _of_degree(g, vertices, tight):
+    for w in _of_degree(g, tight):
         nbrs = adj[w]
         if len([u for u in nbrs if deg[u] == 3]) >= 2:
             out.append(
@@ -321,17 +281,17 @@ def _check_tight_vertex_small_neighbor(g: Graph, plane, kappa: int, vertices) ->
     return out
 
 
-def _check_two_deg4_neighbors(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
-    return _too_few(g, Condition.TWO_DEG4_NEIGHBORS, _scope(g, vertices), 4, 2, _word_two_deg4)
+def _check_two_deg4_neighbors(g: Graph, plane, kappa: int) -> list[ConditionWitness]:
+    return _too_few(g, Condition.TWO_DEG4_NEIGHBORS, range(g.n), 4, 2, _word_two_deg4)
 
 
-def _check_deg4_neighbor_profile(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_deg4_neighbor_profile(g: Graph, plane, kappa: int) -> list[ConditionWitness]:
     """A 4-vertex has four heavy neighbors, or one light one and three
     huge ones: exactly the 4-vertices the deg4-* rules send charge to."""
     huge = thresholds(g, kappa).huge
     deg, adj = g.degrees, g.adj
     out = []
-    for v in _of_degree(g, vertices, 4):
+    for v in _of_degree(g, 4):
         nbrs = adj[v]
         degs = sorted([deg[u] for u in nbrs])
         if not (degs[0] >= HEAVY or degs[1] >= huge):
@@ -343,30 +303,31 @@ def _check_deg4_neighbor_profile(g: Graph, plane, kappa: int, vertices) -> list[
     return out
 
 
-def _check_deg5_neighbor_profile(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_deg5_neighbor_profile(g: Graph, plane, kappa: int) -> list[ConditionWitness]:
     return _too_few(
-        g, Condition.DEG5_NEIGHBOR_PROFILE, _of_degree(g, vertices, 5), DEG5_BIG, 3,
+        g, Condition.DEG5_NEIGHBOR_PROFILE, _of_degree(g, 5), DEG5_BIG, 3,
         _word_deg5_profile,
     )
 
 
-def _check_heavy_deg2_support(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_heavy_deg2_support(g: Graph, plane, kappa: int) -> list[ConditionWitness]:
     t = thresholds(g, kappa)
     deg, adj = g.degrees, g.adj
-    supports = [v for v in _heavy(g, vertices) if 2 in [deg[u] for u in adj[v]]]
+    heavy = sorted(chain.from_iterable(g.degree_classes()[HEAVY:]))
+    supports = [v for v in heavy if 2 in [deg[u] for u in adj[v]]]
     return _too_few(
         g, Condition.HEAVY_DEG2_SUPPORT, supports, t.tight, t.slack + 1, _word_heavy_support
     )
 
 
-def _check_deg2_face_sizes(g: Graph, plane: PlaneGraph, kappa: int, vertices) -> list[ConditionWitness]:
-    """Real 2-vertices on a 3-face, one witness per 3-face at each 2-vertex
-    of the scope. In a drawing with as few crossings as possible every
+def _check_deg2_face_sizes(g: Graph, plane: PlaneGraph, kappa: int) -> list[ConditionWitness]:
+    """Real 2-vertices on a 3-face, one witness per 3-face at each
+    2-vertex. In a drawing with as few crossings as possible every
     2-vertex lies only on faces of degree >= 4, so a witness signals a
     drawing that is not crossing-minimal."""
     faces = plane.faces
     out = []
-    for v in _of_degree(plane.base, vertices, 2):
+    for v in _of_degree(plane.base, 2):
         for fi in plane.triangles_at[v]:
             out.append(
                 ConditionWitness(Condition.DEG2_FACE_SIZES, (v,), (_word_deg2_on_3face, v, faces[fi]))
@@ -374,14 +335,14 @@ def _check_deg2_face_sizes(g: Graph, plane: PlaneGraph, kappa: int, vertices) ->
     return out
 
 
-def _check_triangle_face_budget(g: Graph, plane: PlaneGraph, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_triangle_face_budget(g: Graph, plane: PlaneGraph, kappa: int) -> list[ConditionWitness]:
     """A vertex of degree d with l 2-neighbors lies on at most
     floor(2(d - l)/3) 3-faces. Only vertices on a 3-face are visited: a
     count of 0 is within every budget, which is never negative."""
     deg, adj = plane.base.degrees, plane.base.adj
     triangles = plane.triangles_at
     out = []
-    for v in _scope(g, vertices):
+    for v in range(g.n):
         count = len(triangles[v])
         if not count:
             continue
@@ -396,10 +357,10 @@ def _check_triangle_face_budget(g: Graph, plane: PlaneGraph, kappa: int, vertice
     return out
 
 
-def _check_deg2_support_counts(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_deg2_support_counts(g: Graph, plane, kappa: int) -> list[ConditionWitness]:
     """Counting conditions at each support (neighbor) b of a 2-vertex v0
     whose other neighbor is a, with the conditional refinement for
-    supports with the minimum count. Only the supports in the scope are
+    supports with the minimum count. Only the supports of 2-vertices are
     visited. A witness binds its support, and one support's witnesses
     come out once each, ordered by their text.
 
@@ -417,14 +378,10 @@ def _check_deg2_support_counts(g: Graph, plane, kappa: int, vertices) -> list[Co
     t = thresholds(g, kappa)
     deg, adj = g.degrees, g.adj
     cond = Condition.DEG2_SUPPORT_COUNTS
-    if vertices is None:
-        vertices = sorted({b for v0 in _of_degree(g, None, 2) for b in adj[v0]})
     out = []
-    for b in vertices:
+    for b in sorted({b for v0 in _of_degree(g, 2) for b in adj[v0]}):
         nbrs = adj[b]
         twos = [v0 for v0 in nbrs if deg[v0] == 2]
-        if not twos:
-            continue
         # b must support its 2-vertices: many neighbors of high degree
         db = deg[b]
         need_degree = kappa - db + 2
@@ -447,11 +404,11 @@ def _check_deg2_support_counts(g: Graph, plane, kappa: int, vertices) -> list[Co
     return out
 
 
-def _check_deg4_degree_sum(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_deg4_degree_sum(g: Graph, plane, kappa: int) -> list[ConditionWitness]:
     slack = thresholds(g, kappa).slack
     deg, adj = g.degrees, g.adj
     out = []
-    for w0 in _of_degree(g, vertices, 4):
+    for w0 in _of_degree(g, 4):
         total = sum([deg[x] for x in adj[w0]])
         if total >= 2 * kappa + 4:
             continue
@@ -466,7 +423,7 @@ def _check_deg4_degree_sum(g: Graph, plane, kappa: int, vertices) -> list[Condit
     return out
 
 
-def _check_deg3_tight_structure(g: Graph, plane, kappa: int, vertices) -> list[ConditionWitness]:
+def _check_deg3_tight_structure(g: Graph, plane, kappa: int) -> list[ConditionWitness]:
     """Structure around a 3-vertex with a tight neighbor, via its degree
     consequences only."""
     t = thresholds(g, kappa)
@@ -474,7 +431,7 @@ def _check_deg3_tight_structure(g: Graph, plane, kappa: int, vertices) -> list[C
     deg, adj = g.degrees, g.adj
     out = []
     cond = Condition.DEG3_TIGHT_STRUCTURE
-    for v in _of_degree(g, vertices, 3):
+    for v in _of_degree(g, 3):
         nbrs = adj[v]
         for w in nbrs:
             if deg[w] != tight:
@@ -519,28 +476,21 @@ def check_condition(
     plane: PlaneGraph | None,
     kappa: int,
     condition: Condition,
-    vertices=None,
 ) -> list[ConditionWitness]:
-    """All witnesses violating one condition; empty means it holds.
+    """All witnesses violating one condition over the whole graph; empty
+    means it holds.
 
     `plane`, the plane graph of g's drawing, is required for the two face
     conditions and ignored otherwise; anything else, a Drawing included,
-    raises TypeError. `vertices` restricts the bindings examined to a set
-    of vertices (order and repeats do not matter); an id outside 0..n-1
-    raises ValueError. The discharging audit passes the union of the
-    vertices its elements' blame asks about.
+    raises TypeError. Each witness lists its own vertex first: the
+    discharging audit runs a condition once per drawing and reads its
+    witnesses by ``vertices[0]``.
     """
     if plane is not None and not isinstance(plane, PlaneGraph):
         raise TypeError(f"expected a PlaneGraph or None, got {type(plane).__name__}: use embedding.planarize")
-    if vertices is not None:
-        vertices = tuple(vertices)  # an iterator is read once, here
-        for v in vertices:
-            if not (0 <= v < g.n):
-                raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-        vertices = sorted(set(vertices))
     if plane is None and condition in FACE_CONDITIONS:
         raise ValueError(f"{condition.value} requires the plane graph of a drawing")
-    return _CHECKS[condition](g, plane, kappa, vertices)
+    return _CHECKS[condition](g, plane, kappa)
 
 
 def require_in_scope(g: Graph, kappa: int) -> None:
@@ -572,10 +522,9 @@ def find_reducible_configuration(
 
 
 def recheck_witness(g: Graph, plane: PlaneGraph | None, kappa: int, w: ConditionWitness) -> bool:
-    """Re-evaluate the witness's condition restricted to its vertices and
-    confirm the same violation reappears."""
-    found = check_condition(g, plane, kappa, w.condition, vertices=w.vertices)
-    return any(x.vertices == w.vertices for x in found)
+    """Re-run the witness's condition and confirm it finds the identical
+    witness: the same condition, vertices and text."""
+    return w in check_condition(g, plane, kappa, w.condition)
 
 
 def exact_size_ok(g: Graph) -> bool:

@@ -21,7 +21,10 @@ what each receiver class needs. Degree thresholds come from the table of
 
 The audit blames each negative element on the violated hypotheses among
 its class's need and the sender hypotheses of each rule it fired, read
-from the ledger; if all hold, the element ends non-negative. With only
+from the ledger; if all hold, the element ends non-negative. Each
+condition the blame reads runs once per drawing, over the whole drawing,
+and an element takes the witnesses that bind its own vertex (or its
+2-vertex receivers) first. With only
 the bounds these hypotheses give (at most floor(2d/3) 3-faces at a
 d-vertex, at most one 3-neighbor at a tight sender, two neighbors of
 degree 4 or more at a high one), every sender class ends >= 0 from the
@@ -33,7 +36,7 @@ every palette.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -298,10 +301,10 @@ def _blame(
 ) -> list[list[Violation]]:
     """The violated hypotheses of each element: its class's need, then the
     sender hypotheses of each rule it fired, in table order, at itself and
-    then at its receivers. Each hypothesis is checked once, at the union
-    of the places the elements ask it about; a scoped check returns the
-    concatenation of its single-vertex results in vertex order, so each
-    place gets the witnesses a check scoped to it alone would return."""
+    then at its receivers. A condition runs once, over the whole drawing,
+    when an element first asks for it, and each place takes the witnesses
+    that bind it first; a face-profile hypothesis is checked at each place
+    that asks for it."""
     # the receivers of each rule (by table position) a negative element fired
     negative = set(elems)
     sent: dict[Element, dict[int, list[int]]] = {}
@@ -309,8 +312,8 @@ def _blame(
         if source in negative:
             sent.setdefault(source, {}).setdefault(_RANK[name], []).append(target[1])
     n_real, deg = p.n_real, g.degrees
-    asks: list[list[tuple[Hypothesis, tuple[int, ...]]]] = []
-    scopes: defaultdict[Hypothesis, set[int]] = defaultdict(set)
+    found: dict[Condition, dict[int, list[Violation]]] = {}
+    out = []
     for elem in elems:
         kind, x = elem
         at = (x,)
@@ -327,27 +330,21 @@ def _blame(
                 for hyp, where in RULES[i].bounds:
                     if where is LIGHT_RECEIVERS:
                         places.append((hyp, tuple(receivers)))
-        asks.append(places)
-        for hyp, xs in places:
-            scopes[hyp].update(xs)
-    found: dict[Hypothesis, dict[int, list[Violation]]] = {}
-    for hyp, scope in scopes.items():
-        found[hyp] = at_place = {}
-        if isinstance(hyp, Condition):
-            for w in check_condition(g, p, kappa, hyp, vertices=scope):
-                at_place.setdefault(w.vertices[0], []).append(Violation(hyp.value, w.wording))
-        else:
-            for x in scope:
-                violation = _PROFILE_CHECKS[hyp](p, g, x)
-                if violation:
-                    at_place[x] = [violation]
-    out = []
-    for places in asks:
         violated: list[Violation] = []
-        for hyp, at in places:
-            at_place = found[hyp]
-            for x in at:
-                violated.extend(at_place.get(x, ()))
+        for hyp, xs in places:
+            if not isinstance(hyp, Condition):
+                for place in xs:
+                    violation = _PROFILE_CHECKS[hyp](p, g, place)
+                    if violation:
+                        violated.append(violation)
+                continue
+            at_place = found.get(hyp)
+            if at_place is None:
+                found[hyp] = at_place = {}
+                for w in check_condition(g, p, kappa, hyp):
+                    at_place.setdefault(w.vertices[0], []).append(Violation(hyp.value, w.wording))
+            for place in xs:
+                violated.extend(at_place.get(place, ()))
         out.append(violated)
     return out
 

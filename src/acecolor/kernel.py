@@ -3,9 +3,12 @@
 Prefers the hand-written C extension ``_kernel`` (built from ``_kernel.c``
 by ``setup.py`` when a C compiler is present); falls back to the
 pure-Python kernel when the extension is missing or when ACECOLOR_PURE is
-set in the environment. Both backends run the same algorithms and return
-the same result for every input; for a rejected input they raise
-ValueError with the same message. ``read_drawing`` alone differs (below).
+set in the environment. An extension that does not carry the digest of
+the ``_kernel.c`` beside it, a build older than its source, raises
+ImportError, which names the command that rebuilds it. Both backends run
+the same algorithms and return the same result for every input; for a
+rejected input they raise ValueError with the same message.
+``read_drawing`` alone differs (below).
 
 ``find_coloring(n, k, eu, ev, order, max_nodes=-1)`` returns the per-edge
 colors, None when no acyclic coloring within k colors exists, or False
@@ -68,6 +71,8 @@ from __future__ import annotations
 
 import os
 
+from . import _stamp
+
 if os.environ.get("ACECOLOR_PURE"):
     from . import _kernel_py as _impl
 else:
@@ -75,6 +80,12 @@ else:
         from . import _kernel as _impl  # type: ignore[attr-defined]
     except ImportError:
         from . import _kernel_py as _impl
+    else:
+        _source = os.path.join(os.path.dirname(__file__), "_kernel.c")
+        if os.path.isfile(_source) and not _stamp.built_from(_impl, _source):
+            raise ImportError(
+                f"the C kernel {_impl.__file__} was not built from {_source}; rebuild it: {_stamp.REBUILD}"
+            )
 
 BACKEND: str = _impl.BACKEND  # "c" or "python"
 find_coloring = _impl.find_coloring

@@ -2,15 +2,17 @@
 regardless of cwd, the two kernel backends as fixtures, and a fixture
 that counts the witness and violation texts worded.
 
-When the C extension is not built in place, the ``c_kernel`` fixture
-builds it once per session from ``src/acecolor/_kernel.c`` into a
-temporary directory with setuptools and loads it from there. It skips
-only when no C compiler is found.
+The ``c_kernel`` fixture takes the C extension built in place when it
+carries the digest of ``src/acecolor/_kernel.c``. When nothing is built
+in place, or the build is older than its source, it builds the extension
+once per session with ``setup.py`` into a temporary directory and loads
+it from there. It skips only when no C compiler is found.
 """
 
 import importlib.util
 import shlex
 import shutil
+import subprocess
 import sys
 import sysconfig
 from pathlib import Path
@@ -20,20 +22,20 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from acecolor import _kernel_py, conditions, discharging  # noqa: E402
+from acecolor._stamp import built_from  # noqa: E402
 
-KERNEL_C = Path(__file__).resolve().parents[1] / "src" / "acecolor" / "_kernel.c"
+ROOT = Path(__file__).resolve().parents[1]
+KERNEL_C = ROOT / "src" / "acecolor" / "_kernel.c"
 
 
 def _build_kernel(out_dir: Path):
-    from setuptools import Distribution, Extension
-
-    ext = Extension("acecolor._kernel", [str(KERNEL_C)], extra_compile_args=["-O2"])
-    cmd = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
-    cmd.build_lib = str(out_dir)
-    cmd.build_temp = str(out_dir / "tmp")
-    cmd.ensure_finalized()
-    cmd.run()
-    spec = importlib.util.spec_from_file_location(ext.name, cmd.get_ext_fullpath(ext.name))
+    subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext", "--build-lib", str(out_dir),
+         "--build-temp", str(out_dir / "tmp")],
+        cwd=ROOT, check=True, capture_output=True, timeout=300,
+    )
+    path = out_dir / "acecolor" / f"_kernel{sysconfig.get_config_var('EXT_SUFFIX')}"
+    spec = importlib.util.spec_from_file_location("acecolor._kernel", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -43,10 +45,10 @@ def _build_kernel(out_dir: Path):
 def c_kernel(tmp_path_factory):
     try:
         from acecolor import _kernel
-
-        return _kernel
     except ImportError:
-        pass
+        _kernel = None
+    if _kernel is not None and built_from(_kernel, KERNEL_C):
+        return _kernel
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     if not cc or shutil.which(cc[0]) is None:
         pytest.skip("no C compiler found to build the C kernel")

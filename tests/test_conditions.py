@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from acecolor.conditions import (
     CONDITION_ORDER,
     Condition,
+    _word_cut_vertex,
     check_condition,
     deletion_minimal_probe,
     find_reducible_configuration,
@@ -16,10 +17,10 @@ from acecolor.conditions import (
 from acecolor.discharging import discharge
 from acecolor.embedding import format_drawing, parse_drawing, planarize
 from acecolor.errors import SizeRefusal
-from acecolor.generate import FAMILIES, CorpusSpec, generate_corpus, generate_instance, grid_builder
+from acecolor.generate import FAMILIES, CorpusSpec, DrawingBuilder, generate_corpus, generate_instance, grid_builder
 from acecolor.graph import Graph
 
-from fixtures import crossing_two_vertices, pendant_cycle_fixture, two_vertex_on_three_face
+from fixtures import crossing_two_vertices, two_vertex_on_three_face
 from graphlib import complete, cube, cycle, grid, path, star, triangle_free_tiny
 
 
@@ -202,6 +203,39 @@ def test_find_reducible_on_sample_corpus_with_recheck():
             assert recheck_witness(g, p, kappa_for(g), w)
 
 
+_TWO_SQUARES = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
+
+
+def _recheck_two_squares(g, p):
+    kappa = kappa_for(g)
+    w = find_reducible_configuration(g, p, kappa)
+    assert (w.condition, w.vertices, w.detail) == (
+        Condition.MIN_DEGREE_2CONNECTED, (0, 4), "graph is disconnected"
+    )
+    assert recheck_witness(g, p, kappa, w)
+
+
+def test_recheck_accepts_the_disconnected_witness_of_a_graph():
+    _recheck_two_squares(Graph(8, _TWO_SQUARES), None)
+
+
+def test_recheck_accepts_the_disconnected_witness_of_a_drawing():
+    rotation = {0: [3, 1], 1: [0, 2], 2: [1, 3], 3: [2, 0], 4: [7, 5], 5: [4, 6], 6: [5, 7], 7: [6, 4]}
+    d = DrawingBuilder(8, _TWO_SQUARES, rotation).to_drawing()
+    _recheck_two_squares(d.base, planarize(d))
+
+
+def test_recheck_refuses_a_witness_worded_otherwise():
+    # the condition and the vertex of a found witness, with another text
+    g = cycle(6)
+    w = find_reducible_configuration(g, None, kappa_for(g))
+    forged = w._replace(wording=(_word_cut_vertex, w.vertices[0]))
+    assert forged.condition is w.condition and forged.vertices == w.vertices
+    assert forged.detail != w.detail
+    assert recheck_witness(g, None, kappa_for(g), w)
+    assert not recheck_witness(g, None, kappa_for(g), forged)
+
+
 def test_condition_order_is_fixed_and_complete():
     assert CONDITION_ORDER[0] is Condition.MIN_DEGREE_2CONNECTED
 
@@ -253,26 +287,6 @@ def test_find_reducible_refuses_palette_below_max_degree():
     find_reducible_configuration(g, p, g.max_degree())  # the lowest palette accepted
 
 
-@pytest.mark.parametrize(
-    "cond",
-    [Condition.DEG2_BIG_NEIGHBORS, Condition.DEG2_FACE_SIZES, Condition.TRIANGLE_FACE_BUDGET],
-)
-def test_scope_outside_vertex_range_is_refused(cond):
-    # in a drawing with crossings, id n is a vertex of the plane graph (the
-    # first crossing) but not of the graph the conditions speak about
-    b = grid_builder(3, 4)
-    b.insert_crossing(5, 6)
-    d = b.to_drawing()
-    g, p = d.base, planarize(d)
-    for bad in (-1, g.n):
-        for scope in ((bad,), (0, bad)):
-            with pytest.raises(ValueError, match="outside"):
-                check_condition(g, p, kappa_for(g), cond, vertices=scope)
-    # the scope may be any iterable, an iterator included
-    full = check_condition(g, p, kappa_for(g), cond)
-    assert check_condition(g, p, kappa_for(g), cond, vertices=iter(range(g.n))) == full
-
-
 @st.composite
 def face_drawings(draw):
     """Generated corpus drawings, or grids with subdivided edges and
@@ -290,8 +304,8 @@ def face_drawings(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(face_drawings(), st.data())
-def test_scoped_face_conditions_match_full_scope(d, data):
+@given(face_drawings())
+def test_scoped_face_conditions_match_full_scope(d):
     p = planarize(d)
     g = d.base
     # the per-vertex 3-faces agree with a recount from the face list
@@ -307,66 +321,18 @@ def test_scoped_face_conditions_match_full_scope(d, data):
         for i in p.faces_at(v)
         if len(p.faces[i]) == 3
     ]
-    scope = data.draw(st.sets(st.integers(0, g.n - 1)))
-    for cond in (Condition.DEG2_FACE_SIZES, Condition.TRIANGLE_FACE_BUDGET):
-        full = check_condition(g, p, kappa_for(g), cond)
-        scoped = check_condition(g, p, kappa_for(g), cond, vertices=scope)
-        assert scoped == [w for w in full if w.vertices[0] in scope]
-    # deg2-support-counts binds the support vertex; its refinements depend
-    # on the slack, so check a drawn palette too
-    for kappa in (kappa_for(g), g.max_degree() + data.draw(st.integers(0, 4))):
-        cond = Condition.DEG2_SUPPORT_COUNTS
-        full = check_condition(g, p, kappa, cond)
-        scoped = check_condition(g, p, kappa, cond, vertices=scope)
-        assert scoped == [w for w in full if w.vertices[0] in scope]
-
-
-@st.composite
-def union_drawings(draw):
-    """face_drawings, or now and then a 4-cycle with a pendant vertex,
-    whose cut vertex precedes its 1-vertex."""
-    if draw(st.integers(0, 9)) == 0:
-        return pendant_cycle_fixture()
-    return draw(face_drawings())
-
-
-@settings(max_examples=80, deadline=None)
-@given(union_drawings(), st.data())
-def test_scoped_check_is_the_concatenation_of_single_vertex_checks(d, data):
-    # the audit blames a batch of elements with one check per condition,
-    # scoped to the union of their vertices, and hands each vertex its own
-    # witnesses: that is sound because a check scoped to S returns the
-    # single-vertex results over sorted(S), one after another
-    p = planarize(d)
-    g = d.base
-    kappa = g.max_degree() + data.draw(st.integers(0, 6))
-    for scope in (data.draw(st.sets(st.integers(0, g.n - 1))), set(range(g.n))):
-        for cond in CONDITION_ORDER:
-            singles = [
-                w for v in sorted(scope) for w in check_condition(g, p, kappa, cond, vertices=(v,))
-            ]
-            assert check_condition(g, p, kappa, cond, vertices=scope) == singles, cond
-            # a scope with repeats, in any order, is the same scope
-            again = sorted(scope, reverse=True) * 2
-            assert check_condition(g, p, kappa, cond, vertices=again) == singles, cond
 
 
 def test_two_vertex_on_three_face_is_found_in_scope():
-    # a subdivision vertex next to a crossing lies on a 3-face; its own
-    # scope finds it, and a scope without it does not
+    # a subdivision vertex next to a crossing lies on a 3-face, and the
+    # check finds it there and nowhere else
     d = two_vertex_on_three_face()
     p = planarize(d)
     g = d.base
     w = g.n - 1  # the subdivision vertex
     assert p.triangles_at[w]
-    found = check_condition(g, p, kappa_for(g), Condition.DEG2_FACE_SIZES, vertices=(w,))
+    found = check_condition(g, p, kappa_for(g), Condition.DEG2_FACE_SIZES)
     assert found and all(f.vertices == (w,) for f in found)
-    others = tuple(v for v in range(g.n) if v != w)
-    assert not [
-        f
-        for f in check_condition(g, p, kappa_for(g), Condition.DEG2_FACE_SIZES, vertices=others)
-        if f.vertices == (w,)
-    ]
 
 
 def test_two_vertex_crossing_builder_draws_the_fixture():

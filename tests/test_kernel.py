@@ -5,20 +5,28 @@ The ``c_kernel`` and ``backend`` fixtures live in ``conftest.py``; the
 compiled tests skip only when no C compiler is found.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import re
 import resource
 import shlex
 import shutil
 import signal
 import subprocess
+import sys
 import sysconfig
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import acecolor
 from acecolor import _kernel_py
 from acecolor import kernel
+from acecolor._stamp import REBUILD, source_digest
 from acecolor.embedding import format_drawing
 from acecolor.generate import grid_builder
 
@@ -322,6 +330,33 @@ def test_backends_expose_the_same_functions(c_kernel):
     assert _public_functions(_kernel_py) == _public_functions(c_kernel)
     assert _public_functions(kernel) == _public_functions(_kernel_py)
     assert {"find_coloring", "peeling_order", "trace_faces", "index_edges", "read_drawing"} <= _public_functions(kernel)
+
+
+def test_an_in_place_build_carries_the_digest_of_its_source():
+    # a build older than _kernel.c would run every test on code the source
+    # no longer has. A fresh interpreter reads the stamp, as this one may
+    # hold the c_kernel fixture's own build under the same module name.
+    if importlib.machinery.PathFinder.find_spec("acecolor._kernel", acecolor.__path__) is None:
+        pytest.skip("no C kernel built in place")
+    done = subprocess.run(
+        [sys.executable, "-c", "from acecolor import _kernel; print(getattr(_kernel, 'SOURCE_DIGEST', None))"],
+        env={**os.environ, "ACECOLOR_PURE": "1", "PYTHONPATH": str(KERNEL_C.parents[1])},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == source_digest(KERNEL_C), REBUILD
+
+
+def test_a_kernel_built_from_other_source_is_refused(monkeypatch):
+    # acecolor.kernel names the rebuild, and does not fall back to the
+    # Python kernel
+    stale = types.ModuleType("acecolor._kernel")
+    stale.__file__, stale.SOURCE_DIGEST = "_kernel.so", "0" * 64
+    monkeypatch.setitem(sys.modules, "acecolor._kernel", stale)
+    monkeypatch.setattr(acecolor, "_kernel", stale, raising=False)
+    monkeypatch.delenv("ACECOLOR_PURE", raising=False)
+    spec = importlib.util.spec_from_file_location("acecolor.kernel", kernel.__file__)
+    with pytest.raises(ImportError, match=re.escape(REBUILD)):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 # -- face walks -----------------------------------------------------------------
